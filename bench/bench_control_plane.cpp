@@ -2,24 +2,24 @@
 // hot paths — APSP (weighted + unweighted, as Controller::recompute_apsp
 // runs them), the C-regulation loop, and the nearest-site lookup — at
 // threads=1 vs the configured pool (GRED_THREADS, default: all cores),
-// plus the GRED_INCREMENTAL churn sweep: per-event cost of the
-// incremental control plane (delta-APSP + localized DT repair + plan
-// patching) vs the full recompute-and-reinstall path at n in
-// {256, 1024, 4096}. Emits BENCH_control_plane.json so CI can track
-// the speedups. Every parallel or incremental run is checked
-// bit-identical to its serial/full counterpart before any number is
-// reported. `--smoke` shrinks the churn sweep for CI.
+// plus the churn sweep: per-event cost of the delta path (delta-APSP +
+// localized DT repair + plan patching) vs a cold restore of the same
+// state (full APSP + DT build + install) at n in {256, 1024, 4096}.
+// Emits BENCH_control_plane.json so CI can track the speedups. Every
+// parallel or delta-path run is checked bit-identical to its serial or
+// cold counterpart before any number is reported. `--smoke` shrinks
+// the churn sweep for CI.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
+#include "core/snapshot.hpp"
 #include "crypto/data_key.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/site_grid.hpp"
@@ -135,27 +135,43 @@ bool flow_tables_equal(const sden::SdenNetwork& a,
   return true;
 }
 
+/// A cold restore of a live system: capture_snapshot + restore_snapshot
+/// into a fresh network over the same topology, holding the same items.
+/// The from-scratch oracle for the delta path (full APSP, DT build and
+/// install of every switch).
+struct ColdRestore {
+  ColdRestore(const core::Controller& live, const sden::SdenNetwork& live_net)
+      : net(live_net.description()), ctrl(live.options()) {
+    for (topology::ServerId s = 0; s < live_net.server_count(); ++s) {
+      net.server(s) = live_net.server(s);
+    }
+    auto snap = core::capture_snapshot(live, live_net);
+    require(snap.ok() && core::restore_snapshot(ctrl, net, snap.value()).ok(),
+            "cold restore");
+  }
+  sden::SdenNetwork net;
+  core::Controller ctrl;
+};
+
 struct ChurnReport {
   std::size_t n = 0;
   std::size_t events = 0;              ///< successful churn events
   std::size_t incremental_events = 0;  ///< ... that took the delta path
   double event_us_p50 = 0;
   double event_us_p99 = 0;
-  double full_rebuild_ms = 0;  ///< mean full recompute-and-reinstall
-  double speedup = 0;          ///< full_rebuild / incremental p50
+  double full_rebuild_ms = 0;  ///< mean cold restore
+  double speedup = 0;          ///< cold restore / delta-path p50
   double allocs_per_packet = 0;
 };
 
 /// One churn size: a GRED system absorbs a seeded mix of switch
-/// join/leave, link add/remove, and range extend/retract events on the
-/// incremental path, each timed end-to-end. Identity is asserted
-/// against ground truth before any number is reported: at n <= 256 a
-/// full-rebuild twin runs the same events in lockstep (APSP tables,
-/// flow tables, and routed packets compared after every event); at
-/// every n the final delta-maintained APSP equals a fresh recompute,
-/// the repaired DT equals a fresh Bowyer-Watson build, and the
-/// patch_plans-maintained sharded plans route every packet identically
-/// to freshly recompiled ones.
+/// join/leave, link add/remove, and range extend/retract events, each
+/// timed end-to-end. Identity is asserted against a cold restore before
+/// any number is reported: at n <= 256 after every event (APSP tables,
+/// flow tables, and routed packets); at every n after the churn (APSP,
+/// DT adjacency, flow tables), where the patch_plans-maintained sharded
+/// plans must also route every packet identically to freshly recompiled
+/// ones.
 ChurnReport run_churn(std::size_t n, bool smoke) {
   ChurnReport rep;
   rep.n = n;
@@ -170,19 +186,9 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
                                opts);
   require(made.ok(), "GredSystem::create (churn)");
   core::GredSystem sys = std::move(made).value();
-  sys.controller().set_incremental(true);
   sden::SdenNetwork& net = sys.network();
 
-  std::optional<core::GredSystem> twin;
-  if (lockstep) {
-    auto t = core::GredSystem::create(
-        bench::make_waxman_network(n, 1, 3, 8100 + n), opts);
-    require(t.ok(), "GredSystem::create (churn twin)");
-    twin.emplace(std::move(t).value());
-    twin->controller().set_incremental(false);
-  }
-
-  // Identical seeded storage on both systems, plus retrieval packets.
+  // Seeded storage plus retrieval packets.
   const std::size_t items = smoke ? 150 : 400;
   Rng rng(4800 + n);
   std::vector<sden::Packet> pkts;
@@ -192,9 +198,6 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
         "churn-" + std::to_string(n) + "-" + std::to_string(i);
     const sden::SwitchId ingress = rng.next_below(n);
     require(sys.place(id, "v-" + id, ingress).ok(), "churn place");
-    if (twin.has_value()) {
-      require(twin->place(id, "v-" + id, ingress).ok(), "churn twin place");
-    }
     sden::Packet p;
     p.type = sden::PacketType::kRetrieval;
     p.data_id = id;
@@ -210,14 +213,10 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
 
   sden::Packet pkt_scratch;
   sden::RouteResult scratch;
-  auto warm = [&](sden::SdenNetwork& target) {
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      pkt_scratch = pkts[i];
-      target.route(pkt_scratch, ingresses[i], scratch);
-    }
-  };
-  warm(net);
-  if (twin.has_value()) warm(twin->network());
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    pkt_scratch = pkts[i];
+    net.route(pkt_scratch, ingresses[i], scratch);
+  }
 
   core::Controller& ctrl = sys.controller();
   const std::size_t rounds =
@@ -256,28 +255,29 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     }
     const bool may_remove = parts.size() > 8;
     const std::uint64_t op = rng.next_below(6);
-    auto apply = [&](core::GredSystem& s) -> bool {
-      switch (op) {
-        case 0:
-          return s.add_switch({a, b}, /*servers=*/1).ok();
-        case 1:
-          return may_remove ? s.remove_switch(a).ok() : s.add_link(a, b).ok();
-        case 2:
-          return s.add_link(a, b).ok();
-        case 3:
-          return s.remove_link(a, b_adj).ok();
-        case 4:
-          return s.extend_range(srv).ok();
-        default:
-          return s.retract_range(srv).ok();
-      }
-    };
     const auto t0 = std::chrono::steady_clock::now();
-    const bool ok = apply(sys);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (twin.has_value()) {
-      require(apply(*twin) == ok, "churn twins diverged on op outcome");
+    bool ok = false;
+    switch (op) {
+      case 0:
+        ok = sys.add_switch({a, b}, /*servers=*/1).ok();
+        break;
+      case 1:
+        ok = may_remove ? sys.remove_switch(a).ok() : sys.add_link(a, b).ok();
+        break;
+      case 2:
+        ok = sys.add_link(a, b).ok();
+        break;
+      case 3:
+        ok = sys.remove_link(a, b_adj).ok();
+        break;
+      case 4:
+        ok = sys.extend_range(srv).ok();
+        break;
+      default:
+        ok = sys.retract_range(srv).ok();
+        break;
     }
+    const auto t1 = std::chrono::steady_clock::now();
     if (!ok) continue;  // e.g. duplicate link, would-disconnect removal
     event_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
@@ -290,29 +290,29 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     } else {
       sdp.recompile();
     }
-    if (twin.has_value()) {
-      require(ctrl.apsp().dist == twin->controller().apsp().dist,
-              "incremental APSP (hops) != full twin");
-      require(ctrl.apsp_latency().dist ==
-                  twin->controller().apsp_latency().dist,
-              "incremental APSP (latency) != full twin");
-      require(flow_tables_equal(net, twin->network()),
-              "incremental flow tables != full twin");
+    if (lockstep) {
+      ColdRestore cold(ctrl, net);
+      require(ctrl.apsp().dist == cold.ctrl.apsp().dist,
+              "delta APSP (hops) != cold restore");
+      require(ctrl.apsp_latency().dist == cold.ctrl.apsp_latency().dist,
+              "delta APSP (latency) != cold restore");
+      require(flow_tables_equal(net, cold.net),
+              "delta flow tables != cold restore");
       for (std::size_t i = 0; i < pkts.size(); i += 8) {
         pkt_scratch = pkts[i];
         net.route(pkt_scratch, ingresses[i], scratch);
         sden::Packet q = pkts[i];
-        sden::RouteResult full_res;
-        twin->network().route(q, ingresses[i], full_res);
-        require(results_equal(scratch, full_res),
-                "incremental retrieval != full twin");
+        sden::RouteResult cold_res;
+        cold.net.route(q, ingresses[i], cold_res);
+        require(results_equal(scratch, cold_res),
+                "delta retrieval != cold restore");
       }
     }
   }
   rep.events = event_us.size();
   require(rep.events > 0, "no churn event succeeded");
   require(rep.incremental_events * 2 >= rep.events,
-          "incremental path starved (mostly full fallbacks)");
+          "delta path starved (mostly full fallbacks)");
 
   // Retract every extension still active: delivery at a switch with a
   // rewrite takes the live-pipeline fallback (which may allocate), so
@@ -326,9 +326,6 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     }
     for (const topology::ServerId srv : extended) {
       require(sys.retract_range(srv).ok(), "cleanup retract_range");
-      if (twin.has_value()) {
-        require(twin->retract_range(srv).ok(), "twin cleanup retract");
-      }
       if (ctrl.last_event_incremental()) {
         const std::vector<topology::SwitchId>& aff =
             ctrl.last_affected_switches();
@@ -340,28 +337,35 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     }
   }
 
-  // Ground truth at every size: the delta-maintained state equals a
-  // from-scratch recomputation of the final topology.
-  {
-    const graph::Graph& g = net.description().switches();
-    ThreadPool& pool = global_pool();
-    require(ctrl.apsp().dist ==
-                graph::all_pairs_shortest_paths(g, false, &pool).dist,
-            "delta-APSP (hops) drifted from fresh recompute");
-    require(ctrl.apsp_latency().dist ==
-                graph::all_pairs_shortest_paths(g, true, &pool).dist,
-            "delta-APSP (latency) drifted from fresh recompute");
-    auto fresh =
-        geometry::DelaunayTriangulation::build(ctrl.space().positions());
-    require(fresh.ok(), "fresh DT build");
+  // Ground truth at every size, and the full-recompute baseline: the
+  // delta-maintained state equals a cold restore of the final state,
+  // whose wall time (snapshot, full APSP, DT build, install of every
+  // switch) is the per-event cost the delta path avoids.
+  double full_ms = 0;
+  constexpr int kColdRuns = 2;
+  for (int run = 0; run < kColdRuns; ++run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const ColdRestore cold(ctrl, net);
+    full_ms += std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    require(ctrl.apsp().dist == cold.ctrl.apsp().dist,
+            "delta-APSP (hops) drifted from cold restore");
+    require(ctrl.apsp_latency().dist == cold.ctrl.apsp_latency().dist,
+            "delta-APSP (latency) drifted from cold restore");
     const geometry::DelaunayTriangulation& repaired =
         ctrl.dt().triangulation();
-    require(repaired.size() == fresh.value().size(), "DT size drifted");
+    const geometry::DelaunayTriangulation& fresh =
+        cold.ctrl.dt().triangulation();
+    require(repaired.size() == fresh.size(), "DT size drifted");
     for (std::size_t i = 0; i < repaired.size(); ++i) {
-      require(repaired.neighbors(i) == fresh.value().neighbors(i),
-              "repaired DT adjacency drifted from fresh build");
+      require(repaired.neighbors(i) == fresh.neighbors(i),
+              "repaired DT adjacency drifted from cold restore");
     }
+    require(flow_tables_equal(net, cold.net),
+            "delta flow tables drifted from cold restore");
   }
+  rep.full_rebuild_ms = full_ms / kColdRuns;
 
   // The patch_plans-maintained sharded plans vs a freshly recompiled
   // plane, every packet bit-identical.
@@ -413,39 +417,6 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
       static_cast<double>(a1 - a0) / static_cast<double>(pkts.size());
   require(a1 == a0, "steady-state route after churn allocated");
 
-  // Full-recompute baseline: the same event class with the incremental
-  // path off (full APSP + DT rebuild + reinstall), on this system so
-  // the topology size matches.
-  ctrl.set_incremental(false);
-  double full_ms = 0;
-  int full_events = 0;
-  for (int k = 0; k < 2; ++k) {
-    const std::vector<sden::SwitchId>& parts = ctrl.space().participants();
-    sden::SwitchId u = 0;
-    sden::SwitchId v = 0;
-    for (int tries = 0; tries < 64; ++tries) {
-      const sden::SwitchId x = parts[rng.next_below(parts.size())];
-      const sden::SwitchId y = parts[rng.next_below(parts.size())];
-      if (x != y &&
-          net.description().switches().find_edge(x, y) == nullptr) {
-        u = x;
-        v = y;
-        break;
-      }
-    }
-    if (u == v) break;
-    const auto t0 = std::chrono::steady_clock::now();
-    require(sys.add_link(u, v).ok(), "baseline add_link");
-    const auto t1 = std::chrono::steady_clock::now();
-    require(sys.remove_link(u, v).ok(), "baseline remove_link");
-    const auto t2 = std::chrono::steady_clock::now();
-    full_ms += std::chrono::duration<double, std::milli>(t2 - t0).count();
-    full_events += 2;
-  }
-  ctrl.set_incremental(true);
-  require(full_events > 0, "no full-rebuild baseline event");
-  rep.full_rebuild_ms = full_ms / full_events;
-
   rep.event_us_p50 = percentile(event_us, 0.50);
   rep.event_us_p99 = percentile(event_us, 0.99);
   rep.speedup =
@@ -466,7 +437,7 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Control plane", "APSP / C-regulation / nearest-site / churn scaling",
-      "parallel and incremental output identical to serial/full rebuild");
+      "parallel and delta-path output identical to serial/cold restore");
   std::printf("pool threads: %zu (GRED_THREADS or hardware)\n\n",
               pool.thread_count());
 
@@ -545,17 +516,17 @@ int main(int argc, char** argv) {
               "%.2fM/s brute force, speedup %.1fx\n",
               grid_qps / 1e6, brute_qps / 1e6, grid_qps / brute_qps);
 
-  // --- Churn sweep: per-event incremental cost vs full recompute,
+  // --- Churn sweep: per-event delta-path cost vs a cold restore,
   // identity asserted before any number is reported (see run_churn). ---
   std::vector<std::size_t> churn_sizes = {256, 1024, 4096};
   if (smoke) churn_sizes = {256};
   std::vector<ChurnReport> churn;
-  std::printf("\nchurn sweep (GRED_INCREMENTAL on, identity-checked):\n");
+  std::printf("\nchurn sweep (delta path vs cold restore, identity-checked):\n");
   for (const std::size_t cn : churn_sizes) {
     churn.push_back(run_churn(cn, smoke));
     const ChurnReport& r = churn.back();
-    std::printf("  n=%-5zu %zu/%zu events incremental, p50 %.0f us, "
-                "p99 %.0f us, full rebuild %.1f ms, speedup %.1fx, "
+    std::printf("  n=%-5zu %zu/%zu events on the delta path, p50 %.0f us, "
+                "p99 %.0f us, cold restore %.1f ms, speedup %.1fx, "
                 "allocs/pkt %.2f\n",
                 r.n, r.incremental_events, r.events, r.event_us_p50,
                 r.event_us_p99, r.full_rebuild_ms, r.speedup,
@@ -611,7 +582,7 @@ int main(int argc, char** argv) {
   }
   // Headline keys (largest size in the sweep). Every identity check
   // aborts the bench on divergence, so reaching this line IS the
-  // incremental == full assertion.
+  // delta path == cold restore assertion.
   fields.emplace_back("churn_event_us_p50", churn.back().event_us_p50);
   fields.emplace_back("churn_event_us_p99", churn.back().event_us_p99);
   fields.emplace_back("incremental_speedup", churn.back().speedup);

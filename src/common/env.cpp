@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <string>
 #include <thread>
 
 #include "common/log.hpp"
@@ -42,20 +41,6 @@ std::size_t env_parallelism_or_hardware(const char* var) {
   if (v != 0) return v;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-bool env_flag(const char* var, bool fallback) {
-  const char* env = std::getenv(var);
-  if (env == nullptr) return fallback;
-  std::string v(env);
-  for (char& c : v) c = static_cast<char>(std::tolower(
-      static_cast<unsigned char>(c)));
-  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
-  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  GRED_WARN << var << "=\"" << env
-            << "\" is not a recognized boolean; using the default ("
-            << (fallback ? "on" : "off") << ")";
-  return fallback;
 }
 
 }  // namespace gred

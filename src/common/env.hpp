@@ -26,10 +26,4 @@ std::size_t env_parallelism(const char* var);
 /// std::thread::hardware_concurrency() (minimum 1) when it returns 0.
 std::size_t env_parallelism_or_hardware(const char* var);
 
-/// Reads the environment variable `var` as a boolean toggle: "1",
-/// "true", "on", "yes" enable and "0", "false", "off", "no" disable
-/// (case-insensitive). Unset returns `fallback`; any other value logs
-/// one GRED_WARN line and also returns `fallback`.
-bool env_flag(const char* var, bool fallback);
-
 }  // namespace gred

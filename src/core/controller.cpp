@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "check/invariants.hpp"
@@ -31,11 +32,10 @@ std::size_t total_flow_entries(const sden::SdenNetwork& net) {
   return total;
 }
 
-/// Drops all cached retrieval answers after a pass that moved items
-/// between servers without touching any flow table (replication
-/// repair, item migration). Table-touching ops invalidate implicitly
-/// through SdenNetwork::invalidate_plan; these passes must do it
-/// explicitly or the hot-key cache would serve moved/stale data.
+/// Drops all cached retrieval answers after item moves, which touch no
+/// flow table. Table-touching ops invalidate implicitly through
+/// SdenNetwork::invalidate_plan; moves must do it explicitly or the
+/// hot-key cache would serve moved/stale data.
 void drop_cached_answers(sden::SdenNetwork& net) {
   if (sden::HotKeyCache* cache = net.hot_key_cache()) {
     cache->invalidate_all();
@@ -43,8 +43,8 @@ void drop_cached_answers(sden::SdenNetwork& net) {
 }
 
 /// Captures the before-state of a dynamics op at construction and
-/// appends one event-log entry in finish(). Inert (two loads) when
-/// obs is disabled.
+/// appends one event-log entry in finish(), including the path the op
+/// took. Inert (two loads) when obs is disabled.
 class EventRecorder {
  public:
   EventRecorder(obs::EventKind kind, const sden::SdenNetwork& net,
@@ -58,10 +58,13 @@ class EventRecorder {
     start_ = std::chrono::steady_clock::now();
   }
 
-  void finish(const Status& status, std::size_t migrated,
+  void finish(const Controller& ctrl, const Status& status,
+              std::size_t migrated,
               std::size_t subject = static_cast<std::size_t>(-1)) {
     if (!active_) return;
     ev_.ok = status.ok();
+    ev_.incremental = ctrl.last_event_incremental();
+    ev_.fallback = ctrl.last_fallback();
     if (!status.ok()) ev_.status = status.error().to_string();
     if (subject != static_cast<std::size_t>(-1)) {
       ev_.subject = static_cast<std::uint32_t>(subject);
@@ -81,7 +84,7 @@ class EventRecorder {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// Data-plane tail of an incremental dynamics event: patch the
+/// Data-plane tail of a delta-path dynamics event: patch the
 /// network's cached route plan for the affected switches — but only
 /// when the plan was fresh going into the event. A stale plan stays on
 /// the lazy full-rebuild path (there is nothing coherent to patch).
@@ -101,6 +104,32 @@ std::vector<SwitchId> find_participants(const topology::EdgeNetwork& desc) {
   return out;
 }
 
+/// Whether an installed rewrite still holds under the current topology.
+/// It is dropped when the original server no longer hangs off its
+/// switch, the delegate left, or the physical link the handoff rides is
+/// gone. Items on a dropped delegate are not stranded: migration
+/// re-homes them because their expected placement no longer has an
+/// active rewrite.
+bool rewrite_valid(const sden::SdenNetwork& net, SwitchId sw,
+                   const sden::RewriteEntry& rw) {
+  if (sw >= net.switch_count() || rw.via_switch >= net.switch_count() ||
+      rw.original >= net.server_count() ||
+      rw.replacement >= net.server_count()) {
+    return false;
+  }
+  // attached_to alone is not enough: a removed switch keeps its server
+  // records but detaches them, so membership in servers_at is the
+  // live-attachment test.
+  const topology::EdgeNetwork& desc = net.description();
+  const auto& own_servers = desc.servers_at(sw);
+  const auto& via_servers = desc.servers_at(rw.via_switch);
+  return std::find(own_servers.begin(), own_servers.end(), rw.original) !=
+             own_servers.end() &&
+         std::find(via_servers.begin(), via_servers.end(), rw.replacement) !=
+             via_servers.end() &&
+         desc.switches().find_edge(sw, rw.via_switch) != nullptr;
+}
+
 }  // namespace
 
 Status Controller::initialize(sden::SdenNetwork& net) {
@@ -112,20 +141,12 @@ Status Controller::initialize(sden::SdenNetwork& net) {
   }
 
   recompute_apsp(net);
-
   auto space = VirtualSpace::build(participants, routing_apsp(), options_);
   if (!space.ok()) return space.error();
   space_ = std::move(space).value();
-
-  auto dt = MultiHopDT::build(space_.participants(), space_.positions(),
-                              net.description().switches(), routing_apsp());
-  if (!dt.ok()) return dt.error();
-  dt_ = std::move(dt).value();
-
-  const Status installed = install(net);
-  if (!installed.ok()) return installed;
-  initialized_ = true;
-  return Status::Ok();
+  const Status installed = reinstall(net);
+  if (installed.ok()) initialized_ = true;
+  return installed;
 }
 
 Status Controller::initialize_with_positions(
@@ -144,105 +165,9 @@ Status Controller::initialize_with_positions(
       VirtualSpace::from_positions(participants, positions, routing_apsp());
   if (!space.ok()) return space.error();
   space_ = std::move(space).value();
-
-  auto dt = MultiHopDT::build(space_.participants(), space_.positions(),
-                              net.description().switches(), routing_apsp());
-  if (!dt.ok()) return dt.error();
-  dt_ = std::move(dt).value();
-
-  const Status installed = install(net);
-  if (!installed.ok()) return installed;
-  initialized_ = true;
-  return Status::Ok();
-}
-
-Status Controller::install(sden::SdenNetwork& net) {
-  const obs::ScopedPhaseTimer timer("install");
-  // Range-extension rewrites are durable data-plane state (Section
-  // V-B): they survive every reinstall, or the delegation would
-  // silently vanish on the next dynamics event and strand the
-  // delegated items. Collect them before the wipe; re-add the ones
-  // that are still valid under the new topology afterwards.
-  std::vector<std::pair<SwitchId, sden::RewriteEntry>> rewrites;
-  for (SwitchId sw = 0; sw < net.switch_count(); ++sw) {
-    for (const sden::RewriteEntry& rw :
-         std::as_const(net).switch_at(sw).table().rewrites()) {
-      rewrites.emplace_back(sw, rw);
-    }
-  }
-
-  // Wipe everything, then install fresh state (the controller owns all
-  // switch state; per-flow entries never exist).
-  for (SwitchId sw = 0; sw < net.switch_count(); ++sw) {
-    net.switch_at(sw).reset();
-  }
-
-  const auto& participants = space_.participants();
-  const auto& positions = space_.positions();
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    const SwitchId id = participants[i];
-    sden::Switch& sw = net.switch_at(id);
-    sw.set_position(positions[i]);
-    sw.set_local_servers(net.description().servers_at(id));
-    for (const DtNeighborInfo& cand : dt_.candidates_of(id)) {
-      sden::NeighborEntry entry;
-      entry.neighbor = cand.neighbor;
-      entry.position = cand.position;
-      entry.physical = cand.physical;
-      entry.first_hop = cand.first_hop;
-      sw.table().add_neighbor(entry);
-    }
-  }
-  for (const auto& [sw_id, relays] : dt_.relay_entries()) {
-    for (const sden::RelayEntry& relay : relays) {
-      net.switch_at(sw_id).table().add_relay(relay);
-    }
-  }
-
-  // Re-install surviving rewrites. An entry is dropped when the
-  // topology change invalidated it: the original server no longer
-  // hangs off the rewrite's switch, the delegate left, or the
-  // physical link the handoff rides is gone. Items on a dropped
-  // delegate are not stranded — migration re-homes them because their
-  // expected placement no longer has an active rewrite.
-  const topology::EdgeNetwork& desc = net.description();
-  for (const auto& [sw, rw] : rewrites) {
-    if (sw >= net.switch_count() || rw.via_switch >= net.switch_count() ||
-        rw.original >= net.server_count() ||
-        rw.replacement >= net.server_count()) {
-      continue;
-    }
-    // attached_to alone is not enough: a removed switch keeps its
-    // server records but detaches them, so membership in servers_at is
-    // the live-attachment test.
-    const auto& own_servers = desc.servers_at(sw);
-    if (std::find(own_servers.begin(), own_servers.end(), rw.original) ==
-        own_servers.end()) {
-      continue;  // original no longer hangs off this switch
-    }
-    const auto& via_servers = desc.servers_at(rw.via_switch);
-    if (std::find(via_servers.begin(), via_servers.end(), rw.replacement) ==
-        via_servers.end()) {
-      continue;  // delegate was detached from its switch
-    }
-    if (desc.switches().find_edge(sw, rw.via_switch) == nullptr) continue;
-    net.switch_at(sw).table().add_rewrite(rw);
-  }
-
-  // Machine-checked invariants (Debug / GRED_CHECKED builds). Every
-  // install is a full state replacement, so re-prove here that the DT
-  // kept its empty-circumcircle property, the APSP tables agree with
-  // the component structure, and the installed greedy/relay entries
-  // realize the DT — the facts the stretch≈1 guarantee rests on.
-  GRED_CHECK(check::validate_delaunay(dt_.triangulation()));
-  GRED_CHECK(check::validate_graph(net.description().switches(), apsp_,
-                                   /*weighted=*/false));
-  GRED_CHECK(check::validate_graph(net.description().switches(),
-                                   apsp_weighted_, /*weighted=*/true));
-  GRED_CHECK(check::validate_flow_tables(net, space_.participants(),
-                                         space_.positions(),
-                                         &dt_.triangulation()));
-  return Status::Ok();
+  const Status installed = reinstall(net);
+  if (installed.ok()) initialized_ = true;
+  return installed;
 }
 
 topology::SwitchId Controller::home_switch(const Point2D& p) const {
@@ -413,6 +338,12 @@ Result<std::vector<ServerId>> Controller::replica_targets(
 }
 
 Result<std::size_t> Controller::restore_replication(sden::SdenNetwork& net) {
+  ItemMoves moves;
+  return restore_replication(net, moves);
+}
+
+Result<std::size_t> Controller::restore_replication(sden::SdenNetwork& net,
+                                                    ItemMoves& moves) {
   if (!initialized_) {
     return Error(ErrorCode::kFailedPrecondition,
                  "Controller not initialized");
@@ -427,56 +358,23 @@ Result<std::size_t> Controller::restore_replication(sden::SdenNetwork& net) {
       holders[id].push_back(s);
     }
   }
-
-  struct Copy {
-    std::string id;
-    ServerId from;
-    ServerId to;
-  };
-  std::vector<Copy> copies;
   for (const auto& [id, held_by] : holders) {
     auto targets = replica_targets(net, crypto::DataKey(id));
     if (!targets.ok()) return targets.error();
     for (const ServerId t : targets.value()) {
       if (std::find(held_by.begin(), held_by.end(), t) == held_by.end()) {
-        copies.push_back({id, held_by.front(), t});
+        moves.copy(id, held_by.front(), t);
       }
     }
   }
-
-  // Store-first; on failure the undo just erases the created copies
-  // (sources were never touched).
-  std::size_t applied = 0;
-  Status failure = Status::Ok();
-  for (const Copy& c : copies) {
-    const std::string* payload = net.server(c.from).find(c.id);
-    if (payload == nullptr) {
-      failure = Status(ErrorCode::kInternal,
-                       "restore_replication: source copy vanished");
-      break;
-    }
-    const Status stored = net.server(c.to).store(c.id, *payload);
-    if (!stored.ok()) {
-      failure = stored;
-      break;
-    }
-    ++applied;
-  }
-  // New copies change which servers hold an item; cached answers that
-  // name a holder must not outlive the change (stale-home rule).
-  if (!copies.empty()) drop_cached_answers(net);
-  if (failure.ok()) return copies.size();
-  for (std::size_t i = applied; i-- > 0;) {
-    net.server(copies[i].to).erase(copies[i].id);
-  }
-  return failure.error();
+  return moves.apply(net);
 }
 
-Status Controller::repair_replication_after_dynamics(
-    sden::SdenNetwork& net) {
+Status Controller::repair_replication_after_dynamics(sden::SdenNetwork& net,
+                                                     ItemMoves& moves) {
   last_repairs_ = 0;
   if (!replication_enabled_) return Status::Ok();
-  auto repaired = restore_replication(net);
+  auto repaired = restore_replication(net, moves);
   if (!repaired.ok()) return repaired.error();
   last_repairs_ = repaired.value();
   return Status::Ok();
@@ -495,8 +393,6 @@ Result<ServerId> Controller::resolve_store_target(
 Status Controller::extend_range_impl(sden::SdenNetwork& net,
                                      ServerId overloaded) {
   const bool plan_fresh = !net.route_plan_stale();
-  last_affected_.clear();
-  last_event_incremental_ = false;
   if (overloaded >= net.server_count()) {
     return Status(ErrorCode::kOutOfRange, "extend_range: unknown server");
   }
@@ -537,16 +433,14 @@ Status Controller::extend_range_impl(sden::SdenNetwork& net,
   // A rewrite touches exactly one switch's region (its deliver-fallback
   // flag), so the event is patchable without any recompute.
   last_affected_.assign(1, sw);
-  last_event_incremental_ = incremental_;
-  if (incremental_) patch_plan_if_fresh(net, plan_fresh, last_affected_);
+  last_event_incremental_ = true;
+  patch_plan_if_fresh(net, plan_fresh, last_affected_);
   return Status::Ok();
 }
 
 Status Controller::retract_range_impl(sden::SdenNetwork& net,
                                       ServerId overloaded) {
   const bool plan_fresh = !net.route_plan_stale();
-  last_affected_.clear();
-  last_event_incremental_ = false;
   if (overloaded >= net.server_count()) {
     return Status(ErrorCode::kOutOfRange, "retract_range: unknown server");
   }
@@ -559,32 +453,22 @@ Status Controller::retract_range_impl(sden::SdenNetwork& net,
 
   // Pull back the items that belong to `overloaded` (Section V-B: the
   // server "first retrieves the data which should be placed in [it]").
-  sden::ServerNode& delegate = net.server(rewrite->replacement);
-  sden::ServerNode& owner = net.server(overloaded);
-  std::vector<std::string> to_move;
-  for (const auto& [id, payload] : delegate.items()) {
-    const crypto::DataKey key(id);
-    const auto placement = expected_placement(net, key);
+  // All or nothing: if the owner fills up mid-pullback, nothing moves
+  // and the extension stays.
+  ItemMoves pullback;
+  for (const auto& [id, payload] : net.server(rewrite->replacement).items()) {
+    const auto placement = expected_placement(net, crypto::DataKey(id));
     if (placement.ok() && placement.value().server == overloaded) {
-      to_move.push_back(id);
+      pullback.move(id, rewrite->replacement, overloaded);
     }
   }
-  for (const std::string& id : to_move) {
-    if (owner.at_capacity()) {
-      return Status(ErrorCode::kUnavailable,
-                    "retract_range: owner filled up before migration "
-                    "finished; extension kept");
-    }
-    auto payload = delegate.fetch(id);
-    const Status stored = owner.store(id, std::move(*payload));
-    if (!stored.ok()) return stored;
-    delegate.erase(id);
-  }
+  const auto pulled = pullback.apply(net);
+  if (!pulled.ok()) return pulled.error();
 
   net.switch_at(sw).table().remove_rewrite(overloaded);
   last_affected_.assign(1, sw);
-  last_event_incremental_ = incremental_;
-  if (incremental_) patch_plan_if_fresh(net, plan_fresh, last_affected_);
+  last_event_incremental_ = true;
+  patch_plan_if_fresh(net, plan_fresh, last_affected_);
   return Status::Ok();
 }
 
@@ -643,46 +527,33 @@ Result<std::size_t> Controller::extend_for_load(
     if (!opts.migrate_hot_items) continue;
 
     // Spread the existing hot set: move the (deterministic) digest-
-    // parity half of the victim's owned items onto the delegate. The
-    // data plane retrieves from both ends of a rewrite, and
-    // retract_range moves exactly these items back, so the extension
-    // stays reversible.
+    // parity half of the victim's owned items onto the delegate, as
+    // many as it has room for. The data plane retrieves from both ends
+    // of a rewrite, and retract_range moves exactly these items back,
+    // so the extension stays reversible.
     const auto rw =
         std::as_const(net).switch_at(sw).table().match_rewrite(victim);
     if (!rw.has_value()) continue;
-    sden::ServerNode& owner = net.server(victim);
-    sden::ServerNode& delegate = net.server(rw->replacement);
-    std::vector<std::string> to_move;
-    for (const auto& [id, payload] : owner.items()) {
+    std::size_t room = net.server(rw->replacement).remaining_capacity();
+    ItemMoves spread;
+    for (const auto& [id, payload] : net.server(victim).items()) {
+      if (room == 0) break;
       const crypto::DataKey key(id);
       if (key.mod(2) != 0) continue;
       const auto placement = expected_placement(net, key);
       if (placement.ok() && placement.value().server == victim) {
-        to_move.push_back(id);
+        spread.move(id, victim, rw->replacement);
+        --room;
       }
     }
-    std::size_t moved = 0;
-    for (const std::string& id : to_move) {
-      if (delegate.at_capacity()) break;
-      const std::string* payload = owner.find(id);
-      if (payload == nullptr) continue;
-      if (!delegate.store(id, *payload).ok()) break;
-      owner.erase(id);
-      ++moved;
-    }
-    if (moved > 0) drop_cached_answers(net);
+    (void)spread.apply(net);
   }
   return performed;
 }
 
-Result<std::size_t> Controller::migrate_items(sden::SdenNetwork& net) {
-  if (replication_factor() > 1) return migrate_items_replicated(net);
-  struct Move {
-    std::string id;
-    ServerId from;
-    ServerId to;
-  };
-  std::vector<Move> moves;
+Result<std::size_t> Controller::migrate_items(sden::SdenNetwork& net,
+                                              ItemMoves& moves) {
+  if (replication_factor() > 1) return migrate_items_replicated(net, moves);
   for (ServerId s = 0; s < net.server_count(); ++s) {
     for (const auto& [id, payload] : net.server(s).items()) {
       const crypto::DataKey key(id);
@@ -697,48 +568,15 @@ Result<std::size_t> Controller::migrate_items(sden::SdenNetwork& net) {
       const ServerId target =
           rw != nullptr ? rw->replacement : placement.value().server;
       if (s != placement.value().server && s != target) {
-        moves.push_back({id, s, target});
+        moves.move(id, s, target);
       }
     }
   }
-  // Transactional apply: store on the target first, erase the source
-  // only after the store succeeded, and undo in reverse order on
-  // failure. The reverse-order undo is what makes the store-back
-  // infallible: when move i is undone, every later move is already
-  // undone, so the slot move i freed at its source is free again.
-  std::size_t applied = 0;
-  Status failure = Status::Ok();
-  for (const Move& m : moves) {
-    const std::string* payload = net.server(m.from).find(m.id);
-    if (payload == nullptr) {
-      failure = Status(ErrorCode::kInternal,
-                       "migrate_items: item vanished mid-migration");
-      break;
-    }
-    const Status stored = net.server(m.to).store(m.id, *payload);
-    if (!stored.ok()) {
-      failure = stored;
-      break;
-    }
-    net.server(m.from).erase(m.id);
-    ++applied;
-  }
-  // Moved items invalidate any cached answer naming the old holder.
-  if (!moves.empty()) drop_cached_answers(net);
-  if (failure.ok()) return moves.size();
-  for (std::size_t i = applied; i-- > 0;) {
-    const Move& m = moves[i];
-    auto payload = net.server(m.to).fetch(m.id);
-    net.server(m.to).erase(m.id);
-    if (payload.has_value()) {
-      (void)net.server(m.from).store(m.id, std::move(*payload));
-    }
-  }
-  return failure.error();
+  return moves.apply(net);
 }
 
 Result<std::size_t> Controller::migrate_items_replicated(
-    sden::SdenNetwork& net) {
+    sden::SdenNetwork& net, ItemMoves& moves) {
   // Per-item holder lists, deterministic order.
   std::map<std::string, std::vector<ServerId>> holders;
   for (ServerId s = 0; s < net.server_count(); ++s) {
@@ -747,17 +585,7 @@ Result<std::size_t> Controller::migrate_items_replicated(
     }
   }
 
-  struct Move {
-    std::string id;
-    ServerId from;
-    ServerId to;
-  };
-  struct Drop {
-    std::string id;
-    ServerId from;
-  };
-  std::vector<Move> moves;
-  std::vector<Drop> drops;
+  std::vector<std::pair<std::string, ServerId>> drops;
   for (const auto& [id, held_by] : holders) {
     const crypto::DataKey key(id);
     auto placements = replica_placements(net, key);
@@ -782,58 +610,23 @@ Result<std::size_t> Controller::migrate_items_replicated(
       }
     }
     // Misplaced copies fill distinct missing targets first — each
-    // (to, id) pair stays unique, which the reverse-order undo needs —
-    // and surplus copies are dropped (restore_replication re-creates
-    // any target the moves could not cover).
+    // (to, id) pair stays unique — and surplus copies are dropped
+    // (restore_replication re-creates any target the moves could not
+    // cover).
     std::size_t next_missing = 0;
     for (const ServerId s : held_by) {
       if (in_place(s)) continue;
       if (next_missing < missing.size()) {
-        moves.push_back({id, s, missing[next_missing++]});
+        moves.move(id, s, missing[next_missing++]);
       } else {
-        drops.push_back({id, s});
+        drops.emplace_back(id, s);
       }
     }
   }
-
-  // Same transactional discipline as the single-copy path: store on
-  // the target first, erase the source after, undo in reverse order.
-  std::size_t applied = 0;
-  Status failure = Status::Ok();
-  for (const Move& m : moves) {
-    const std::string* payload = net.server(m.from).find(m.id);
-    if (payload == nullptr) {
-      failure = Status(ErrorCode::kInternal,
-                       "migrate_items: item vanished mid-migration");
-      break;
-    }
-    const Status stored = net.server(m.to).store(m.id, *payload);
-    if (!stored.ok()) {
-      failure = stored;
-      break;
-    }
-    net.server(m.from).erase(m.id);
-    ++applied;
-  }
-  if (!failure.ok()) {
-    for (std::size_t i = applied; i-- > 0;) {
-      const Move& m = moves[i];
-      auto payload = net.server(m.to).fetch(m.id);
-      net.server(m.to).erase(m.id);
-      if (payload.has_value()) {
-        (void)net.server(m.from).store(m.id, std::move(*payload));
-      }
-    }
-    return failure.error();
-  }
-  // Drops are pure erases and cannot fail; apply them only once the
-  // fallible phase is over so the transaction never needs to undo one.
-  for (const Drop& d : drops) {
-    net.server(d.from).erase(d.id);
-  }
-  // Moved or dropped copies invalidate cached answers naming them.
-  if (!moves.empty() || !drops.empty()) drop_cached_answers(net);
-  return moves.size() + drops.size();
+  // Drops go last, so a capacity failure surfaces before any copy is
+  // given up.
+  for (const auto& [id, s] : drops) moves.drop(id, s);
+  return moves.apply(net);
 }
 
 geometry::Point2D Controller::fit_position(const sden::SdenNetwork& net,
@@ -918,7 +711,6 @@ Status Controller::add_link_impl(sden::SdenNetwork& net, SwitchId u,
           : net.mutable_description().mutable_switches().add_edge(u, v,
                                                                   weight);
   if (!added.ok()) return added;
-  if (!incremental_) return rebuild_and_install(net);
 
   GraphDelta delta;
   delta.kind = GraphDelta::Kind::kLinkAdd;
@@ -955,69 +747,93 @@ Status Controller::remove_link_impl(sden::SdenNetwork& net, SwitchId u,
       }
     }
   }
-  const double weight = net.description().switches().find_edge(u, v)->weight;
-  // Pre-removal rewrites: install() drops any whose handoff ran over
-  // this link, and the failure path below has to put them back.
-  std::vector<std::pair<SwitchId, sden::RewriteEntry>> rewrites_before;
-  for (SwitchId sw = 0; sw < net.switch_count(); ++sw) {
-    for (const sden::RewriteEntry& rw :
-         std::as_const(net).switch_at(sw).table().rewrites()) {
-      rewrites_before.emplace_back(sw, rw);
-    }
-  }
-
+  Checkpoint cp = checkpoint(net);
+  GraphDelta delta;
+  delta.kind = GraphDelta::Kind::kLinkRemove;
+  delta.u = u;
+  delta.v = v;
+  delta.weight = net.description().switches().find_edge(u, v)->weight;
   net.mutable_description().mutable_switches().remove_edge(u, v);
-  Status rebuilt = Status::Ok();
-  if (incremental_) {
-    GraphDelta delta;
-    delta.kind = GraphDelta::Kind::kLinkRemove;
-    delta.u = u;
-    delta.v = v;
-    delta.weight = weight;
-    rebuilt = rebuild_and_install_incremental(net, delta);
-  } else {
-    rebuilt = rebuild_and_install(net);
-  }
-  if (!rebuilt.ok()) return rebuilt;
   // Losing the link may have invalidated a range extension whose
-  // handoff ran over it (install drops such rewrites). Items already
-  // delegated would then be stranded on the ex-delegate — unreachable
-  // through the home server — so pull every out-of-place item back.
-  auto migrated = migrate_items(net);
-  if (!migrated.ok()) {
-    // Migration is transactional, so every item is back where it was;
-    // restore the link and the dropped delegations it carried, then
-    // reinstall (install preserves table rewrites, so re-adding them
-    // first makes the rebuild reproduce the pre-call state).
-    (void)net.mutable_description().mutable_switches().add_edge(u, v, weight);
-    for (const auto& [sw, rw] : rewrites_before) {
-      if (net.switch_at(sw).table().find_rewrite(rw.original) == nullptr) {
-        net.switch_at(sw).table().add_rewrite(rw);
-      }
-    }
-    (void)rebuild_and_install(net);
-    return migrated.error();
-  }
+  // handoff ran over it (the install drops such rewrites). Items
+  // already delegated would then be stranded on the ex-delegate —
+  // unreachable through the home server — so migration pulls every
+  // out-of-place item back.
+  return commit_topology_event(net, delta, cp, plan_fresh);
+}
+
+Status Controller::commit_topology_event(sden::SdenNetwork& net,
+                                         const GraphDelta& delta,
+                                         Checkpoint& cp, bool plan_fresh) {
+  const Status rebuilt = rebuild_and_install_incremental(net, delta);
+  if (!rebuilt.ok()) return roll_back(net, cp, rebuilt);
+  auto migrated = migrate_items(net, cp.moves);
+  if (!migrated.ok()) return roll_back(net, cp, migrated.error());
   last_migration_ = migrated.value();
-  const Status repaired = repair_replication_after_dynamics(net);
-  if (!repaired.ok()) return repaired;
+  const Status repaired = repair_replication_after_dynamics(net, cp.moves);
+  if (!repaired.ok()) return roll_back(net, cp, repaired);
   if (last_event_incremental_) {
     patch_plan_if_fresh(net, plan_fresh, last_affected_);
   }
   return Status::Ok();
 }
 
-Status Controller::rebuild_and_install(sden::SdenNetwork& net) {
-  // Full rebuild: every switch's state is replaced, so there is no
-  // meaningful "affected subset" to report.
+Controller::Checkpoint Controller::checkpoint(
+    const sden::SdenNetwork& net) const {
+  Checkpoint cp;
+  cp.description = net.description();
+  cp.space = space_;
+  for (SwitchId sw = 0; sw < net.switch_count(); ++sw) {
+    for (const sden::RewriteEntry& rw :
+         net.const_switch_at(sw).table().rewrites()) {
+      cp.rewrites.emplace_back(sw, rw);
+    }
+  }
+  return cp;
+}
+
+Status Controller::roll_back(sden::SdenNetwork& net, Checkpoint& cp,
+                             Status cause) {
+  // Moved items go back first, while every server they touched exists.
+  cp.moves.undo(net);
+  net.truncate_switches(cp.description.switch_count(),
+                        cp.description.server_count());
+  net.mutable_description() = cp.description;
+  space_ = cp.space;
+  // The op may have dropped rewrites (a leaving switch's own, or ones
+  // whose handoff link or delegate went away). Put them back; the
+  // reinstall keeps every one that is valid again.
+  for (const auto& [sw, rw] : cp.rewrites) {
+    if (net.const_switch_at(sw).table().find_rewrite(rw.original) ==
+        nullptr) {
+      net.switch_at(sw).table().add_rewrite(rw);
+    }
+  }
+  // Rebuilds exactly the state installed when the op began, so this
+  // cannot meaningfully fail.
+  recompute_apsp(net);
+  (void)reinstall(net);
+  return cause;
+}
+
+void Controller::begin_event() {
   last_affected_.clear();
   last_event_incremental_ = false;
-  recompute_apsp(net);
+  last_fallback_ = obs::FallbackReason::kNone;
+}
+
+Status Controller::reinstall(sden::SdenNetwork& net) {
+  // Every switch's state is replaced, so there is no meaningful
+  // "affected subset" to report.
+  last_affected_.clear();
+  last_event_incremental_ = false;
   auto dt = MultiHopDT::build(space_.participants(), space_.positions(),
                               net.description().switches(), routing_apsp());
   if (!dt.ok()) return dt.error();
   dt_ = std::move(dt).value();
-  return install(net);
+  std::vector<SwitchId> all(net.switch_count());
+  std::iota(all.begin(), all.end(), SwitchId{0});
+  return install_patch(net, all, "install");
 }
 
 Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
@@ -1065,29 +881,41 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
       break;
   }
 
-  // The routing table drives the affected set; when its delta crossed
-  // the staleness threshold the changed-row list is unavailable, so
-  // finish the event as a full rebuild (the tables themselves are
-  // already correct either way).
+  // A declined delta finishes the event as a from-scratch DT build and
+  // full install. The APSP tables are current either way: a delta past
+  // its staleness threshold recomputes its table outright.
+  const auto decline = [&](obs::FallbackReason reason) {
+    last_fallback_ = reason;
+    return reinstall(net);
+  };
+  // The routing table drives the affected set; past the staleness
+  // threshold its changed-row list is unavailable.
   const graph::ApspDelta& routing_delta =
       options_.weighted_embedding ? wgt : hop;
-  if (routing_delta.full_recompute) return rebuild_and_install(net);
+  if (routing_delta.full_recompute) {
+    return decline(obs::FallbackReason::kApspStale);
+  }
+  if (delta.position_collision) {
+    return decline(obs::FallbackReason::kPositionCollision);
+  }
 
   // 2. Localized DT repair for switch join/leave. The repair rebuilds
   // the rim participants itself; `touched` accumulates every switch
   // whose installable state changed.
   std::vector<std::size_t> repaired;
   std::vector<SwitchId> touched;
-  if (delta.kind == GraphDelta::Kind::kSwitchAdd && delta.joined_dt) {
-    const Status added = dt_.add_participant(delta.u, delta.position, g,
-                                             routing_apsp(), &repaired,
-                                             &touched);
-    if (!added.ok()) return rebuild_and_install(net);
-  } else if (delta.kind == GraphDelta::Kind::kSwitchRemove &&
-             delta.joined_dt) {
-    const Status removed = dt_.remove_participant(delta.u, g, routing_apsp(),
-                                                  &repaired, &touched);
-    if (!removed.ok()) return rebuild_and_install(net);
+  if (delta.joined_dt) {
+    const Status dt_repaired =
+        delta.kind == GraphDelta::Kind::kSwitchAdd
+            ? dt_.add_participant(delta.u, delta.position, g, routing_apsp(),
+                                  &repaired, &touched)
+            : dt_.remove_participant(delta.u, g, routing_apsp(), &repaired,
+                                     &touched);
+    if (!dt_repaired.ok()) {
+      return decline(dt_repaired.error().code == ErrorCode::kUnavailable
+                         ? obs::FallbackReason::kDtNotLocalized
+                         : obs::FallbackReason::kRepairError);
+    }
   }
 
   // 3. The affected participants beyond the DT rim: those whose
@@ -1153,7 +981,7 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
     if (std::binary_search(repaired.begin(), repaired.end(), i)) continue;
     const Status rebuilt = dt_.rebuild_participant(i, g, routing_apsp(),
                                                    &touched);
-    if (!rebuilt.ok()) return rebuild_and_install(net);
+    if (!rebuilt.ok()) return decline(obs::FallbackReason::kRepairError);
     touched.push_back(parts[i]);
   }
 
@@ -1168,43 +996,27 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
     touched.push_back(delta.v);
   }
 
-  const Status patched = install_patch(net, touched);
-  if (!patched.ok()) return rebuild_and_install(net);
+  const Status patched = install_patch(net, touched, "install_patch");
+  if (!patched.ok()) return decline(obs::FallbackReason::kRepairError);
+  last_affected_ = std::move(touched);
   last_event_incremental_ = true;
   return Status::Ok();
 }
 
 Status Controller::install_patch(sden::SdenNetwork& net,
-                                 std::vector<SwitchId>& touched) {
-  const obs::ScopedPhaseTimer timer("install_patch");
-  const topology::EdgeNetwork& desc = net.description();
-
-  // install() re-validates every rewrite network-wide on every event;
-  // the patch must match, so sweep all switches and pull any that lost
-  // a rewrite into the patch set. The sweep is O(switches + rewrites)
-  // — noise next to the rebuilt participants' path work.
-  const auto rewrite_valid = [&](SwitchId sw, const sden::RewriteEntry& rw) {
-    if (sw >= net.switch_count() || rw.via_switch >= net.switch_count() ||
-        rw.original >= net.server_count() ||
-        rw.replacement >= net.server_count()) {
-      return false;
-    }
-    const auto& own_servers = desc.servers_at(sw);
-    if (std::find(own_servers.begin(), own_servers.end(), rw.original) ==
-        own_servers.end()) {
-      return false;
-    }
-    const auto& via_servers = desc.servers_at(rw.via_switch);
-    if (std::find(via_servers.begin(), via_servers.end(), rw.replacement) ==
-        via_servers.end()) {
-      return false;
-    }
-    return desc.switches().find_edge(sw, rw.via_switch) != nullptr;
-  };
+                                 std::vector<SwitchId>& touched,
+                                 const char* phase) {
+  const obs::ScopedPhaseTimer timer(phase);
+  // Range-extension rewrites are durable data-plane state (Section
+  // V-B): each patched switch keeps its still-valid ones, or the
+  // delegation would silently vanish and strand the delegated items.
+  // Validity is re-checked network-wide on every install, pulling any
+  // switch that lost a rewrite into the patch set — O(switches +
+  // rewrites), noise next to the rebuilt participants' path work.
   for (SwitchId sw = 0; sw < net.switch_count(); ++sw) {
     for (const sden::RewriteEntry& rw :
-         std::as_const(net).switch_at(sw).table().rewrites()) {
-      if (!rewrite_valid(sw, rw)) {
+         net.const_switch_at(sw).table().rewrites()) {
+      if (!rewrite_valid(net, sw, rw)) {
         touched.push_back(sw);
         break;
       }
@@ -1213,6 +1025,7 @@ Status Controller::install_patch(sden::SdenNetwork& net,
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
+  const topology::EdgeNetwork& desc = net.description();
   std::vector<sden::RewriteEntry> keep;
   for (const SwitchId t : touched) {
     if (t >= net.switch_count()) {
@@ -1221,9 +1034,11 @@ Status Controller::install_patch(sden::SdenNetwork& net,
     }
     keep.clear();
     for (const sden::RewriteEntry& rw :
-         std::as_const(net).switch_at(t).table().rewrites()) {
-      if (rewrite_valid(t, rw)) keep.push_back(rw);
+         net.const_switch_at(t).table().rewrites()) {
+      if (rewrite_valid(net, t, rw)) keep.push_back(rw);
     }
+    // The controller owns all switch state (per-flow entries never
+    // exist), so a patched switch is wiped and installed fresh.
     sden::Switch& sw = net.switch_at(t);
     sw.reset();
     const std::size_t i = space_.index_of(t);
@@ -1248,18 +1063,19 @@ Status Controller::install_patch(sden::SdenNetwork& net,
     for (const sden::RewriteEntry& rw : keep) sw.table().add_rewrite(rw);
   }
 
-  // Same machine-checked invariants as install(). They are global, so
-  // checked builds re-prove after every incremental event that the
-  // patched state equals what a full install would have produced.
+  // Machine-checked invariants (Debug / GRED_CHECKED builds), global so
+  // they re-prove after every install — cold, fallback or patch — that
+  // the DT kept its empty-circumcircle property, the APSP tables agree
+  // with the component structure, and the installed greedy/relay
+  // entries realize the DT: the facts the stretch≈1 guarantee rests on.
   GRED_CHECK(check::validate_delaunay(dt_.triangulation()));
-  GRED_CHECK(check::validate_graph(net.description().switches(), apsp_,
+  GRED_CHECK(check::validate_graph(desc.switches(), apsp_,
                                    /*weighted=*/false));
-  GRED_CHECK(check::validate_graph(net.description().switches(),
-                                   apsp_weighted_, /*weighted=*/true));
+  GRED_CHECK(check::validate_graph(desc.switches(), apsp_weighted_,
+                                   /*weighted=*/true));
   GRED_CHECK(check::validate_flow_tables(net, space_.participants(),
                                          space_.positions(),
                                          &dt_.triangulation()));
-  last_affected_ = touched;
   return Status::Ok();
 }
 
@@ -1271,12 +1087,14 @@ Result<std::size_t> Controller::re_regulate(sden::SdenNetwork& net,
   }
   const std::size_t iterations =
       space_.refine_cvt(options_, energy_delta_tolerance);
-  const Status rebuilt = rebuild_and_install(net);
+  // Only positions moved; the APSP tables still describe the graph.
+  const Status rebuilt = reinstall(net);
   if (!rebuilt.ok()) return rebuilt.error();
-  auto migrated = migrate_items(net);
+  ItemMoves moves;
+  auto migrated = migrate_items(net, moves);
   if (!migrated.ok()) return migrated.error();
   last_migration_ = migrated.value();
-  const Status repaired = repair_replication_after_dynamics(net);
+  const Status repaired = repair_replication_after_dynamics(net, moves);
   if (!repaired.ok()) return repaired.error();
   return iterations;
 }
@@ -1293,72 +1111,39 @@ Result<topology::SwitchId> Controller::add_switch_impl(
                  "add_switch: new switch must have at least one link");
   }
   const bool plan_fresh = !net.route_plan_stale();
-  // Join is all-or-nothing: remember the pre-call state and restore it
-  // on any failure, so a half-joined switch never leaks into the
-  // topology. Counts suffice for the network (add_switch/attach_server
-  // are append-only), and the virtual space is small enough to copy.
-  const std::size_t switches_before = net.switch_count();
-  const std::size_t servers_before = net.server_count();
-  const VirtualSpace space_before = space_;
-  const auto rollback = [&](Status cause) {
-    net.truncate_switches(switches_before, servers_before);
-    space_ = space_before;
-    // Reinstall the pre-call tables (rewrites are preserved across the
-    // reinstall). This cannot meaningfully fail: it rebuilds exactly
-    // the state that was installed when we entered.
-    (void)rebuild_and_install(net);
-    return cause;
-  };
-
+  // Join is all-or-nothing: a half-joined switch never leaks into the
+  // topology (add_switch/attach_server are append-only, so a rollback
+  // truncates back to the checkpoint's counts).
+  Checkpoint cp = checkpoint(net);
   auto added = net.add_switch(links);
   if (!added.ok()) {
     // net.add_switch may fail after adding the node (e.g. a duplicate
-    // link in `links`); the truncate undoes that partial state.
-    return rollback(added.error()).error();
+    // link in `links`); the rollback undoes that partial state.
+    return roll_back(net, cp, added.error()).error();
   }
   const SwitchId sw = added.value();
   for (std::size_t k = 0; k < server_count; ++k) {
     auto attached = net.attach_server(sw, capacity);
-    if (!attached.ok()) return rollback(attached.error()).error();
+    if (!attached.ok()) return roll_back(net, cp, attached.error()).error();
   }
 
-  bool use_incremental = incremental_;
   GraphDelta delta;
   delta.kind = GraphDelta::Kind::kSwitchAdd;
   delta.u = sw;
   if (server_count > 0) {
     // The new node joins the DT; others keep their positions
     // (Section VI: a join "only affects its neighbors").
-    const Point2D pos = fit_position(net, sw);
-    // A position collision makes add_participant nudge OTHER sites
-    // apart (separate_duplicates), which the localized DT repair would
-    // not see — force the full path, which reads the nudged positions.
-    for (const Point2D& q : space_.positions()) {
-      if (q.x == pos.x && q.y == pos.y) {
-        use_incremental = false;
-        break;
-      }
-    }
     delta.joined_dt = true;
-    delta.position = pos;
-    space_.add_participant(sw, pos);
+    delta.position = fit_position(net, sw);
+    const std::vector<Point2D>& sites = space_.positions();
+    delta.position_collision =
+        std::find(sites.begin(), sites.end(), delta.position) != sites.end();
+    space_.add_participant(sw, delta.position);
   }
-  const Status rebuilt = use_incremental
-                             ? rebuild_and_install_incremental(net, delta)
-                             : rebuild_and_install(net);
-  if (!rebuilt.ok()) return rollback(rebuilt).error();
-
-  // migrate_items is transactional: on failure every applied move has
-  // been undone, so the rollback below never destroys live items (the
-  // new switch's servers are empty again).
-  auto migrated = migrate_items(net);
-  if (!migrated.ok()) return rollback(migrated.error()).error();
-  last_migration_ = migrated.value();
-  const Status repaired = repair_replication_after_dynamics(net);
-  if (!repaired.ok()) return rollback(repaired).error();
-  if (last_event_incremental_) {
-    patch_plan_if_fresh(net, plan_fresh, last_affected_);
-  }
+  // A rollback undoes the migration before the new switch's servers
+  // are truncated away, so no item is lost with them.
+  const Status committed = commit_topology_event(net, delta, cp, plan_fresh);
+  if (!committed.ok()) return committed.error();
   return sw;
 }
 
@@ -1393,62 +1178,81 @@ Status Controller::remove_switch_impl(sden::SdenNetwork& net, SwitchId sw) {
     }
   }
 
-  // The incremental path's pre-capture: the leaving node's adjacency
-  // and the vlinks crossing it exist only before the teardown.
+  // The delta's pre-capture: the leaving node's adjacency and the
+  // vlinks crossing it exist only before the teardown.
   GraphDelta delta;
   delta.kind = GraphDelta::Kind::kSwitchRemove;
   delta.u = sw;
-  if (incremental_) {
-    delta.removed_edges = net.description().switches().neighbors(sw);
-    delta.joined_dt = space_.index_of(sw) != VirtualSpace::kNoIndex;
-    // Virtual links relay through transit switches too, so the
-    // crossing set matters whether or not `sw` was a participant.
-    for (const std::size_t i :
-         dt_.participants_with_vlinks_through({sw})) {
-      delta.vlinks_through.push_back(dt_.participants()[i]);
-    }
+  delta.removed_edges = net.description().switches().neighbors(sw);
+  delta.joined_dt = space_.index_of(sw) != VirtualSpace::kNoIndex;
+  // Virtual links relay through transit switches too, so the crossing
+  // set matters whether or not `sw` was a participant.
+  for (const std::size_t i : dt_.participants_with_vlinks_through({sw})) {
+    delta.vlinks_through.push_back(dt_.participants()[i]);
   }
 
-  // Collect the leaving switch's data for re-placement.
-  std::vector<std::pair<std::string, std::string>> orphans;
-  for (ServerId s : net.description().servers_at(sw)) {
-    for (const auto& [id, payload] : net.server(s).items()) {
-      orphans.emplace_back(id, payload);
-    }
-    net.server(s) = sden::ServerNode(net.server(s).info());
-  }
-
+  // Leave is all-or-nothing, like join: a failed re-placement moves
+  // every item back and restores the links, the server attachment and
+  // the virtual space.
+  Checkpoint cp = checkpoint(net);
   net.remove_switch_links(sw);
   space_.remove_participant(sw);
+  // The leaving switch's servers are detached but still hold their
+  // items, so migration re-places these orphans along with every item
+  // whose home changed — through the same rewrite-aware targets, with
+  // store() enforcing each target's capacity.
+  return commit_topology_event(net, delta, cp, plan_fresh);
+}
 
-  const Status rebuilt = incremental_
-                             ? rebuild_and_install_incremental(net, delta)
-                             : rebuild_and_install(net);
-  if (!rebuilt.ok()) return rebuilt;
+Result<std::size_t> Controller::ItemMoves::apply(sden::SdenNetwork& net) {
+  const std::size_t mark = applied_;
+  if (mark == steps_.size()) return std::size_t{0};
+  // Any step changes which servers hold an item; cached answers that
+  // name a holder must not outlive the change (stale-home rule).
+  drop_cached_answers(net);
+  for (; applied_ < steps_.size(); ++applied_) {
+    Step& step = steps_[applied_];
+    const std::string* payload = net.server(step.from).find(step.id);
+    Status done = payload == nullptr
+                      ? Status(ErrorCode::kInternal,
+                               "item moves: source copy vanished")
+                      : Status::Ok();
+    if (done.ok() && step.kind == Kind::kDrop) {
+      step.payload = *payload;
+    } else if (done.ok()) {
+      done = net.server(step.to).store(step.id, *payload);
+    }
+    if (!done.ok()) {
+      undo_to(net, mark);
+      steps_.resize(mark);
+      return done.error();
+    }
+    if (step.kind != Kind::kCopy) net.server(step.from).erase(step.id);
+  }
+  return steps_.size() - mark;
+}
 
-  // Existing items whose home changed migrate; orphans are re-placed.
-  auto migrated = migrate_items(net);
-  if (!migrated.ok()) return migrated.error();
-  last_migration_ = migrated.value() + orphans.size();
-  for (auto& [id, payload] : orphans) {
-    // Same rewrite-aware path as migration: an orphan whose new home
-    // has an active range extension goes to the delegate, and store()
-    // enforces the target's capacity instead of silently overfilling a
-    // server whose load was just delegated away.
-    const auto target = resolve_store_target(net, crypto::DataKey(id));
-    if (!target.ok()) return target.error();
-    const Status stored =
-        net.server(target.value()).store(id, std::move(payload));
-    if (!stored.ok()) return stored;
+void Controller::ItemMoves::undo(sden::SdenNetwork& net) {
+  if (applied_ == 0) return;
+  drop_cached_answers(net);
+  undo_to(net, 0);
+  steps_.clear();
+}
+
+void Controller::ItemMoves::undo_to(sden::SdenNetwork& net,
+                                    std::size_t mark) {
+  for (; applied_ > mark; --applied_) {
+    Step& step = steps_[applied_ - 1];
+    if (step.kind == Kind::kMove) {
+      if (auto moved = net.server(step.to).fetch(step.id)) {
+        step.payload = std::move(*moved);
+      }
+    }
+    if (step.kind != Kind::kDrop) net.server(step.to).erase(step.id);
+    if (step.kind != Kind::kCopy) {
+      (void)net.server(step.from).store(step.id, std::move(step.payload));
+    }
   }
-  // With replication on, re-create the copies the removal destroyed
-  // (the orphan pass restored only the primary copy of each item).
-  const Status repaired = repair_replication_after_dynamics(net);
-  if (!repaired.ok()) return repaired;
-  if (last_event_incremental_) {
-    patch_plan_if_fresh(net, plan_fresh, last_affected_);
-  }
-  return Status::Ok();
 }
 
 // --- Observability wrappers -----------------------------------------
@@ -1458,51 +1262,57 @@ Status Controller::remove_switch_impl(sden::SdenNetwork& net, SwitchId sw) {
 
 Status Controller::extend_range(sden::SdenNetwork& net,
                                 ServerId overloaded) {
+  begin_event();
   EventRecorder ev(obs::EventKind::kExtendRange, net, overloaded);
   const Status status = extend_range_impl(net, overloaded);
-  ev.finish(status, /*migrated=*/0);
+  ev.finish(*this, status, /*migrated=*/0);
   return status;
 }
 
 Status Controller::retract_range(sden::SdenNetwork& net,
                                  ServerId overloaded) {
+  begin_event();
   EventRecorder ev(obs::EventKind::kRetractRange, net, overloaded);
   const Status status = retract_range_impl(net, overloaded);
-  ev.finish(status, /*migrated=*/0);
+  ev.finish(*this, status, /*migrated=*/0);
   return status;
 }
 
 Result<topology::SwitchId> Controller::add_switch(
     sden::SdenNetwork& net, const std::vector<SwitchId>& links,
     std::size_t server_count, std::size_t capacity) {
+  begin_event();
   EventRecorder ev(obs::EventKind::kAddSwitch, net, net.switch_count());
   auto result = add_switch_impl(net, links, server_count, capacity);
-  ev.finish(result.ok() ? Status::Ok() : Status(result.error()),
+  ev.finish(*this, result.ok() ? Status::Ok() : Status(result.error()),
             result.ok() ? last_migration_ : 0,
             result.ok() ? result.value() : net.switch_count());
   return result;
 }
 
 Status Controller::remove_switch(sden::SdenNetwork& net, SwitchId sw) {
+  begin_event();
   EventRecorder ev(obs::EventKind::kRemoveSwitch, net, sw);
   const Status status = remove_switch_impl(net, sw);
-  ev.finish(status, status.ok() ? last_migration_ : 0);
+  ev.finish(*this, status, status.ok() ? last_migration_ : 0);
   return status;
 }
 
 Status Controller::add_link(sden::SdenNetwork& net, SwitchId u, SwitchId v,
                             double weight) {
+  begin_event();
   EventRecorder ev(obs::EventKind::kAddLink, net, u, v);
   const Status status = add_link_impl(net, u, v, weight);
-  ev.finish(status, /*migrated=*/0);
+  ev.finish(*this, status, /*migrated=*/0);
   return status;
 }
 
 Status Controller::remove_link(sden::SdenNetwork& net, SwitchId u,
                                SwitchId v) {
+  begin_event();
   EventRecorder ev(obs::EventKind::kRemoveLink, net, u, v);
   const Status status = remove_link_impl(net, u, v);
-  ev.finish(status, status.ok() ? last_migration_ : 0);
+  ev.finish(*this, status, status.ok() ? last_migration_ : 0);
   return status;
 }
 

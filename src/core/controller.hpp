@@ -8,12 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "core/multihop_dt.hpp"
 #include "core/virtual_space.hpp"
 #include "crypto/data_key.hpp"
 #include "graph/shortest_path.hpp"
+#include "obs/events.hpp"
 #include "sden/network.hpp"
 
 namespace gred::obs {
@@ -201,8 +201,10 @@ class Controller {
       std::size_t server_count, std::size_t capacity = 0);
 
   /// Removes a switch (leave/failure): its items are re-placed at their
-  /// new homes, its links are torn down, and the DT is rebuilt. Fails
-  /// when removal would disconnect the remaining participants.
+  /// new homes, its links are torn down, and the DT is repaired. Fails
+  /// when removal would disconnect the remaining participants. All or
+  /// nothing: when re-placement fails, every moved item goes back and
+  /// the links, server attachment and virtual space are restored.
   Status remove_switch(sden::SdenNetwork& net, topology::SwitchId sw);
 
   /// Adds a physical link (new fiber between existing switches):
@@ -222,26 +224,25 @@ class Controller {
   /// (diagnostics).
   std::size_t last_migration_count() const { return last_migration_; }
 
-  // --- Incremental recompute (GRED_INCREMENTAL) ---
-
-  /// Whether dynamics ops take the incremental path: delta-APSP,
-  /// localized DT repair, per-switch flow-table patching, and (when the
-  /// compiled plan was fresh going in) route-plan patching — instead of
-  /// the full recompute-and-reinstall. Results are bit-identical either
-  /// way; the toggle only trades event latency. Defaults to the
-  /// GRED_INCREMENTAL environment flag.
-  bool incremental() const { return incremental_; }
-  void set_incremental(bool on) { incremental_ = on; }
+  // --- Delta path (DESIGN.md §14) ---
+  //
+  // Every dynamics op runs on the delta path: delta-APSP, localized DT
+  // repair, per-switch flow-table patching, and (when the compiled plan
+  // was fresh going in) route-plan patching. When a delta declines, the
+  // op falls back to a from-scratch DT build and full install; the
+  // result is identical either way.
 
   /// Switches whose installable state the last dynamics op changed,
   /// sorted ascending — the patch set for ShardedDataPlane::
-  /// patch_plans. Empty after a full reinstall (everything changed).
+  /// patch_plans. Empty after a full install (everything changed).
   const std::vector<topology::SwitchId>& last_affected_switches() const {
     return last_affected_;
   }
-  /// Whether the last dynamics op completed on the incremental path
-  /// (false: it ran — or fell back to — the full rebuild).
+  /// Whether the last dynamics op completed on the delta path (false:
+  /// it fell back, failed, or installed nothing).
   bool last_event_incremental() const { return last_event_incremental_; }
+  /// Why the last dynamics op fell back (kNone when it did not).
+  obs::FallbackReason last_fallback() const { return last_fallback_; }
 
   /// Warm-started C-regulation (Section IV-B maintenance): re-runs
   /// Lloyd iterations seeded from the current positions until the CVT
@@ -269,14 +270,73 @@ class Controller {
   Status remove_link_impl(sden::SdenNetwork& net, topology::SwitchId u,
                           topology::SwitchId v);
 
-  /// Recomputes APSP + DT from current participants_/space_ and
-  /// reinstalls all switch state.
-  Status rebuild_and_install(sden::SdenNetwork& net);
+  /// The one storage-move primitive: item copies, moves and drops
+  /// planned against the current storage, then applied store-first (a
+  /// step's new copy exists before its source is erased) with
+  /// reverse-order undo. Undo cannot fail: undoing step i needs only
+  /// the slot step i freed, and every later step is already undone.
+  /// Steps of one (to, id) pair must be unique within a plan.
+  class ItemMoves {
+   public:
+    void copy(const std::string& id, topology::ServerId from,
+              topology::ServerId to) {
+      steps_.push_back({Kind::kCopy, id, from, to, {}});
+    }
+    void move(const std::string& id, topology::ServerId from,
+              topology::ServerId to) {
+      steps_.push_back({Kind::kMove, id, from, to, {}});
+    }
+    void drop(const std::string& id, topology::ServerId from) {
+      steps_.push_back({Kind::kDrop, id, from, from, {}});
+    }
 
-  /// One churn event's description for the incremental rebuild path.
-  /// Remove events carry state that must be captured BEFORE the graph
-  /// and space are mutated (the leaving node's adjacency, the vlinks
-  /// crossing it).
+    /// Applies the steps planned since the last apply, in plan order,
+    /// and returns their count. On the first failure those steps are
+    /// undone and the failure is returned. Drops the network's cached
+    /// retrieval answers once when any step runs.
+    Result<std::size_t> apply(sden::SdenNetwork& net);
+    /// Undoes every applied step, newest first.
+    void undo(sden::SdenNetwork& net);
+
+   private:
+    enum class Kind { kCopy, kMove, kDrop };
+    struct Step {
+      Kind kind;
+      std::string id;
+      topology::ServerId from;
+      topology::ServerId to;
+      std::string payload;  ///< a drop's payload, kept for undo
+    };
+    void undo_to(sden::SdenNetwork& net, std::size_t mark);
+
+    std::vector<Step> steps_;
+    std::size_t applied_ = 0;
+  };
+
+  /// Pre-op state a failed add_switch / remove_switch / remove_link
+  /// restores, so a dynamics op is all or nothing.
+  struct Checkpoint {
+    topology::EdgeNetwork description;
+    VirtualSpace space;
+    std::vector<std::pair<topology::SwitchId, sden::RewriteEntry>> rewrites;
+    ItemMoves moves;  ///< the op's applied item moves
+  };
+  Checkpoint checkpoint(const sden::SdenNetwork& net) const;
+  /// Undoes the op's item moves, restores the checkpointed topology,
+  /// rewrites and virtual space, reinstalls, and returns `cause`.
+  Status roll_back(sden::SdenNetwork& net, Checkpoint& cp, Status cause);
+
+  /// Resets the last-event report at the start of a dynamics op.
+  void begin_event();
+
+  /// Rebuilds the DT from scratch over the current APSP and space and
+  /// installs every switch: the tail of cold start, rollback and
+  /// re_regulate, and the fallback of a declined delta.
+  Status reinstall(sden::SdenNetwork& net);
+
+  /// One churn event's description for the delta path. Remove events
+  /// carry state that must be captured BEFORE the graph and space are
+  /// mutated (the leaving node's adjacency, the vlinks crossing it).
   struct GraphDelta {
     enum class Kind { kLinkAdd, kLinkRemove, kSwitchAdd, kSwitchRemove };
     Kind kind = Kind::kLinkAdd;
@@ -290,41 +350,57 @@ class Controller {
     std::vector<topology::SwitchId> vlinks_through;
     bool joined_dt = false;      ///< switch events: u is a participant
     geometry::Point2D position;  ///< kSwitchAdd: u's fitted position
+    /// kSwitchAdd: the fitted position coincided with a site, so the
+    /// space nudged other sites apart — invisible to a local repair.
+    bool position_collision = false;
   };
 
-  /// Incremental counterpart of rebuild_and_install: delta-APSP on
-  /// both tables, localized DT repair, per-participant rebuild of the
-  /// affected set, and a per-switch flow-table patch. Falls back to
-  /// rebuild_and_install (bit-identical result) when any incremental
-  /// step declines — staleness threshold crossed, non-localized DT
-  /// repair, or any error.
+  /// The delta path: delta-APSP on both tables, localized DT repair,
+  /// per-participant rebuild of the affected set, and a per-switch
+  /// flow-table patch. Falls back to reinstall() (identical result)
+  /// when a step declines: APSP staleness, a non-localized DT repair, a
+  /// position collision, or a repair error.
   Status rebuild_and_install_incremental(sden::SdenNetwork& net,
                                          const GraphDelta& delta);
 
-  /// Patches the flow tables of exactly the switches in `touched`
-  /// (plus any switch holding a rewrite the event invalidated),
-  /// reproducing what a full install() would put there. Sorts and
-  /// dedupes `touched` in place and publishes it as
-  /// last_affected_switches().
+  /// Shared tail of add_switch / remove_switch / remove_link after the
+  /// topology and space changed: install `delta`, migrate items to
+  /// their new homes, restore the replication factor, and patch the
+  /// route plan (when it was fresh going in). Any failure rolls back to
+  /// `cp`.
+  Status commit_topology_event(sden::SdenNetwork& net,
+                               const GraphDelta& delta, Checkpoint& cp,
+                               bool plan_fresh);
+
+  /// The one per-switch install: wipes and re-installs the flow tables
+  /// of exactly the switches in `touched` (plus any switch holding a
+  /// rewrite the topology invalidated) from the current space and DT,
+  /// keeping each switch's still-valid rewrites. Sorts and dedupes
+  /// `touched` in place. Timed as control-plane phase `phase`.
   Status install_patch(sden::SdenNetwork& net,
-                       std::vector<topology::SwitchId>& touched);
+                       std::vector<topology::SwitchId>& touched,
+                       const char* phase);
 
-  /// Installs positions, server lists, greedy candidates and relay
-  /// entries into every switch (wipes previous tables).
-  Status install(sden::SdenNetwork& net);
-
-  /// Moves every stored item to its current expected placement.
-  /// Returns the number of migrated items.
-  Result<std::size_t> migrate_items(sden::SdenNetwork& net);
+  /// Plans and applies the moves that bring every stored item to its
+  /// current expected placement. Returns the number of moved items.
+  Result<std::size_t> migrate_items(sden::SdenNetwork& net,
+                                    ItemMoves& moves);
 
   /// Replica-aware variant (replication enabled): a copy is in place
   /// when its server is one of the item's replica targets; misplaced
   /// copies move onto missing targets, surplus copies are dropped.
-  Result<std::size_t> migrate_items_replicated(sden::SdenNetwork& net);
+  Result<std::size_t> migrate_items_replicated(sden::SdenNetwork& net,
+                                               ItemMoves& moves);
+
+  /// Plans and applies the copies that bring every item back to the
+  /// replication factor. Returns the number of copies created.
+  Result<std::size_t> restore_replication(sden::SdenNetwork& net,
+                                          ItemMoves& moves);
 
   /// Shared tail of the dynamics ops: restore the replication factor
   /// after a topology change (no-op while replication is off).
-  Status repair_replication_after_dynamics(sden::SdenNetwork& net);
+  Status repair_replication_after_dynamics(sden::SdenNetwork& net,
+                                           ItemMoves& moves);
 
   /// Local stress-minimizing position for a joining switch.
   geometry::Point2D fit_position(const sden::SdenNetwork& net,
@@ -343,9 +419,9 @@ class Controller {
   graph::ApspResult apsp_;
   graph::ApspResult apsp_weighted_;
   bool initialized_ = false;
-  bool incremental_ = env_flag("GRED_INCREMENTAL", false);
   std::vector<topology::SwitchId> last_affected_;
   bool last_event_incremental_ = false;
+  obs::FallbackReason last_fallback_ = obs::FallbackReason::kNone;
   std::size_t last_migration_ = 0;
   ReplicationOptions replication_;
   bool replication_enabled_ = false;

@@ -178,27 +178,6 @@ Status MultiHopDT::rebuild_participant(
   return build_candidates_for(i, physical, apsp, touched);
 }
 
-Status MultiHopDT::rebuild_all(const graph::Graph& physical,
-                               const graph::ApspResult& apsp,
-                               std::vector<topology::SwitchId>* touched) {
-  relays_.clear();
-  vlink_paths_.clear();
-  candidates_.assign(participants_.size(), {});
-  for (std::size_t i = 0; i < participants_.size(); ++i) {
-    const Status s = build_candidates_for(i, physical, apsp, nullptr);
-    if (!s.ok()) return s;
-  }
-  if (touched != nullptr) {
-    touched->insert(touched->end(), participants_.begin(), participants_.end());
-    for (const auto& [pair, path] : vlink_paths_) {
-      for (std::size_t k = 1; k + 1 < path.size(); ++k) {
-        touched->push_back(path[k]);
-      }
-    }
-  }
-  return Status::Ok();
-}
-
 Status MultiHopDT::add_participant(
     topology::SwitchId sw, const geometry::Point2D& position,
     const graph::Graph& physical, const graph::ApspResult& apsp,
@@ -221,11 +200,8 @@ Status MultiHopDT::add_participant(
   candidates_.emplace_back();
 
   if (!repair.localized) {
-    if (affected != nullptr) {
-      affected->resize(participants_.size());
-      for (std::size_t i = 0; i < affected->size(); ++i) (*affected)[i] = i;
-    }
-    return rebuild_all(physical, apsp, touched_switches);
+    return Status(ErrorCode::kUnavailable,
+                  "MultiHopDT: Delaunay repair not localized");
   }
 
   for (const std::size_t i : repair.affected) {
@@ -267,11 +243,8 @@ Status MultiHopDT::remove_participant(
   }
 
   if (!repair.localized) {
-    if (affected != nullptr) {
-      affected->resize(participants_.size());
-      for (std::size_t i = 0; i < affected->size(); ++i) (*affected)[i] = i;
-    }
-    return rebuild_all(physical, apsp, touched_switches);
+    return Status(ErrorCode::kUnavailable,
+                  "MultiHopDT: Delaunay repair not localized");
   }
 
   for (const std::size_t i : repair.affected) {

@@ -81,7 +81,9 @@ class MultiHopDT {
   /// `touched_switches` (optional) accumulates every switch whose
   /// installable state changed — rebuilt participants plus old and new
   /// virtual-link intermediates. The graph must already contain the
-  /// new switch's links and `apsp` must already be updated.
+  /// new switch's links and `apsp` must already be updated. Returns
+  /// kUnavailable when the Delaunay repair was not localized (degenerate
+  /// triangulation); the DT is then stale and must be rebuilt.
   Status add_participant(topology::SwitchId sw,
                          const geometry::Point2D& position,
                          const graph::Graph& physical,
@@ -89,9 +91,11 @@ class MultiHopDT {
                          std::vector<std::size_t>* affected,
                          std::vector<topology::SwitchId>* touched_switches);
 
-  /// Removes `sw` via localized repair (full rebuild for hull sites)
-  /// and rebuilds the rim participants. `affected` receives the
-  /// post-removal indices of participants whose adjacency changed.
+  /// Removes `sw` via localized repair and rebuilds the rim
+  /// participants. `affected` receives the post-removal indices of
+  /// participants whose adjacency changed. Returns kUnavailable when
+  /// the repair was not localized (hull site, degenerate or tiny
+  /// triangulation); the DT is then stale and must be rebuilt.
   Status remove_participant(topology::SwitchId sw,
                             const graph::Graph& physical,
                             const graph::ApspResult& apsp,
@@ -126,11 +130,6 @@ class MultiHopDT {
   /// go to `touched` when given.
   void drop_vlinks_of(topology::SwitchId u,
                       std::vector<topology::SwitchId>* touched);
-
-  /// Rebuilds every participant (after a non-localized DT repair).
-  Status rebuild_all(const graph::Graph& physical,
-                     const graph::ApspResult& apsp,
-                     std::vector<topology::SwitchId>* touched);
 
   std::vector<topology::SwitchId> participants_;
   geometry::DelaunayTriangulation dt_;

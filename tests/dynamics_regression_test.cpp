@@ -3,10 +3,14 @@
 //      must leave no half-joined switch in the topology.
 //   2. Controller::remove_switch must re-place orphans through the
 //      same rewrite-aware path as normal migration.
-//   3. install() must preserve active range-extension rewrites across
+//   3. The install must preserve active range-extension rewrites across
 //      every rebuild (the root cause behind #2: each dynamics op
 //      reinstalls all switch state from scratch).
-// Each test fails on the pre-fix code.
+//   4. Controller::remove_switch must be atomic like add_switch — a
+//      failed re-placement must not destroy the leaving switch's items.
+// Each test fails on the pre-fix code. The planned-move primitive's
+// edges (all-or-nothing pullback, capacity-bounded hot-item spread)
+// close the file.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +18,7 @@
 
 #include "core/controller.hpp"
 #include "core/protocol.hpp"
+#include "obs/switch_load.hpp"
 #include "topology/presets.hpp"
 
 namespace gred::core {
@@ -93,6 +98,58 @@ TEST(AddSwitchAtomicityTest, MigrationFailureRollsBackAndKeepsItems) {
     auto r = proto.retrieve("mig-" + std::to_string(i), i % 5);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().route.found) << i;
+  }
+}
+
+// --- Bug 4: remove_switch atomicity ---------------------------------
+
+TEST(RemoveSwitchAtomicityTest, FailedReplacementRollsBackAndKeepsItems) {
+  // The leaving switch 2 holds 20 items; the other four servers have 3
+  // free slots each, so the re-placement moves some orphans before one
+  // target fills up and the rest have nowhere to go.
+  SdenNetwork net = make_net(topology::complete(5), 1, /*capacity=*/20);
+  Controller ctrl;
+  ASSERT_TRUE(ctrl.initialize(net).ok());
+  GredProtocol proto(net, ctrl);
+  std::vector<std::size_t> per_server(net.server_count(), 0);
+  std::vector<std::string> ids;
+  for (int i = 0; ids.size() < 88 && i < 20000; ++i) {
+    const std::string id = "leave-" + std::to_string(i);
+    const auto p = ctrl.expected_placement(net, crypto::DataKey(id));
+    ASSERT_TRUE(p.ok());
+    const ServerId s = p.value().server;
+    if (per_server[s] == (s == 2 ? 20u : 17u)) continue;
+    ++per_server[s];
+    ASSERT_TRUE(proto.place(id, "v-" + id, 0).ok());
+    ids.push_back(id);
+  }
+  ASSERT_EQ(ids.size(), 88u);
+  const auto loads_before = net.server_loads();
+  const auto entries_before = net.table_entry_counts();
+  const auto participants_before = ctrl.space().participants();
+  const auto positions_before = ctrl.space().positions();
+  const std::size_t edges_before =
+      net.description().switches().edge_count();
+
+  const Status removed = ctrl.remove_switch(net, 2);
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.error().code, ErrorCode::kUnavailable);
+
+  // Pre-fix: the leaving switch was torn down and the orphans not yet
+  // re-placed were gone. Post-fix every item is where it started (the
+  // orphans already moved come back) and the switch is back in the
+  // topology, the space and the flow tables.
+  EXPECT_EQ(net.server_loads(), loads_before);
+  EXPECT_EQ(net.description().switches().edge_count(), edges_before);
+  EXPECT_EQ(net.description().servers_at(2).size(), 1u);
+  EXPECT_EQ(ctrl.space().participants(), participants_before);
+  EXPECT_EQ(ctrl.space().positions(), positions_before);
+  EXPECT_EQ(net.table_entry_counts(), entries_before);
+  for (const std::string& id : ids) {
+    auto r = proto.retrieve(id, 2);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value().route.found) << id;
+    EXPECT_EQ(r.value().route.payload, "v-" + id);
   }
 }
 
@@ -235,6 +292,106 @@ TEST(RemoveSwitchOrphanTest, OrphansFollowActiveExtension) {
     auto r = proto.retrieve(id, 0);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().route.found) << id;
+  }
+}
+
+// --- Planned-move primitive edges ---------------------------------
+
+/// Ids owned by server `owner` (its expected placement), `count` of
+/// them, drawn in a fixed order from `prefix`-<i>.
+std::vector<std::string> owned_ids(const Controller& ctrl,
+                                   const SdenNetwork& net, ServerId owner,
+                                   const std::string& prefix,
+                                   std::size_t count) {
+  std::vector<std::string> out;
+  for (int i = 0; out.size() < count && i < 20000; ++i) {
+    const std::string id = prefix + std::to_string(i);
+    const auto p = ctrl.expected_placement(net, crypto::DataKey(id));
+    if (p.ok() && p.value().server == owner) out.push_back(id);
+  }
+  return out;
+}
+
+TEST(PlannedMoveTest, RetractThatOverfillsOwnerMovesNothing) {
+  // Server 0 (capacity 5) keeps 3 items, then delegates; 4 more land on
+  // the delegate. Pulling those 4 back needs 4 slots and the owner has
+  // 2, so the retraction must fail without moving anything (it used to
+  // move 2, fill the owner, and strand a partial pullback).
+  topology::EdgeNetwork desc{topology::ring(4)};
+  ASSERT_TRUE(desc.attach_server(0, 5).ok());
+  for (SwitchId sw = 1; sw < 4; ++sw) {
+    ASSERT_TRUE(desc.attach_server(sw, 100).ok());
+  }
+  SdenNetwork net{std::move(desc)};
+  Controller ctrl;
+  ASSERT_TRUE(ctrl.initialize(net).ok());
+  GredProtocol proto(net, ctrl);
+  const std::vector<std::string> ids = owned_ids(ctrl, net, 0, "pull-", 7);
+  ASSERT_EQ(ids.size(), 7u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(proto.place(ids[i], "v", 1).ok());
+  }
+  ASSERT_TRUE(ctrl.extend_range(net, 0).ok());
+  const ServerId delegate =
+      net.switch_at(0).table().match_rewrite(0)->replacement;
+  for (std::size_t i = 3; i < ids.size(); ++i) {
+    ASSERT_TRUE(proto.place(ids[i], "v", 1).ok());
+  }
+  ASSERT_EQ(net.server(0).item_count(), 3u);
+  ASSERT_EQ(net.server(delegate).item_count(), 4u);
+
+  const Status retracted = ctrl.retract_range(net, 0);
+  ASSERT_FALSE(retracted.ok());
+  EXPECT_EQ(retracted.error().code, ErrorCode::kUnavailable);
+  EXPECT_EQ(net.server(0).item_count(), 3u);
+  EXPECT_EQ(net.server(delegate).item_count(), 4u);
+  EXPECT_TRUE(net.switch_at(0).table().match_rewrite(0).has_value());
+  for (const std::string& id : ids) {
+    auto r = proto.retrieve(id, 2);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value().route.found) << id;
+  }
+}
+
+TEST(PlannedMoveTest, HotItemSpreadStopsAtDelegateCapacity) {
+  // Switch 0 runs hot; its neighbors' servers have room for 3 (switch
+  // 1, the delegate) and 2 (switch 3). The digest-parity half of server
+  // 0's 20 items is larger than 3, so exactly 3 move.
+  topology::EdgeNetwork desc{topology::ring(4)};
+  ASSERT_TRUE(desc.attach_server(0, 0).ok());
+  ASSERT_TRUE(desc.attach_server(1, 3).ok());
+  ASSERT_TRUE(desc.attach_server(2, 0).ok());
+  ASSERT_TRUE(desc.attach_server(3, 2).ok());
+  SdenNetwork net{std::move(desc)};
+  Controller ctrl;
+  ASSERT_TRUE(ctrl.initialize(net).ok());
+  GredProtocol proto(net, ctrl);
+  const std::vector<std::string> ids = owned_ids(ctrl, net, 0, "hot-", 20);
+  ASSERT_EQ(ids.size(), 20u);
+  std::size_t even = 0;
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(proto.place(id, "v-" + id, 2).ok());
+    if (crypto::DataKey(id).mod(2) == 0) ++even;
+  }
+  ASSERT_GT(even, 3u);
+
+  obs::SwitchLoadTracker tracker(4);
+  for (int i = 0; i < 200; ++i) tracker.record(0);
+  tracker.record(2);
+  tracker.roll_window();
+  auto performed = ctrl.extend_for_load(net, tracker);
+  ASSERT_TRUE(performed.ok());
+  ASSERT_EQ(performed.value(), 1u);
+  const auto rewrite = net.switch_at(0).table().match_rewrite(0);
+  ASSERT_TRUE(rewrite.has_value());
+  EXPECT_EQ(rewrite->replacement, 1u);
+  EXPECT_EQ(net.server(1).item_count(), 3u);
+  EXPECT_EQ(net.server(0).item_count(), 17u);
+  for (const std::string& id : ids) {
+    auto r = proto.retrieve(id, 3);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value().route.found) << id;
+    EXPECT_EQ(r.value().route.payload, "v-" + id);
   }
 }
 

@@ -1,17 +1,18 @@
-// Incremental-vs-full churn differential soak (GRED_INCREMENTAL). Two
-// identical systems absorb the same seeded stream of dynamics events —
-// switch join/leave, link add/remove, range extend/retract — one on
-// the incremental control plane (delta-APSP, localized DT repair,
-// flow-table and route-plan patching), one on the full
-// recompute-and-reinstall path. After EVERY event the incremental
-// system must be bit-identical to ground truth three ways:
+// Delta-path churn differential soak. A system absorbs a seeded stream
+// of dynamics events — switch join/leave, link add/remove, range
+// extend/retract — on the delta path (delta-APSP, localized DT repair,
+// flow-table and route-plan patching). After EVERY event it must be
+// bit-identical to a cold restore of its own state: capture_snapshot +
+// restore_snapshot into a fresh SdenNetwork over the same topology,
+// which recomputes APSP, builds the DT from scratch and installs every
+// switch. Compared:
 //
-//   1. its delta-maintained APSP tables equal a fresh BFS/Dijkstra run,
-//   2. its repaired DT adjacency equals a fresh Bowyer-Watson build,
-//   3. its installed flow tables equal the full-rebuild twin's, and
-//      packets route bit-identically through the full twin's live
-//      plan, the incremental twin's PATCHED plan, and a 4-shard
-//      ShardedDataPlane kept current via patch_plans().
+//   1. the delta-maintained APSP tables,
+//   2. the repaired DT adjacency,
+//   3. the installed flow tables, field by field,
+//   4. routed packets through the cold network's fresh plan, the delta
+//      system's PATCHED plan, and a 4-shard ShardedDataPlane kept
+//      current via patch_plans().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,9 +21,8 @@
 
 #include "common/rng.hpp"
 #include "core/controller.hpp"
+#include "core/snapshot.hpp"
 #include "crypto/data_key.hpp"
-#include "geometry/delaunay.hpp"
-#include "graph/shortest_path.hpp"
 #include "sden/network.hpp"
 #include "shard/sharded_data_plane.hpp"
 #include "topology/waxman.hpp"
@@ -124,98 +124,90 @@ void expect_tables_equal(sden::SdenNetwork& a, sden::SdenNetwork& b,
 
 TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
   const std::size_t n = 40;
-  topology::EdgeNetwork desc = make_net(n, 0x1CEB00DAu);
-  sden::SdenNetwork net_inc(desc);
-  sden::SdenNetwork net_full(std::move(desc));
+  sden::SdenNetwork net(make_net(n, 0x1CEB00DAu));
+  core::Controller ctrl;
+  ASSERT_TRUE(ctrl.initialize(net).ok());
 
-  core::Controller ctrl_inc;
-  ctrl_inc.set_incremental(true);
-  core::Controller ctrl_full;
-  ctrl_full.set_incremental(false);
-  ASSERT_TRUE(ctrl_inc.initialize(net_inc).ok());
-  ASSERT_TRUE(ctrl_full.initialize(net_full).ok());
+  // 4-shard sharded runtime kept current with patch_plans after every
+  // delta event (fixed shard count so the TSan tree exercises the
+  // cross-shard rings deterministically).
+  shard::ShardedDataPlane sdp(net, 4);
 
-  // 4-shard sharded runtime over the INCREMENTAL network, kept current
-  // with patch_plans after every incremental event (fixed shard count
-  // so the TSan tree exercises the cross-shard rings deterministically).
-  shard::ShardedDataPlane sdp(net_inc, 4);
-
-  // Seed identical storage through both fast paths.
   Rng seed_rng(0xF00Du);
   std::vector<std::string> live;
   sden::RouteResult scratch;
   for (int i = 0; i < 60; ++i) {
     const std::string id = "inc-" + std::to_string(i);
-    const SwitchId ingress = seed_rng.next_below(n);
-    for (sden::SdenNetwork* net : {&net_inc, &net_full}) {
-      sden::Packet p =
-          make_packet(id, sden::PacketType::kPlacement, "v-" + id);
-      net->route(p, ingress, scratch);
-      ASSERT_TRUE(scratch.status.ok()) << id;
-    }
+    sden::Packet p = make_packet(id, sden::PacketType::kPlacement, "v-" + id);
+    net.route(p, seed_rng.next_below(n), scratch);
+    ASSERT_TRUE(scratch.status.ok()) << id;
     live.push_back(id);
   }
   sdp.recompile();  // placements invalidated the compiled plans
 
   Rng rng(0xD15EA5Eu);
   auto random_participant = [&]() -> SwitchId {
-    const auto& parts = ctrl_inc.space().participants();
+    const auto& parts = ctrl.space().participants();
     return parts[rng.next_below(parts.size())];
   };
 
-  // After every event, the three-way ground-truth check.
+  // After every event, the differential against a cold restore.
   std::vector<sden::Packet> pkts;
   std::vector<SwitchId> ingresses;
   std::vector<sden::RouteResult> shard_results;
   auto verify = [&](int step) {
-    // 1. Delta-maintained APSP tables == fresh BFS/Dijkstra, bit-equal.
-    const graph::Graph& g = net_inc.description().switches();
-    EXPECT_TRUE(ctrl_inc.apsp().dist ==
-                graph::all_pairs_shortest_paths(g, /*weighted=*/false).dist)
+    auto snap = core::capture_snapshot(ctrl, net);
+    ASSERT_TRUE(snap.ok()) << "step " << step;
+    sden::SdenNetwork cold(net.description());
+    for (ServerId s = 0; s < net.server_count(); ++s) {
+      cold.server(s) = net.server(s);
+    }
+    core::Controller cold_ctrl;
+    ASSERT_TRUE(core::restore_snapshot(cold_ctrl, cold, snap.value()).ok())
+        << "step " << step;
+
+    // 1. Delta-maintained APSP tables == a fresh recompute, bit-equal.
+    EXPECT_TRUE(ctrl.apsp().dist == cold_ctrl.apsp().dist)
         << "step " << step << ": unweighted APSP diverged";
-    EXPECT_TRUE(ctrl_inc.apsp_latency().dist ==
-                graph::all_pairs_shortest_paths(g, /*weighted=*/true).dist)
+    EXPECT_TRUE(ctrl.apsp_latency().dist == cold_ctrl.apsp_latency().dist)
         << "step " << step << ": weighted APSP diverged";
 
-    // 2. Repaired DT adjacency == fresh Bowyer-Watson over the same
+    // 2. Repaired DT adjacency == a from-scratch build over the same
     // positions (the DT of points in general position is unique).
-    auto fresh =
-        geometry::DelaunayTriangulation::build(ctrl_inc.space().positions());
-    ASSERT_TRUE(fresh.ok()) << "step " << step;
     const geometry::DelaunayTriangulation& repaired =
-        ctrl_inc.dt().triangulation();
-    ASSERT_EQ(repaired.size(), fresh.value().size()) << "step " << step;
+        ctrl.dt().triangulation();
+    const geometry::DelaunayTriangulation& fresh =
+        cold_ctrl.dt().triangulation();
+    ASSERT_EQ(repaired.size(), fresh.size()) << "step " << step;
     for (std::size_t i = 0; i < repaired.size(); ++i) {
-      EXPECT_EQ(repaired.neighbors(i), fresh.value().neighbors(i))
+      EXPECT_EQ(repaired.neighbors(i), fresh.neighbors(i))
           << "step " << step << ": DT adjacency of site " << i;
     }
 
-    // 3. Installed state and routing equal the full-rebuild twin.
-    ASSERT_EQ(ctrl_inc.space().participants(),
-              ctrl_full.space().participants())
-        << "step " << step;
-    expect_tables_equal(net_inc, net_full, step);
+    // 3. Installed flow tables, field by field.
+    expect_tables_equal(net, cold, step);
 
+    // 4. Routing: cold plan vs patched plan vs patched shard plans.
     pkts.clear();
     ingresses.clear();
     for (const std::string& id : live) {
       pkts.push_back(make_packet(id, sden::PacketType::kRetrieval));
-      ingresses.push_back(rng.next_below(net_inc.switch_count()));
+      ingresses.push_back(rng.next_below(net.switch_count()));
     }
     shard_results.resize(pkts.size());
     sdp.replay(pkts.data(), ingresses.data(), pkts.size(),
                shard_results.data());
     for (std::size_t i = 0; i < pkts.size(); ++i) {
-      sden::Packet via_full = pkts[i];
-      sden::RouteResult full_res;
-      net_full.route(via_full, ingresses[i], full_res);
-      sden::Packet via_inc = pkts[i];
-      sden::RouteResult inc_res;
-      net_inc.route(via_inc, ingresses[i], inc_res);
+      sden::Packet via_cold = pkts[i];
+      sden::RouteResult cold_res;
+      cold.route(via_cold, ingresses[i], cold_res);
+      sden::Packet via_delta = pkts[i];
+      sden::RouteResult delta_res;
+      net.route(via_delta, ingresses[i], delta_res);
       const std::string what =
           "step " + std::to_string(step) + " pkt " + std::to_string(i);
-      expect_identical(full_res, inc_res, what + " (patched plan)");
-      expect_identical(full_res, shard_results[i], what + " (sharded)");
+      expect_identical(cold_res, delta_res, what + " (patched plan)");
+      expect_identical(cold_res, shard_results[i], what + " (sharded)");
     }
   };
 
@@ -223,74 +215,54 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   constexpr int kEvents = 32;
-  int incremental_events = 0;
+  int delta_events = 0;
   for (int step = 0; step < kEvents; ++step) {
     const std::uint64_t op = rng.next_below(6);
-    bool ok_inc = false;
-    bool ok_full = false;
+    bool ok = false;
     switch (op) {
       case 0: {  // switch join
         const SwitchId u = random_participant();
         const SwitchId v = random_participant();
-        auto a = ctrl_inc.add_switch(net_inc, {u, v}, /*server_count=*/2);
-        auto b = ctrl_full.add_switch(net_full, {u, v}, /*server_count=*/2);
-        ok_inc = a.ok();
-        ok_full = b.ok();
-        if (a.ok() && b.ok()) EXPECT_EQ(a.value(), b.value()) << step;
+        ok = ctrl.add_switch(net, {u, v}, /*server_count=*/2).ok();
         break;
       }
       case 1: {  // switch leave (keep enough participants alive)
-        if (ctrl_inc.space().participants().size() > 8) {
-          const SwitchId victim = random_participant();
-          ok_inc = ctrl_inc.remove_switch(net_inc, victim).ok();
-          ok_full = ctrl_full.remove_switch(net_full, victim).ok();
+        if (ctrl.space().participants().size() > 8) {
+          ok = ctrl.remove_switch(net, random_participant()).ok();
         } else {
           const SwitchId u = random_participant();
           const SwitchId v = random_participant();
-          ok_inc = ctrl_inc.add_link(net_inc, u, v).ok();
-          ok_full = ctrl_full.add_link(net_full, u, v).ok();
+          ok = ctrl.add_link(net, u, v).ok();
         }
         break;
       }
       case 2: {  // link add; may fail (exists / self-loop)
         const SwitchId u = random_participant();
         const SwitchId v = random_participant();
-        ok_inc = ctrl_inc.add_link(net_inc, u, v).ok();
-        ok_full = ctrl_full.add_link(net_full, u, v).ok();
+        ok = ctrl.add_link(net, u, v).ok();
         break;
       }
       case 3: {  // link remove; may fail (missing / would disconnect)
         const SwitchId u = random_participant();
         const SwitchId v = random_participant();
-        ok_inc = ctrl_inc.remove_link(net_inc, u, v).ok();
-        ok_full = ctrl_full.remove_link(net_full, u, v).ok();
+        ok = ctrl.remove_link(net, u, v).ok();
         break;
       }
-      case 4: {  // range extension; may fail (already active)
-        const ServerId s = rng.next_below(net_inc.server_count());
-        ok_inc = ctrl_inc.extend_range(net_inc, s).ok();
-        ok_full = ctrl_full.extend_range(net_full, s).ok();
+      case 4:  // range extension; may fail (already active)
+        ok = ctrl.extend_range(net, rng.next_below(net.server_count())).ok();
         break;
-      }
-      default: {  // retraction; may fail (none active)
-        const ServerId s = rng.next_below(net_inc.server_count());
-        ok_inc = ctrl_inc.retract_range(net_inc, s).ok();
-        ok_full = ctrl_full.retract_range(net_full, s).ok();
+      default:  // retraction; may fail (none active)
+        ok = ctrl.retract_range(net, rng.next_below(net.server_count())).ok();
         break;
-      }
     }
-    ASSERT_EQ(ok_inc, ok_full) << "step " << step << " op " << op
-                               << ": twins diverged on op outcome";
 
-    if (ok_inc) {
-      if (ctrl_inc.last_event_incremental()) {
-        ++incremental_events;
-        const auto& affected = ctrl_inc.last_affected_switches();
-        std::vector<std::uint32_t> touched(affected.begin(), affected.end());
-        sdp.patch_plans(touched.data(), touched.size());
-      } else {
-        sdp.recompile();
-      }
+    if (ok && ctrl.last_event_incremental()) {
+      ++delta_events;
+      const auto& affected = ctrl.last_affected_switches();
+      std::vector<std::uint32_t> touched(affected.begin(), affected.end());
+      sdp.patch_plans(touched.data(), touched.size());
+    } else {
+      sdp.recompile();
     }
 
     verify(step);
@@ -298,29 +270,22 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
         << "identity broke at step " << step << " (op " << op << ")";
   }
 
-  // The point of the soak is the incremental path; if nearly every
-  // event fell back to the full rebuild the differential proved
-  // nothing. (Fallbacks are legal — staleness, collisions — but must
-  // stay the exception at this scale.)
-  EXPECT_GE(incremental_events, kEvents / 3)
-      << "incremental path engaged too rarely";
+  // The point of the soak is the delta path; if nearly every event
+  // fell back to the full install the differential proved nothing.
+  // (Fallbacks are legal — staleness, hull repairs, collisions — but
+  // must stay the exception at this scale.)
+  EXPECT_GE(delta_events, kEvents / 3) << "delta path engaged too rarely";
 }
 
-// The toggle itself: dynamics under GRED_INCREMENTAL default to the
-// env flag, and set_incremental switches at runtime.
-TEST(IncrementalChurn, ToggleReportsIncrementalEvents) {
+// A link add runs on the delta path and reports its patch set.
+TEST(IncrementalChurn, LinkAddReportsDeltaPatchSet) {
   topology::EdgeNetwork desc = make_net(16, 0xBEEFu);
   sden::SdenNetwork net(std::move(desc));
   core::Controller ctrl;
-  ctrl.set_incremental(false);
   ASSERT_TRUE(ctrl.initialize(net).ok());
 
   ASSERT_TRUE(ctrl.add_link(net, 0, 9, 1.0).ok() ||
               ctrl.add_link(net, 0, 10, 1.0).ok());
-  EXPECT_FALSE(ctrl.last_event_incremental());
-  EXPECT_TRUE(ctrl.last_affected_switches().empty());
-
-  ctrl.set_incremental(true);
   SwitchId u = 0;
   SwitchId v = 0;
   for (SwitchId cand = 2; cand < net.switch_count(); ++cand) {
@@ -333,6 +298,7 @@ TEST(IncrementalChurn, ToggleReportsIncrementalEvents) {
   ASSERT_NE(u, v);
   ASSERT_TRUE(ctrl.add_link(net, u, v, 1.0).ok());
   EXPECT_TRUE(ctrl.last_event_incremental());
+  EXPECT_EQ(ctrl.last_fallback(), obs::FallbackReason::kNone);
   const auto& affected = ctrl.last_affected_switches();
   EXPECT_FALSE(affected.empty());
   EXPECT_TRUE(std::binary_search(affected.begin(), affected.end(), u));
