@@ -1,10 +1,10 @@
 // Data-plane throughput bench: the compiled fast path
-// (SdenNetwork::route with reused scratch — indexed flow tables,
-// compiled route plan, allocation-free steady state) against a
-// pre-fast-path reference that routes every packet the way the seed
-// data plane did (sden/seed_router.hpp), plus the sharded runtime
-// (shard/ShardedDataPlane) under both closed-loop replay and open-loop
-// sustained load.
+// (SdenNetwork::route with reused scratch — compiled route plan,
+// allocation-free steady state) against the routing oracle
+// (reference_route: the live Switch::process walk with its sequential
+// closer_to candidate scan, graph link lookups and a fresh RouteResult
+// per packet), plus the sharded runtime (shard/ShardedDataPlane) under
+// both closed-loop replay and open-loop sustained load.
 //
 // Reports packets/sec, ns/hop, p50/p99 route latency, and steady-state
 // allocations per packet on 64/256/1024-switch Waxman topologies, the
@@ -12,10 +12,10 @@
 // and an open-loop load sweep with queueing-latency percentiles, and
 // emits BENCH_data_plane.json:
 //
-//   n<S>_reference_pkts_per_sec   seed-style walk (fresh result, SHA-256)
+//   n<S>_reference_pkts_per_sec   oracle walk (reference_route)
 //   n<S>_fast_pkts_per_sec        compiled fast path, reused scratch
 //   n<S>_fast_pkts_per_sec_parallel  pool replay over GRED_THREADS
-//   n<S>_speedup                  fast / reference (same run, same machine)
+//   n<S>_speedup                  fast / oracle (same run, same machine)
 //   n<S>_ns_per_hop               fast-path time per physical hop
 //   n<S>_route_p50_ns / _p99_ns   per-packet fast-path route latency
 //   n<S>_allocs_per_packet        heap allocations per steady-state route
@@ -27,10 +27,9 @@
 //   n<S>_load<I>_p50_us / _p99_us / _p999_us  arrival-to-completion latency
 //
 // Every fast-path result is first checked bit-identical against the
-// live-pipeline walk (reference_route) and the seed-faithful walk, and
-// every sharded result against the fast path, before any number is
-// reported; the fast and sharded steady states are asserted
-// allocation-free. All measured sections run after an untimed warm-up
+// oracle (reference_route), and every sharded result against the fast
+// path, before any number is reported; the fast and sharded steady
+// states are asserted allocation-free. All measured sections run after an untimed warm-up
 // pass so first-touch costs (lane/result capacity growth, page faults,
 // branch training) never land inside a timed region.
 //
@@ -59,7 +58,6 @@
 #include "obs/trace.hpp"
 #include "sden/network.hpp"
 #include "sden/reference_router.hpp"
-#include "sden/seed_router.hpp"
 #include "shard/sharded_data_plane.hpp"
 
 using namespace gred;
@@ -181,9 +179,9 @@ SizeReport run_size(std::size_t n, bool smoke, bool trace,
     network.route(pkt_scratch, ingresses[i], scratch);
   }
 
-  // --- Differential: fast path vs live pipeline vs seed-faithful walk,
-  // full RouteResult equality on every packet. The fast results are
-  // kept: the sharded section below must match them bit-for-bit. ---
+  // --- Differential: fast path vs the oracle, full RouteResult
+  // equality on every packet. The fast results are kept: the sharded
+  // section below must match them bit-for-bit. ---
   std::vector<sden::RouteResult> fast_results(items);
   for (std::size_t i = 0; i < items; ++i) {
     pkt_scratch = pkts[i];
@@ -191,10 +189,7 @@ SizeReport run_size(std::size_t n, bool smoke, bool trace,
     require(scratch.status.ok() && scratch.found, "fast route");
     const sden::RouteResult live =
         sden::reference_route(network, pkts[i], ingresses[i]);
-    const sden::RouteResult seed =
-        sden::seed_faithful_route(network, pkts[i], ingresses[i]);
-    require(results_equal(scratch, live) && results_equal(scratch, seed),
-            "fast path diverged from reference");
+    require(results_equal(scratch, live), "fast path diverged from oracle");
     fast_results[i] = scratch;
   }
 
@@ -379,14 +374,14 @@ SizeReport run_size(std::size_t n, bool smoke, bool trace,
     obs::set_enabled(false);
   }
 
-  // --- Seed-style reference throughput (fresh result per packet). ---
+  // --- Oracle throughput (fresh result per packet). ---
   t0 = now_s();
   std::size_t ref_total = 0;
   for (std::size_t rd = 0; rd < ref_rounds; ++rd) {
     for (std::size_t i = 0; i < items; ++i) {
       const sden::RouteResult r =
-          sden::seed_faithful_route(network, pkts[i], ingresses[i]);
-      require(r.found, "seed reference route");
+          sden::reference_route(network, pkts[i], ingresses[i]);
+      require(r.found, "oracle route");
       ++ref_total;
     }
   }
@@ -397,7 +392,7 @@ SizeReport run_size(std::size_t n, bool smoke, bool trace,
   std::printf(
       "n=%4zu: fast %9.0f pkts/s (%5.1f ns/hop, %.2f hops/pkt, p50 %5.0f ns, "
       "p99 %6.0f ns, allocs/pkt %.2f)\n        parallel %9.0f pkts/s | "
-      "reference %8.0f pkts/s | speedup %.2fx\n",
+      "oracle %8.0f pkts/s | speedup %.2fx\n",
       n, rep.fast_pps, rep.ns_per_hop, rep.hops_per_packet, rep.p50_ns,
       rep.p99_ns, rep.allocs_per_packet, rep.fast_pps_parallel,
       rep.reference_pps, rep.speedup);
@@ -453,7 +448,7 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Data plane",
-      "compiled fast path vs seed-style reference walk vs sharded runtime",
+      "compiled fast path vs the routing oracle vs sharded runtime",
       "bit-identical results; fast and sharded paths allocation-free in "
       "steady state");
   std::printf("pool threads: %zu (GRED_THREADS or hardware), shard sweep up "

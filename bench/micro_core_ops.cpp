@@ -13,6 +13,7 @@
 #include "geometry/delaunay.hpp"
 #include "graph/shortest_path.hpp"
 #include "linalg/mds.hpp"
+#include "sden/plan_walk.hpp"
 #include "sden/route_plan.hpp"
 
 using namespace gred;
@@ -119,26 +120,48 @@ void BM_FlowTableRelayLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableRelayLookup);
 
-void BM_FlowTableGreedyStep(benchmark::State& state) {
-  // One greedy forwarding decision: best_candidate over the SoA
-  // position columns for a typical DT degree.
-  const auto degree = static_cast<std::size_t>(state.range(0));
-  sden::FlowTable table;
+void BM_PlanGreedyStep(benchmark::State& state) {
+  // One greedy forwarding decision (Algorithm 2) as routes run it:
+  // sden::plan_step at a random switch of a plan compiled from an
+  // n-switch Waxman GredSystem, toward a random data position. The
+  // `candidates` counter is the mean candidate count of the stepped
+  // switches, the k of the argmin.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const topology::EdgeNetwork net =
+      bench::make_waxman_network(n, 4, 3, 970 + n);
+  auto sys = core::GredSystem::create(net, bench::gred_options(50));
+  if (!sys.ok()) {
+    state.SkipWithError("system creation failed");
+    return;
+  }
+  const sden::SdenNetwork& network = sys.value().network();
+  std::vector<std::uint32_t> owned(n);
+  for (std::size_t i = 0; i < n; ++i) owned[i] = static_cast<std::uint32_t>(i);
+  sden::RoutePlan plan;
+  network.compile_plan_subset(plan, owned.data(), owned.size());
+
+  constexpr std::size_t kCases = 1024;  // power of two: masked cycling
   Rng rng(12);
-  for (std::size_t i = 0; i < degree; ++i) {
-    sden::NeighborEntry e;
-    e.neighbor = i;
-    e.first_hop = i;
-    e.physical = true;
-    e.position = {rng.next_double(), rng.next_double()};
-    table.add_neighbor(e);
+  std::vector<std::uint32_t> at(kCases);
+  std::vector<sden::Packet> pkts(kCases);
+  double candidates = 0;
+  for (std::size_t c = 0; c < kCases; ++c) {
+    at[c] = static_cast<std::uint32_t>(rng.next_below(n));
+    const crypto::DataKey key("step-" + std::to_string(c));
+    pkts[c].target = {key.position().x, key.position().y};
+    candidates += static_cast<double>(
+        network.const_switch_at(at[c]).table().neighbors().size());
   }
+  std::size_t c = 0;
   for (auto _ : state) {
-    const geometry::Point2D target{rng.next_double(), rng.next_double()};
-    benchmark::DoNotOptimize(table.best_candidate(target));
+    sden::Packet& pkt = pkts[c];
+    pkt.clear_virtual_link();  // a taken DT edge enters a virtual link
+    benchmark::DoNotOptimize(sden::plan_step(plan, at[c], pkt));
+    c = (c + 1) & (kCases - 1);
   }
+  state.counters["candidates"] = candidates / static_cast<double>(kCases);
 }
-BENCHMARK(BM_FlowTableGreedyStep)->Arg(6)->Arg(12)->Arg(24);
+BENCHMARK(BM_PlanGreedyStep)->Arg(64)->Arg(256);
 
 void BM_GredRetrievalFastPath(benchmark::State& state) {
   // Full compiled-plan retrieval walk with reused scratch — the

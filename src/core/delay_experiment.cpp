@@ -59,16 +59,16 @@ Result<DelayExperimentResult> RetrievalDelayExperiment::run(
               slot.error = outcome.error();
               continue;
             }
-            RetrievalOutcome& out = outcome.value();
-            slot.attempts = out.attempts;
-            slot.fallbacks = out.fallbacks;
-            slot.recovered = out.recovered;
-            if (!out.found) {
+            RetrievalOutcome& retrieval = outcome.value();
+            slot.attempts = retrieval.attempts;
+            slot.fallbacks = retrieval.fallbacks;
+            slot.recovered = retrieval.recovered;
+            if (!retrieval.found) {
               slot.outcome = RoutedRequest::Outcome::kNotFound;
               continue;
             }
-            client_backoff_ms = out.backoff_ms;
-            report = std::move(out.report);
+            client_backoff_ms = retrieval.backoff_ms;
+            report = std::move(retrieval.report);
           } else {
             auto single = system_->retrieve(req.data_id, req.ingress);
             if (!single.ok()) {

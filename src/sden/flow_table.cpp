@@ -1,7 +1,5 @@
 #include "sden/flow_table.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <sstream>
 
 namespace gred::sden {
@@ -11,15 +9,11 @@ void FlowTable::add_neighbor(const NeighborEntry& entry) {
   // re-installations after topology/position updates).
   if (const std::uint32_t* slot = neighbor_index_.find(entry.neighbor)) {
     neighbors_[*slot] = entry;
-    cand_x_[*slot] = entry.position.x;
-    cand_y_[*slot] = entry.position.y;
     return;
   }
   neighbor_index_.insert_or_assign(
       entry.neighbor, static_cast<std::uint32_t>(neighbors_.size()));
   neighbors_.push_back(entry);
-  cand_x_.push_back(entry.position.x);
-  cand_y_.push_back(entry.position.y);
 }
 
 void FlowTable::add_relay(const RelayEntry& entry) {
@@ -62,39 +56,8 @@ void FlowTable::remove_rewrite(ServerId original) {
   }
 }
 
-std::size_t FlowTable::best_candidate(const geometry::Point2D& target) const {
-  const std::size_t n = neighbors_.size();
-  if (n == 0) return geometry::kNoSite;
-  // Pass 1: minimum squared distance over the SoA columns. min() over
-  // finite doubles is order-independent, so this reduction is exact.
-  double min_d2 = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = cand_x_[i] - target.x;
-    const double dy = cand_y_[i] - target.y;
-    const double d2 = dx * dx + dy * dy;
-    min_d2 = d2 < min_d2 ? d2 : min_d2;
-  }
-  // Pass 2: among the (almost always unique) minimizers, apply the
-  // paper's lexicographic tie-break so the result equals a sequential
-  // closer_to scan bit for bit.
-  std::size_t best = geometry::kNoSite;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = cand_x_[i] - target.x;
-    const double dy = cand_y_[i] - target.y;
-    if (dx * dx + dy * dy != min_d2) continue;
-    if (best == geometry::kNoSite ||
-        geometry::lex_less({cand_x_[i], cand_y_[i]},
-                           {cand_x_[best], cand_y_[best]})) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 void FlowTable::clear() {
   neighbors_.clear();
-  cand_x_.clear();
-  cand_y_.clear();
   relays_.clear();
   rewrites_.clear();
   neighbor_index_.clear();

@@ -20,10 +20,8 @@
 // (the observable match semantics and the validators' view), while
 // flat hash indexes make every match O(1) — relays keyed by dest and
 // deduplicated by <sour, dest>, rewrites keyed by server, candidates
-// keyed by neighbor. Candidate positions are additionally mirrored
-// into structure-of-arrays x/y columns so the per-hop nearest-
-// candidate scan (`best_candidate`) runs branch-light over contiguous
-// doubles instead of chasing 40-byte entries.
+// keyed by neighbor. The routed fast path never reads these objects:
+// it walks the compiled RoutePlan (route_plan.hpp).
 #pragma once
 
 #include <cstddef>
@@ -104,12 +102,6 @@ class FlowTable {
     return idx == nullptr ? nullptr : &rewrites_[*idx];
   }
 
-  /// Index of the greedy candidate nearest to `target` under the
-  /// paper's total order (squared distance, ties by lexicographic
-  /// position — geometry::closer_to), or geometry::kNoSite when the
-  /// table has no candidates. Runs over the SoA position columns.
-  std::size_t best_candidate(const geometry::Point2D& target) const;
-
   /// Total installed entries — the Fig. 9(d) metric.
   std::size_t entry_count() const {
     return neighbors_.size() + relays_.size() + rewrites_.size();
@@ -123,9 +115,6 @@ class FlowTable {
 
  private:
   std::vector<NeighborEntry> neighbors_;
-  /// SoA mirror of neighbors_[i].position, kept in lockstep.
-  std::vector<double> cand_x_;
-  std::vector<double> cand_y_;
   std::vector<RelayEntry> relays_;
   std::vector<RewriteEntry> rewrites_;
 

@@ -193,57 +193,80 @@ void SdenNetwork::route(Packet& pkt, SwitchId ingress, RouteResult& result) {
 Status SdenNetwork::deliver_compiled(const RoutePlan& plan, const double* base,
                                      Packet& pkt, std::uint32_t terminal,
                                      RouteResult& result) {
-  const std::uint32_t server_begin = plan_lo(base[2]);
-  const std::uint32_t server_count = plan_hi(base[3]);
   const std::uint32_t flags = plan_lo(base[3]);
   if ((flags & kPlanFlagDeliverFallback) != 0) {
-    // Range-extension rewrites are installed here: run the live
-    // pipeline, which resolves the rewrite targets. The greedy stage
-    // re-derives the same "deliver here" decision (identical tables).
-    Decision decision = switches_[terminal].process(pkt);
-    if (decision.kind == Decision::Kind::kDeliver) {
-      return deliver_to_targets(decision, pkt, terminal, result);
-    }
+    // Range-extension rewrites are installed here: the switch's own
+    // server stage resolves the rewrite targets.
+    const Decision decision = switches_[terminal].deliver(pkt);
     if (decision.kind == Decision::Kind::kDrop) {
       return route_errors::pipeline_drop(terminal, decision.drop_code,
                                          decision.drop_reason);
     }
-    return Status(ErrorCode::kInternal,
-                  "compiled plan and live pipeline diverged at delivery");
+    return deliver(decision.targets, pkt, terminal, result);
   }
 
+  const std::uint32_t server_count = plan_hi(base[3]);
   if (server_count == 0) {
     return route_errors::no_servers(terminal);
   }
-
   // Section V-B: serial number H(d) mod s. The cached digest (filled in
   // by the sender) goes straight through digest_mod — no SHA-256 and no
   // DataKey position derivation on the fast path.
   const std::size_t idx = static_cast<std::size_t>(
       pkt.has_key_digest ? crypto::digest_mod(pkt.key_digest, server_count)
                          : pkt.key().mod(server_count));
-  const ServerId chosen = plan.servers[server_begin + idx];
-  if (chosen >= servers_.size()) {
-    return Status(ErrorCode::kInternal, "delivery to unknown server");
-  }
-  result.delivered_to.push_back(chosen);
+  Decision::TargetList targets;
+  targets.push_back({plan.servers[plan_lo(base[2]) + idx], terminal});
+  return deliver(targets, pkt, terminal, result);
+}
 
-  ServerNode& node = servers_[chosen];
-  if (pkt.type == PacketType::kPlacement) {
-    return node.store(pkt.data_id, std::move(pkt.payload));
-  }
-  if (pkt.type == PacketType::kRetrieval) {
-    if (const std::string* payload = node.find(pkt.data_id)) {
-      result.found = true;
-      result.responder = chosen;
-      // assign() reuses the scratch string's capacity.
-      result.payload.assign(*payload);
-      node.note_retrieval();
+Status SdenNetwork::deliver(const Decision::TargetList& targets, Packet& pkt,
+                            SwitchId terminal, RouteResult& result) {
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const Decision::DeliveryTarget& target = targets[t];
+    if (target.server >= servers_.size()) {
+      return Status(ErrorCode::kInternal, "delivery to unknown server");
     }
-  } else {  // kRemoval
-    if (node.erase(pkt.data_id)) {
-      result.found = true;
-      result.responder = chosen;
+    // A cross-switch delivery (range extension) must use a physical
+    // link from the terminal switch (the paper's port p5 to switch 2).
+    if (target.via != terminal) {
+      const graph::EdgeTo* edge =
+          description_.switches().find_edge(terminal, target.via);
+      if (edge == nullptr) {
+        return route_errors::handoff_missing_link();
+      }
+      if (faults_ != nullptr && faults_->any()) {
+        Status hop = route_errors::check_traversal(
+            *faults_, terminal, target.via, fault_packet_salt(pkt));
+        if (!hop.ok()) return hop;
+      }
+      result.path_cost += edge->weight;
+      result.switch_path.push_back(target.via);
+    }
+    result.delivered_to.push_back(target.server);
+
+    ServerNode& node = servers_[target.server];
+    if (pkt.type == PacketType::kPlacement) {
+      // The last target takes the payload by move; a placement only
+      // ever has one target today, so this is the common case.
+      const Status stored =
+          node.store(pkt.data_id, t + 1 == targets.size()
+                                      ? std::move(pkt.payload)
+                                      : pkt.payload);
+      if (!stored.ok()) return stored;
+    } else if (pkt.type == PacketType::kRetrieval) {
+      if (const std::string* payload = node.find(pkt.data_id)) {
+        result.found = true;
+        result.responder = target.server;
+        // assign() reuses the scratch string's capacity.
+        result.payload.assign(*payload);
+        node.note_retrieval();
+      }
+    } else {  // kRemoval
+      if (node.erase(pkt.data_id)) {
+        result.found = true;
+        result.responder = target.server;
+      }
     }
   }
   return Status::Ok();
@@ -525,60 +548,6 @@ void SdenNetwork::patch_plan(const std::uint32_t* touched,
   // release: publishes the patched plan to lock-free readers that
   // acquire dirty==false in ensure_plan, like rebuild_plan_slow.
   state.dirty.store(false, std::memory_order_release);
-}
-
-Status SdenNetwork::deliver_to_targets(const Decision& decision, Packet& pkt,
-                                       SwitchId terminal,
-                                       RouteResult& result) {
-  const std::size_t target_count = decision.targets.size();
-  for (std::size_t t = 0; t < target_count; ++t) {
-    const Decision::DeliveryTarget& target = decision.targets[t];
-    if (target.server >= servers_.size()) {
-      return Status(ErrorCode::kInternal, "delivery to unknown server");
-    }
-    // A cross-switch delivery (range extension) must use a physical
-    // link from the terminal switch (the paper's port p5 to switch 2).
-    if (target.via != terminal) {
-      const graph::EdgeTo* edge =
-          description_.switches().find_edge(terminal, target.via);
-      if (edge == nullptr) {
-        return route_errors::handoff_missing_link();
-      }
-      if (faults_ != nullptr && faults_->any()) {
-        Status hop = route_errors::check_traversal(
-            *faults_, terminal, target.via, fault_packet_salt(pkt));
-        if (!hop.ok()) return hop;
-      }
-      result.path_cost += edge->weight;
-      result.switch_path.push_back(target.via);
-    }
-    result.delivered_to.push_back(target.server);
-
-    ServerNode& node = servers_[target.server];
-    if (pkt.type == PacketType::kPlacement) {
-      // The last target takes the payload by move; a placement only
-      // ever has one target today, so this is the common case.
-      const Status stored =
-          node.store(pkt.data_id, t + 1 == target_count
-                                      ? std::move(pkt.payload)
-                                      : pkt.payload);
-      if (!stored.ok()) return stored;
-    } else if (pkt.type == PacketType::kRetrieval) {
-      if (const std::string* payload = node.find(pkt.data_id)) {
-        result.found = true;
-        result.responder = target.server;
-        // assign() reuses the scratch string's capacity.
-        result.payload.assign(*payload);
-        node.note_retrieval();
-      }
-    } else {  // kRemoval
-      if (node.erase(pkt.data_id)) {
-        result.found = true;
-        result.responder = target.server;
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 std::vector<std::size_t> SdenNetwork::server_loads() const {

@@ -1,9 +1,9 @@
 // The assembled software-defined edge network (SDEN, Fig. 3): switches
 // with flow tables, edge servers, and the physical links between them.
-// `inject()` walks a packet hop by hop through switch pipelines exactly
-// as the testbed forwards frames, validating that every forwarding
-// decision uses a real physical link, and applies the storage side
-// effects at the delivering server(s).
+// `route()` walks a packet hop by hop over the compiled forwarding
+// state (route_plan.hpp) exactly as the testbed forwards frames, every
+// hop over a real physical link, and `deliver()` applies the storage
+// side effects at the delivering server(s).
 #pragma once
 
 #include <memory>
@@ -234,9 +234,11 @@ class SdenNetwork {
 
   /// Compiled delivery at a terminal switch owning the packet's data.
   /// `base` is the terminal's region inside `plan` (which may be a
-  /// shard-subset plan — its servers array is self-contained). Public
-  /// for the sharded runtime; switches with rewrites installed take the
-  /// live pipeline via the deliver-fallback flag. Concurrent calls are
+  /// shard-subset plan — its servers array is self-contained). The
+  /// server comes from the plan's server slice, so no Switch memory is
+  /// read — except on a switch with range-extension rewrites (the
+  /// plan's deliver-fallback flag), where Switch::deliver resolves the
+  /// targets. Public for the sharded runtime. Concurrent calls are
   /// safe for retrievals/removals on disjoint (pkt, result) pairs.
   // cold: delivery mutates server storage / copies the payload string —
   // out of the hop loop's closure; one call per packet, not per hop.
@@ -245,11 +247,24 @@ class SdenNetwork {
                                          std::uint32_t terminal,
                                          RouteResult& result);
 
+  /// The one delivery function every router ends in: hands `pkt` from
+  /// `terminal` to each target in order. A target on another switch
+  /// (range extension) must be reached over a physical link that
+  /// survives the injected faults; the handoff hop joins the result's
+  /// path and cost. Then the storage side effect at the server: a
+  /// placement stores the payload (moved into the last target), a
+  /// retrieval reads it back and bumps the server's served counter, a
+  /// removal erases it. Returns the first failure; targets before it
+  /// stay applied, and the caller fails the result.
+  Status deliver(const Decision::TargetList& targets, Packet& pkt,
+                 SwitchId terminal, RouteResult& result);
+
   /// Installs (or clears, with nullptr) the injected physical-fault
-  /// state. Not owned; the pointer must stay valid while set. Both the
-  /// compiled fast path and the reference router consult it, so their
-  /// differential stays bit-identical under faults. Routing with
-  /// faults installed classifies drops as kLinkDown.
+  /// state. Not owned; the pointer must stay valid while set. The
+  /// compiled fast path, the sharded runtime, the reference router and
+  /// deliver() all consult it, so their differential stays
+  /// bit-identical under faults. Routing with faults installed
+  /// classifies drops as kLinkDown.
   void set_fault_state(const FaultState* faults) { faults_ = faults; }
   const FaultState* fault_state() const { return faults_; }
 
@@ -271,8 +286,6 @@ class SdenNetwork {
   obs::SwitchLoadTracker* load_tracker() const { return load_tracker_; }
 
  private:
-  Status deliver_to_targets(const Decision& decision, Packet& pkt,
-                            SwitchId terminal, RouteResult& result);
   /// Returns the up-to-date compiled plan, rebuilding it first when a
   /// mutating accessor flagged it dirty. The dirty check itself stays
   /// on the hot path (one acquire load); the lock-and-rebuild lives in

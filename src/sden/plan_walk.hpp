@@ -77,11 +77,11 @@ GRED_HOT_PATH inline PlanStep plan_step(const RoutePlan& plan,
 
   // Algorithm 2: one pass over the contiguous candidate columns under
   // the paper's total order (squared distance, ties by lex position)
-  // — same unique minimizer as FlowTable::best_candidate. The compile
-  // step sorted the columns by lex position, so the FIRST index
-  // achieving the minimum distance is the lex-smallest tie winner,
-  // and a strict-less argmin (two independent accumulator chains,
-  // branch-free minsd + cmov, no rescan) is exact.
+  // — same unique minimizer as Switch::process's closer_to scan. The
+  // compile step sorted the columns by lex position, so the FIRST
+  // index achieving the minimum distance is the lex-smallest tie
+  // winner, and a strict-less argmin (two independent accumulator
+  // chains, branch-free minsd + cmov, no rescan) is exact.
   const std::size_t k = plan_hi(base[2]);
   const double* const xs = base + kPlanHeaderWords;
   const double* const ys = xs + k;

@@ -1,14 +1,13 @@
-// Reference data plane: routes a packet by walking the LIVE switch
-// pipeline (Switch::process per hop, graph lookups for link validation,
-// a fresh RouteResult per packet) exactly as SdenNetwork::inject did
-// before the compiled route plan existed. It is deliberately naive —
-// the differential tests and bench_data_plane hold the compiled fast
-// path bit-identical to this walk (statuses and messages included, via
-// the shared route_errors constructors), and the bench reports the
-// speedup of the fast path over it.
+// Reference data plane: the routing oracle. Routes a packet by walking
+// the LIVE switch pipeline — Switch::process per hop (the relay stage,
+// Algorithm 2 as a sequential closer_to scan, the server stage), graph
+// lookups for link validation, a fresh RouteResult per packet — and
+// ends in the same SdenNetwork::deliver as the fast path. It shares no
+// decision code with the compiled plan (plan_walk.hpp), so the
+// differential tests hold the two bit-identical (statuses and messages
+// included, via the shared route_errors constructors), and
+// bench_data_plane reports the speedup of the fast path over it.
 #pragma once
-
-#include <string>
 
 #include "sden/network.hpp"
 #include "sden/route_errors.hpp"
@@ -43,12 +42,11 @@ inline RouteResult reference_route(SdenNetwork& net, Packet pkt,
   SwitchId cur = ingress;
   result.switch_path.push_back(cur);
 
-  const std::size_t max_hops = 4 * net.switch_count() + 16;
+  const std::size_t max_hops = net.max_route_hops();
   for (std::size_t step = 0; step < max_hops; ++step) {
     // Read-only inspection: const_switch_at keeps the compiled plan
     // valid (the mutable switch_at() would invalidate it every hop).
-    const Switch& sw = net.const_switch_at(cur);
-    Decision decision = sw.process(pkt);
+    const Decision decision = net.const_switch_at(cur).process(pkt);
 
     if (decision.kind == Decision::Kind::kDrop) {
       result.fail(route_errors::pipeline_drop(cur, decision.drop_code,
@@ -56,75 +54,28 @@ inline RouteResult reference_route(SdenNetwork& net, Packet pkt,
       return result;
     }
 
-    if (decision.kind == Decision::Kind::kForward) {
-      const graph::EdgeTo* edge = links.find_edge(cur, decision.next_hop);
-      if (edge == nullptr) {
-        result.fail(route_errors::missing_link(cur, decision.next_hop));
-        return result;
-      }
-      if (faults != nullptr) {
-        Status hop = route_errors::check_traversal(*faults, cur,
-                                                   decision.next_hop, salt);
-        if (!hop.ok()) {
-          result.fail(std::move(hop));
-          return result;
-        }
-      }
-      result.path_cost += edge->weight;
-      cur = decision.next_hop;
-      result.switch_path.push_back(cur);
-      continue;
+    if (decision.kind == Decision::Kind::kDeliver) {
+      Status delivered = net.deliver(decision.targets, pkt, cur, result);
+      if (!delivered.ok()) result.fail(std::move(delivered));
+      return result;
     }
 
-    // kDeliver: apply the storage side effects per target.
-    const std::size_t target_count = decision.targets.size();
-    for (std::size_t t = 0; t < target_count; ++t) {
-      const Decision::DeliveryTarget& target = decision.targets[t];
-      if (target.server >= net.server_count()) {
-        result.fail(Status(ErrorCode::kInternal, "delivery to unknown server"));
+    const graph::EdgeTo* edge = links.find_edge(cur, decision.next_hop);
+    if (edge == nullptr) {
+      result.fail(route_errors::missing_link(cur, decision.next_hop));
+      return result;
+    }
+    if (faults != nullptr) {
+      Status hop =
+          route_errors::check_traversal(*faults, cur, decision.next_hop, salt);
+      if (!hop.ok()) {
+        result.fail(std::move(hop));
         return result;
       }
-      if (target.via != cur) {
-        const graph::EdgeTo* edge = links.find_edge(cur, target.via);
-        if (edge == nullptr) {
-          result.fail(route_errors::handoff_missing_link());
-          return result;
-        }
-        if (faults != nullptr) {
-          Status hop =
-              route_errors::check_traversal(*faults, cur, target.via, salt);
-          if (!hop.ok()) {
-            result.fail(std::move(hop));
-            return result;
-          }
-        }
-        result.path_cost += edge->weight;
-        result.switch_path.push_back(target.via);
-      }
-      result.delivered_to.push_back(target.server);
-
-      ServerNode& node = net.server(target.server);
-      if (pkt.type == PacketType::kPlacement) {
-        const Status stored = node.store(pkt.data_id, pkt.payload);
-        if (!stored.ok()) {
-          result.fail(stored);
-          return result;
-        }
-      } else if (pkt.type == PacketType::kRetrieval) {
-        if (const std::string* payload = node.find(pkt.data_id)) {
-          result.found = true;
-          result.responder = target.server;
-          result.payload = *payload;
-          node.note_retrieval();
-        }
-      } else {  // kRemoval
-        if (node.erase(pkt.data_id)) {
-          result.found = true;
-          result.responder = target.server;
-        }
-      }
     }
-    return result;
+    result.path_cost += edge->weight;
+    cur = decision.next_hop;
+    result.switch_path.push_back(cur);
   }
   result.fail(route_errors::hop_bound());
   return result;

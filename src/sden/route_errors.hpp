@@ -1,10 +1,11 @@
 // Routing-failure status constructors shared by the compiled fast path
-// (SdenNetwork::route), the live-pipeline reference router, and the
-// delivery paths. Centralizing the (code, message) pairs is what keeps
-// the fast-path/reference differential bit-identical on FAILED routes:
-// both sides build the same classified status for the same drop.
+// (SdenNetwork::route and the sharded runtime), the reference router
+// (the oracle), and SdenNetwork::deliver. Centralizing the (code,
+// message) pairs is what keeps the fast-path/oracle differential
+// bit-identical on FAILED routes: both sides build the same classified
+// status for the same drop.
 //
-// Failure-path semantics of RouteResult (enforced by both routers):
+// Failure-path semantics of RouteResult (enforced by every router):
 //   * status holds one of the classified codes below,
 //   * switch_path keeps the partial path walked up to the drop,
 //   * path_cost keeps the cost of that partial path,
@@ -84,8 +85,8 @@ GRED_COLD_PATH inline Status pipeline_drop(SwitchId at, ErrorCode code,
 }
 
 /// Injection at a switch id outside the network. Shared by every
-/// router front-end (compiled, reference, seed, sharded) so the
-/// terminal status stays bit-identical across them.
+/// router front-end (compiled, sharded, reference) so the terminal
+/// status stays bit-identical across them.
 // cold: failure-path status construction builds a std::string
 // message; drops are the exception, not the steady state.
 GRED_COLD_PATH inline Status bad_ingress() {

@@ -28,8 +28,11 @@
 // The plan is a pure cache: SdenNetwork rebuilds it (lazily, under a
 // mutex) whenever control-plane state may have changed, which every
 // mutating accessor signals through the dirty flag. Semantics are
-// bit-identical to the live pipeline by construction; the differential
-// test in tests/data_plane_test.cpp holds the two paths together.
+// bit-identical to the oracle, Switch::process walked by
+// reference_router.hpp; the differentials in tests/data_plane_test.cpp
+// and tests/shard_test.cpp hold the paths together. A switch with
+// range-extension rewrites sets deliver_fallback, and its delivery
+// asks Switch::deliver for the rewrite targets.
 #pragma once
 
 #include <atomic>

@@ -34,18 +34,18 @@ Decision Switch::process(Packet& pkt) const {
     return d;
   }
 
-  return greedy_forward(pkt);
-}
-
-Decision Switch::greedy_forward(Packet& pkt) const {
-  // Algorithm 2: across physical and DT neighbors, find v* minimizing
-  // the Euclidean distance to the data position (ties broken by the
-  // paper's (x, y) rank via closer_to). The indexed table's SoA scan
-  // returns the same unique minimizer the sequential scan would.
-  const std::size_t best_idx = table_.best_candidate(pkt.target);
-  const NeighborEntry* best =
-      best_idx == geometry::kNoSite ? nullptr : &table_.neighbors()[best_idx];
-
+  // Stage 2: Algorithm 2. Across physical and DT neighbors, find v*
+  // minimizing the Euclidean distance to the data position, ties broken
+  // by the paper's (x, y) rank: a sequential closer_to scan in
+  // installation order, the P4 pipeline's series of per-neighbor
+  // distance stages.
+  const NeighborEntry* best = nullptr;
+  for (const NeighborEntry& cand : table_.neighbors()) {
+    if (best == nullptr ||
+        geometry::closer_to(pkt.target, cand.position, best->position)) {
+      best = &cand;
+    }
+  }
   if (best != nullptr &&
       geometry::closer_to(pkt.target, best->position, position_)) {
     Decision d;
@@ -61,8 +61,8 @@ Decision Switch::greedy_forward(Packet& pkt) const {
     return d;
   }
 
-  // No neighbor is closer: this switch is closest to H(d) among all
-  // switches (guaranteed by the DT), so it owns the data.
+  // Stage 3: no neighbor is closer, so this switch is closest to H(d)
+  // among all switches (guaranteed by the DT) and owns the data.
   return deliver(pkt);
 }
 

@@ -1,8 +1,11 @@
 // A GRED switch: the data-plane element. `process()` is a faithful
-// C++ rendering of the P4 pipeline — it consults only local state (its
-// own virtual position, its flow table, its attached server list) and
-// the packet header, and produces a forwarding decision. All global
-// knowledge lives in the controller that installed the tables.
+// C++ rendering of the P4 pipeline (Section VII-A) — it consults only
+// local state (its own virtual position, its flow table, its attached
+// server list) and the packet header, and produces a forwarding
+// decision. All global knowledge lives in the controller that
+// installed the tables. `process()` is also the routing oracle: the
+// compiled fast path (plan_walk.hpp) is held bit-identical to it by
+// the differential tests.
 #pragma once
 
 #include <cstdint>
@@ -92,15 +95,16 @@ class Switch {
   }
 
   /// Runs the forwarding pipeline on `pkt`, possibly mutating its
-  /// virtual-link fields (exactly what the P4 program rewrites).
+  /// virtual-link fields (exactly what the P4 program rewrites): the
+  /// relay stage, Algorithm 2's greedy stage, then deliver().
   Decision process(Packet& pkt) const;
 
- private:
-  /// Algorithm 2: greedy candidate selection.
-  Decision greedy_forward(Packet& pkt) const;
-  /// Terminal switch: pick the serving server(s) (Section V-B/V-C).
+  /// The pipeline's last stage at a terminal switch: pick the serving
+  /// server(s) by H(d) mod s and the range-extension rewrites
+  /// (Section V-B/V-C). kDeliver, or kDrop when no server is attached.
   Decision deliver(const Packet& pkt) const;
 
+ private:
   SwitchId id_;
   geometry::Point2D position_;
   bool dt_participant_ = false;

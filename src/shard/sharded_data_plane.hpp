@@ -18,10 +18,12 @@
 // regions compiled by the same SdenNetwork::compile_plan_subset, and
 // per-packet lane state (scratch packet, RouteResult, remaining hop
 // budget) has exactly one writer at a time — ownership moves between
-// shards through the ring's release/acquire pair. The four-way
-// differential in tests/shard_test.cpp holds this runtime, the
-// compiled fast path, the live pipeline, and the seed-faithful walk
-// mutually identical, statuses included.
+// shards through the ring's release/acquire pair. Delivery goes
+// through the same SdenNetwork::deliver_compiled as route(). The
+// three-way differentials in tests/shard_test.cpp and
+// tests/data_plane_test.cpp hold this runtime, the compiled fast path,
+// and the oracle (reference_route over Switch::process) mutually
+// identical, statuses included.
 #pragma once
 
 #include <atomic>

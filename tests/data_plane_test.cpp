@@ -1,5 +1,7 @@
 // Data-plane fast-path tests: the compiled route plan held
-// bit-identical to the live pipeline on random topologies, plan
+// bit-identical to the oracle (reference_route over the live
+// Switch::process pipeline) on random topologies — with transit
+// switches, range extensions and faulted handoffs too — plan
 // invalidation on every mutation route, the indexed FlowTable,
 // ItemStore, EventQueue ordering, and thread-count invariance of the
 // parallel retrieval replay.
@@ -18,12 +20,18 @@
 #include "sden/item_store.hpp"
 #include "sden/network.hpp"
 #include "sden/reference_router.hpp"
+#include "shard/sharded_data_plane.hpp"
 #include "topology/waxman.hpp"
 
 namespace gred {
 namespace {
 
-topology::EdgeNetwork make_net(std::size_t switches, std::uint64_t seed) {
+/// A Waxman substrate with 1-4 servers per switch. With a nonzero
+/// `transit_share`, that share of the switches (in expectation) gets
+/// no servers: pure transit switches without a virtual position
+/// (Section IV-C), which greedy walks cross only over virtual links.
+topology::EdgeNetwork make_net(std::size_t switches, std::uint64_t seed,
+                               double transit_share = 0.0) {
   Rng rng(seed);
   topology::WaxmanOptions opt;
   opt.node_count = switches;
@@ -32,6 +40,7 @@ topology::EdgeNetwork make_net(std::size_t switches, std::uint64_t seed) {
   EXPECT_TRUE(topo.ok());
   topology::EdgeNetwork net(std::move(topo).value().graph);
   for (std::size_t s = 0; s < switches; ++s) {
+    if (transit_share > 0.0 && rng.bernoulli(transit_share)) continue;
     // 1-4 servers per switch so H(d) mod s exercises several ranges.
     const std::size_t count = 1 + rng.next_below(4);
     for (std::size_t k = 0; k < count; ++k) {
@@ -121,6 +130,154 @@ TEST(DataPlaneDifferential, FastPathMatchesLivePipeline) {
       }
     }
   }
+}
+
+// Placement, retrieval and removal through route(), the oracle and a
+// 2-shard replay, on a substrate the other differentials never build:
+// a quarter of the switches are server-less transit switches relaying
+// virtual links, and a few servers are range-extended, so delivery at
+// their switch takes Switch::deliver's rewrite targets and may hand off
+// to a neighbor switch. Then every handoff link is hard-dropped, and
+// all three routers must fail identically with kLinkDown.
+TEST(DataPlaneDifferential, TransitSwitchesAndRangeExtensions) {
+  struct Handoff {
+    sden::SwitchId at;
+    sden::SwitchId via;
+  };
+  std::size_t transit_hops = 0;
+  std::size_t two_target_retrievals = 0;
+  std::size_t faulted_handoffs = 0;
+  for (const std::uint64_t seed : {811u, 812u, 813u}) {
+    const std::size_t n = 48;
+    auto sys = core::GredSystem::create(make_net(n, seed, 0.25),
+                                        core::VirtualSpaceOptions{});
+    ASSERT_TRUE(sys.ok());
+    sden::SdenNetwork& net = sys.value().network();
+    Rng rng(seed * 5);
+    std::vector<sden::SwitchId> access;
+    for (sden::SwitchId s = 0; s < n; ++s) {
+      if (net.const_switch_at(s).dt_participant()) access.push_back(s);
+    }
+    ASSERT_LT(access.size(), n);
+
+    // Items placed before any extension stay on the original servers;
+    // the ones placed after land on the delegates.
+    std::vector<std::string> ids;
+    std::vector<sden::SwitchId> ingresses;
+    sden::RouteResult placed;
+    for (std::size_t i = 0; i < 100; ++i) {
+      ids.push_back("tr-" + std::to_string(seed) + "-" + std::to_string(i));
+      ingresses.push_back(access[rng.next_below(access.size())]);
+      if (i % 2 == 1) continue;
+      sden::Packet pkt = make_packet(ids.back(), sden::PacketType::kPlacement,
+                                     "old-" + ids.back());
+      net.route(pkt, ingresses.back(), placed);
+      ASSERT_TRUE(placed.status.ok()) << ids.back();
+    }
+
+    // Extend a few servers; one with no server on any neighbor switch
+    // has no delegate and is skipped.
+    std::vector<Handoff> handoffs;
+    for (std::size_t tries = 0; tries < 64 && handoffs.size() < 8; ++tries) {
+      const topology::ServerId s = rng.next_below(net.server_count());
+      if (!sys.value().extend_range(s).ok()) continue;
+      const sden::SwitchId at = net.server(s).info().attached_to;
+      const sden::RewriteEntry* rw =
+          net.const_switch_at(at).table().find_rewrite(s);
+      ASSERT_NE(rw, nullptr);
+      handoffs.push_back({at, rw->via_switch});
+    }
+    ASSERT_FALSE(handoffs.empty());
+    shard::ShardedDataPlane plane(net, 2);
+
+    // Routes one packet through all three routers; `before` runs ahead
+    // of each, so a removal can start every run from the same state.
+    const auto three_way = [&](const sden::Packet& pkt,
+                               sden::SwitchId ingress, const auto& before,
+                               const std::string& what) {
+      before();
+      sden::Packet scratch = pkt;
+      sden::RouteResult fast;
+      net.route(scratch, ingress, fast);
+      before();
+      const sden::RouteResult oracle =
+          sden::reference_route(net, pkt, ingress);
+      before();
+      sden::RouteResult sharded;
+      plane.replay(&pkt, &ingress, 1, &sharded);
+      expect_identical(fast, oracle, "oracle " + what);
+      expect_identical(fast, sharded, "sharded " + what);
+      return fast;
+    };
+    const auto nothing = [] {};
+
+    // Re-places item i (through route()) ahead of a removal.
+    std::size_t current = 0;
+    const auto replace = [&] {
+      sden::Packet pkt = make_packet(ids[current],
+                                     sden::PacketType::kPlacement,
+                                     "v-" + ids[current]);
+      net.route(pkt, ingresses[current], placed);
+    };
+
+    std::vector<bool> handed_off(ids.size(), false);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      current = i;
+      const std::string& id = ids[i];
+      // Odd ids are new here; even ids keep their pre-extension copy
+      // on the original server until this overwrite.
+      const sden::RouteResult got_old = three_way(
+          make_packet(id, sden::PacketType::kRetrieval), ingresses[i],
+          nothing, "retrieval before placement " + id);
+      EXPECT_EQ(got_old.found, i % 2 == 0) << id;
+      ASSERT_TRUE(three_way(make_packet(id, sden::PacketType::kPlacement,
+                                        "v-" + id),
+                            ingresses[i], nothing, "placement " + id)
+                      .status.ok());
+      const sden::RouteResult got = three_way(
+          make_packet(id, sden::PacketType::kRetrieval), ingresses[i],
+          nothing, "retrieval " + id);
+      ASSERT_TRUE(got.status.ok()) << id;
+      EXPECT_EQ(got.payload, "v-" + id);
+      const sden::RouteResult gone = three_way(
+          make_packet(id, sden::PacketType::kRemoval), ingresses[i], replace,
+          "removal " + id);
+      EXPECT_TRUE(gone.found) << id;
+      replace();
+
+      for (const sden::SwitchId s : got.switch_path) {
+        if (!net.const_switch_at(s).dt_participant()) ++transit_hops;
+      }
+      handed_off[i] = got.delivered_to.size() == 2;
+      if (handed_off[i]) ++two_target_retrievals;
+    }
+
+    sden::FaultState faults;
+    faults.seed = seed;
+    for (const Handoff& h : handoffs) faults.set_link_drop(h.at, h.via, 1.0);
+    net.set_fault_state(&faults);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      current = i;
+      for (const sden::PacketType type :
+           {sden::PacketType::kRetrieval, sden::PacketType::kPlacement,
+            sden::PacketType::kRemoval}) {
+        const sden::Packet pkt = make_packet(ids[i], type, "v-" + ids[i]);
+        const std::string what = "faulted " + ids[i];
+        const sden::RouteResult r =
+            type == sden::PacketType::kRemoval
+                ? three_way(pkt, ingresses[i], replace, what)
+                : three_way(pkt, ingresses[i], nothing, what);
+        if (!handed_off[i]) continue;
+        ASSERT_FALSE(r.status.ok()) << ids[i];
+        EXPECT_EQ(r.status.error().code, ErrorCode::kLinkDown) << ids[i];
+        ++faulted_handoffs;
+      }
+    }
+    net.set_fault_state(nullptr);
+  }
+  EXPECT_GT(transit_hops, 0u);
+  EXPECT_GT(two_target_retrievals, 0u);
+  EXPECT_GT(faulted_handoffs, 0u);
 }
 
 // Mutating a switch through any accessor must invalidate the compiled

@@ -181,6 +181,21 @@ TEST(SwitchTest, DropsWhenRelayEntryMissing) {
   EXPECT_NE(d.drop_reason, nullptr);
 }
 
+TEST(SwitchTest, TransitSwitchRelaysVirtualLink) {
+  // A server-less transit switch has no position (Section IV-C), yet it
+  // relays the virtual links that cross it, header untouched.
+  Switch transit(9);
+  transit.table().add_relay({1, 2, 3, 4});
+  Packet p = LineFixture::packet_to({0.3, 0.3});
+  p.vlink_dest = 4;
+  p.vlink_sour = 1;
+  const Decision d = transit.process(p);
+  ASSERT_EQ(d.kind, Decision::Kind::kForward);
+  EXPECT_EQ(d.next_hop, 3u);
+  EXPECT_EQ(p.vlink_dest, 4u);
+  EXPECT_EQ(p.vlink_sour, 1u);
+}
+
 TEST(SwitchTest, NonParticipantDropsGreedyPackets) {
   Switch transit(5);  // never given a position
   Packet p = LineFixture::packet_to({0.5, 0.5});
@@ -235,6 +250,24 @@ TEST(SwitchTest, RetrievalRewriteQueriesBothServers) {
   EXPECT_EQ(d.targets[1].via, 3u);
 }
 
+TEST(SwitchTest, RemovalRewriteAddressesBothServers) {
+  // A removal is routed like a retrieval (Section V-C): under a rewrite
+  // it must reach the original and the delegate, since either may hold
+  // the item.
+  Switch s(0);
+  s.set_position({0.5, 0.5});
+  s.set_local_servers({10});
+  s.table().add_rewrite({10, 42, 3});
+  Packet p = LineFixture::packet_to({0.5, 0.5}, PacketType::kRemoval);
+  const Decision d = s.process(p);
+  ASSERT_EQ(d.kind, Decision::Kind::kDeliver);
+  ASSERT_EQ(d.targets.size(), 2u);
+  EXPECT_EQ(d.targets[0].server, 10u);
+  EXPECT_EQ(d.targets[0].via, 0u);
+  EXPECT_EQ(d.targets[1].server, 42u);
+  EXPECT_EQ(d.targets[1].via, 3u);
+}
+
 TEST(SwitchTest, TieBrokenByPositionRank) {
   // Two neighbors exactly equidistant from the target; the pipeline
   // must deterministically pick the (x, y)-smaller one.
@@ -247,6 +280,20 @@ TEST(SwitchTest, TieBrokenByPositionRank) {
   const Decision d = s.process(p);
   ASSERT_EQ(d.kind, Decision::Kind::kForward);
   EXPECT_EQ(d.next_hop, 1u);  // position (0.4, .5) < (0.6, .5)
+}
+
+TEST(SwitchTest, TieBrokenByPositionRankInReverseInstallOrder) {
+  // The candidate scan runs in installation order; the (x, y) rank
+  // must still decide the tie when the larger position comes first.
+  Switch s(0);
+  s.set_position({0.5, 0.9});
+  s.set_local_servers({0});
+  s.table().add_neighbor({2, {0.6, 0.5}, true, 2});
+  s.table().add_neighbor({1, {0.4, 0.5}, true, 1});
+  Packet p = LineFixture::packet_to({0.5, 0.5});
+  const Decision d = s.process(p);
+  ASSERT_EQ(d.kind, Decision::Kind::kForward);
+  EXPECT_EQ(d.next_hop, 1u);
 }
 
 // ---------- ServerNode ----------
