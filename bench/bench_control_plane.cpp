@@ -166,12 +166,13 @@ struct ChurnReport {
 
 /// One churn size: a GRED system absorbs a seeded mix of switch
 /// join/leave, link add/remove, and range extend/retract events, each
-/// timed end-to-end. Identity is asserted against a cold restore before
-/// any number is reported: at n <= 256 after every event (APSP tables,
-/// flow tables, and routed packets); at every n after the churn (APSP,
-/// DT adjacency, flow tables), where the patch_plans-maintained sharded
-/// plans must also route every packet identically to freshly recompiled
-/// ones.
+/// timed end-to-end. Identity is asserted before any number is
+/// reported: at every n after every event, a 4-shard plane whose plans
+/// sync (patch) from that event's stamps routes every packet as route()
+/// does; at n <= 256 after every event, against a cold restore (APSP
+/// tables, flow tables, and routed packets); at every n after the churn,
+/// against a cold restore (APSP, DT adjacency, flow tables), and the
+/// event-by-event patched sharded plans against freshly compiled ones.
 ChurnReport run_churn(std::size_t n, bool smoke) {
   ChurnReport rep;
   rep.n = n;
@@ -208,8 +209,10 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     ingresses.push_back(rng.next_below(n));
   }
 
-  // 4-shard data plane kept current with patch_plans across the churn.
+  // 4-shard data plane replayed after every event; each round syncs its
+  // plans from the network's stamps.
   shard::ShardedDataPlane sdp(net, 4);
+  std::vector<sden::RouteResult> sharded(pkts.size());
 
   sden::Packet pkt_scratch;
   sden::RouteResult scratch;
@@ -222,7 +225,6 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   const std::size_t rounds =
       smoke ? 12 : (n >= 4096 ? 12 : (n >= 1024 ? 20 : 40));
   std::vector<double> event_us;
-  std::vector<std::uint32_t> touched32;
   for (std::size_t step = 0; step < rounds; ++step) {
     const std::vector<sden::SwitchId>& parts = ctrl.space().participants();
     const sden::SwitchId a = parts[rng.next_below(parts.size())];
@@ -281,14 +283,17 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     if (!ok) continue;  // e.g. duplicate link, would-disconnect removal
     event_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
-    if (ctrl.last_event_incremental()) {
-      ++rep.incremental_events;
-      const std::vector<topology::SwitchId>& aff =
-          ctrl.last_affected_switches();
-      touched32.assign(aff.begin(), aff.end());
-      sdp.patch_plans(touched32.data(), touched32.size());
-    } else {
-      sdp.recompile();
+    if (ctrl.last_event_incremental()) ++rep.incremental_events;
+    // The replay syncs the sharded plans from this event's stamps (a
+    // patch unless the event stamped every switch, as a fallback's full
+    // install does), so patches build up across the churn; every packet
+    // must route as through the network's own plan.
+    sdp.replay(pkts.data(), ingresses.data(), pkts.size(), sharded.data());
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      pkt_scratch = pkts[i];
+      net.route(pkt_scratch, ingresses[i], scratch);
+      require(results_equal(scratch, sharded[i]),
+              "sharded plane != route() after a churn event");
     }
     if (lockstep) {
       ColdRestore cold(ctrl, net);
@@ -299,12 +304,10 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
       require(flow_tables_equal(net, cold.net),
               "delta flow tables != cold restore");
       for (std::size_t i = 0; i < pkts.size(); i += 8) {
-        pkt_scratch = pkts[i];
-        net.route(pkt_scratch, ingresses[i], scratch);
         sden::Packet q = pkts[i];
         sden::RouteResult cold_res;
         cold.net.route(q, ingresses[i], cold_res);
-        require(results_equal(scratch, cold_res),
+        require(results_equal(sharded[i], cold_res),
                 "delta retrieval != cold restore");
       }
     }
@@ -326,14 +329,6 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     }
     for (const topology::ServerId srv : extended) {
       require(sys.retract_range(srv).ok(), "cleanup retract_range");
-      if (ctrl.last_event_incremental()) {
-        const std::vector<topology::SwitchId>& aff =
-            ctrl.last_affected_switches();
-        touched32.assign(aff.begin(), aff.end());
-        sdp.patch_plans(touched32.data(), touched32.size());
-      } else {
-        sdp.recompile();
-      }
     }
   }
 
@@ -367,8 +362,9 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   }
   rep.full_rebuild_ms = full_ms / kColdRuns;
 
-  // The patch_plans-maintained sharded plans vs a freshly recompiled
-  // plane, every packet bit-identical.
+  // The sharded plans, patched event by event (the cleanup retractions
+  // at this replay), vs a freshly compiled plane, every packet
+  // bit-identical.
   {
     shard::ShardedDataPlane fresh_plane(net, 4);
     std::vector<sden::RouteResult> patched(pkts.size());

@@ -35,7 +35,6 @@ std::vector<std::string> make_ids(std::size_t count, std::uint64_t trial) {
 
 core::VirtualSpaceOptions gred_options(std::size_t cvt_iterations) {
   core::VirtualSpaceOptions opt;
-  opt.use_cvt = true;
   opt.cvt_iterations = cvt_iterations;
   opt.cvt_samples = 1000;  // the paper's sampling density
   return opt;
@@ -43,7 +42,7 @@ core::VirtualSpaceOptions gred_options(std::size_t cvt_iterations) {
 
 core::VirtualSpaceOptions nocvt_options() {
   core::VirtualSpaceOptions opt;
-  opt.use_cvt = false;
+  opt.cvt_iterations = 0;
   return opt;
 }
 

@@ -37,9 +37,8 @@ int main() {
   std::vector<std::vector<std::string>> rows(iters.size());
   bench::parallel_trials(iters.size(), [&](std::size_t k) {
     const std::size_t t = iters[k];
-    core::VirtualSpaceOptions opt = bench::gred_options(t);
-    if (t == 0) opt.use_cvt = false;
-    auto sys = core::GredSystem::create(net, opt);
+    // T = 0 is GRED-NoCVT: no C-regulation iterations.
+    auto sys = core::GredSystem::create(net, bench::gred_options(t));
     if (!sys.ok()) std::abort();
     const double bal =
         core::load_balance(bench::gred_loads(sys.value(), ids))

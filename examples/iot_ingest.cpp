@@ -55,7 +55,7 @@ int main() {
     const auto& server = sys.network().server(target.value().server);
     if (server.remaining_capacity() <= 1 &&
         !sys.network()
-             .switch_at(target.value().sw)
+             .const_switch_at(target.value().sw)
              .table()
              .match_rewrite(target.value().server)
              .has_value()) {

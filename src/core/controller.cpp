@@ -32,16 +32,6 @@ std::size_t total_flow_entries(const sden::SdenNetwork& net) {
   return total;
 }
 
-/// Drops all cached retrieval answers after item moves, which touch no
-/// flow table. Table-touching ops invalidate implicitly through
-/// SdenNetwork::invalidate_plan; moves must do it explicitly or the
-/// hot-key cache would serve moved/stale data.
-void drop_cached_answers(sden::SdenNetwork& net) {
-  if (sden::HotKeyCache* cache = net.hot_key_cache()) {
-    cache->invalidate_all();
-  }
-}
-
 /// Captures the before-state of a dynamics op at construction and
 /// appends one event-log entry in finish(), including the path the op
 /// took. Inert (two loads) when obs is disabled.
@@ -83,17 +73,6 @@ class EventRecorder {
   obs::DynamicsEvent ev_;
   std::chrono::steady_clock::time_point start_{};
 };
-
-/// Data-plane tail of a delta-path dynamics event: patch the
-/// network's cached route plan for the affected switches — but only
-/// when the plan was fresh going into the event. A stale plan stays on
-/// the lazy full-rebuild path (there is nothing coherent to patch).
-void patch_plan_if_fresh(sden::SdenNetwork& net, bool was_fresh,
-                         const std::vector<SwitchId>& affected) {
-  if (!was_fresh) return;
-  std::vector<std::uint32_t> touched(affected.begin(), affected.end());
-  net.patch_plan(touched.data(), touched.size());
-}
 
 /// Switches that join the DT: those with at least one attached server.
 std::vector<SwitchId> find_participants(const topology::EdgeNetwork& desc) {
@@ -392,12 +371,13 @@ Result<ServerId> Controller::resolve_store_target(
 
 Status Controller::extend_range_impl(sden::SdenNetwork& net,
                                      ServerId overloaded) {
-  const bool plan_fresh = !net.route_plan_stale();
   if (overloaded >= net.server_count()) {
     return Status(ErrorCode::kOutOfRange, "extend_range: unknown server");
   }
   const SwitchId sw = net.server(overloaded).info().attached_to;
-  if (net.switch_at(sw).table().match_rewrite(overloaded).has_value()) {
+  // Read-only: a rejected extension must not stamp the switch.
+  if (std::as_const(net).switch_at(sw).table().match_rewrite(overloaded)
+          .has_value()) {
     // Re-extending would upsert the rewrite toward a possibly
     // different delegate and strand the items already delegated to
     // the old one; callers must retract first.
@@ -434,18 +414,18 @@ Status Controller::extend_range_impl(sden::SdenNetwork& net,
   // flag), so the event is patchable without any recompute.
   last_affected_.assign(1, sw);
   last_event_incremental_ = true;
-  patch_plan_if_fresh(net, plan_fresh, last_affected_);
   return Status::Ok();
 }
 
 Status Controller::retract_range_impl(sden::SdenNetwork& net,
                                       ServerId overloaded) {
-  const bool plan_fresh = !net.route_plan_stale();
   if (overloaded >= net.server_count()) {
     return Status(ErrorCode::kOutOfRange, "retract_range: unknown server");
   }
   const SwitchId sw = net.server(overloaded).info().attached_to;
-  const auto rewrite = net.switch_at(sw).table().match_rewrite(overloaded);
+  // Read-only: a rejected retraction must not stamp the switch.
+  const auto rewrite =
+      std::as_const(net).switch_at(sw).table().match_rewrite(overloaded);
   if (!rewrite.has_value()) {
     return Status(ErrorCode::kNotFound,
                   "retract_range: no extension active for this server");
@@ -468,7 +448,6 @@ Status Controller::retract_range_impl(sden::SdenNetwork& net,
   net.switch_at(sw).table().remove_rewrite(overloaded);
   last_affected_.assign(1, sw);
   last_event_incremental_ = true;
-  patch_plan_if_fresh(net, plan_fresh, last_affected_);
   return Status::Ok();
 }
 
@@ -703,25 +682,17 @@ Status Controller::add_link_impl(sden::SdenNetwork& net, SwitchId u,
     return Status(ErrorCode::kFailedPrecondition,
                   "Controller not initialized");
   }
-  // Captured before any mutating accessor flips the dirty flag.
-  const bool plan_fresh = !net.route_plan_stale();
   const Status added =
       net.description().switches().has_edge(u, v)
           ? Status(ErrorCode::kFailedPrecondition, "link already exists")
-          : net.mutable_description().mutable_switches().add_edge(u, v,
-                                                                  weight);
+          : net.add_link(u, v, weight);
   if (!added.ok()) return added;
 
   GraphDelta delta;
   delta.kind = GraphDelta::Kind::kLinkAdd;
   delta.u = u;
   delta.v = v;
-  const Status rebuilt = rebuild_and_install_incremental(net, delta);
-  if (!rebuilt.ok()) return rebuilt;
-  if (last_event_incremental_) {
-    patch_plan_if_fresh(net, plan_fresh, last_affected_);
-  }
-  return Status::Ok();
+  return rebuild_and_install_incremental(net, delta);
 }
 
 Status Controller::remove_link_impl(sden::SdenNetwork& net, SwitchId u,
@@ -733,7 +704,6 @@ Status Controller::remove_link_impl(sden::SdenNetwork& net, SwitchId u,
   if (!net.description().switches().has_edge(u, v)) {
     return Status(ErrorCode::kNotFound, "remove_link: no such link");
   }
-  const bool plan_fresh = !net.route_plan_stale();
   // Pre-check: participants must stay mutually reachable without it.
   {
     graph::Graph probe = net.description().switches();
@@ -753,18 +723,18 @@ Status Controller::remove_link_impl(sden::SdenNetwork& net, SwitchId u,
   delta.u = u;
   delta.v = v;
   delta.weight = net.description().switches().find_edge(u, v)->weight;
-  net.mutable_description().mutable_switches().remove_edge(u, v);
+  net.remove_link(u, v);
   // Losing the link may have invalidated a range extension whose
   // handoff ran over it (the install drops such rewrites). Items
   // already delegated would then be stranded on the ex-delegate —
   // unreachable through the home server — so migration pulls every
   // out-of-place item back.
-  return commit_topology_event(net, delta, cp, plan_fresh);
+  return commit_topology_event(net, delta, cp);
 }
 
 Status Controller::commit_topology_event(sden::SdenNetwork& net,
                                          const GraphDelta& delta,
-                                         Checkpoint& cp, bool plan_fresh) {
+                                         Checkpoint& cp) {
   const Status rebuilt = rebuild_and_install_incremental(net, delta);
   if (!rebuilt.ok()) return roll_back(net, cp, rebuilt);
   auto migrated = migrate_items(net, cp.moves);
@@ -772,9 +742,6 @@ Status Controller::commit_topology_event(sden::SdenNetwork& net,
   last_migration_ = migrated.value();
   const Status repaired = repair_replication_after_dynamics(net, cp.moves);
   if (!repaired.ok()) return roll_back(net, cp, repaired);
-  if (last_event_incremental_) {
-    patch_plan_if_fresh(net, plan_fresh, last_affected_);
-  }
   return Status::Ok();
 }
 
@@ -796,9 +763,7 @@ Status Controller::roll_back(sden::SdenNetwork& net, Checkpoint& cp,
                              Status cause) {
   // Moved items go back first, while every server they touched exists.
   cp.moves.undo(net);
-  net.truncate_switches(cp.description.switch_count(),
-                        cp.description.server_count());
-  net.mutable_description() = cp.description;
+  net.restore_topology(cp.description);
   space_ = cp.space;
   // The op may have dropped rewrites (a leaving switch's own, or ones
   // whose handoff link or delegate went away). Put them back; the
@@ -985,15 +950,12 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
     touched.push_back(parts[i]);
   }
 
-  // The event's switch itself is always part of the patch: a joiner
-  // needs its (possibly empty transit) state installed and its plan
-  // region compiled; a leaver needs its region wiped in place. For
-  // link events the endpoints' plan regions embed the link weight, so
-  // they re-compile even when their tables did not change.
-  touched.push_back(delta.u);
-  if (delta.kind == GraphDelta::Kind::kLinkAdd ||
-      delta.kind == GraphDelta::Kind::kLinkRemove) {
-    touched.push_back(delta.v);
+  // A joining or leaving switch is always installed, even as a
+  // server-less transit. (Link endpoints whose tables did not change
+  // need no install: the network stamps them for the plan.)
+  if (delta.kind == GraphDelta::Kind::kSwitchAdd ||
+      delta.kind == GraphDelta::Kind::kSwitchRemove) {
+    touched.push_back(delta.u);
   }
 
   const Status patched = install_patch(net, touched, "install_patch");
@@ -1110,7 +1072,6 @@ Result<topology::SwitchId> Controller::add_switch_impl(
     return Error(ErrorCode::kInvalidArgument,
                  "add_switch: new switch must have at least one link");
   }
-  const bool plan_fresh = !net.route_plan_stale();
   // Join is all-or-nothing: a half-joined switch never leaks into the
   // topology (add_switch/attach_server are append-only, so a rollback
   // truncates back to the checkpoint's counts).
@@ -1142,7 +1103,7 @@ Result<topology::SwitchId> Controller::add_switch_impl(
   }
   // A rollback undoes the migration before the new switch's servers
   // are truncated away, so no item is lost with them.
-  const Status committed = commit_topology_event(net, delta, cp, plan_fresh);
+  const Status committed = commit_topology_event(net, delta, cp);
   if (!committed.ok()) return committed.error();
   return sw;
 }
@@ -1155,7 +1116,6 @@ Status Controller::remove_switch_impl(sden::SdenNetwork& net, SwitchId sw) {
   if (sw >= net.switch_count()) {
     return Status(ErrorCode::kOutOfRange, "remove_switch: unknown switch");
   }
-  const bool plan_fresh = !net.route_plan_stale();
 
   // Pre-check: remaining participants must stay mutually reachable.
   {
@@ -1201,15 +1161,11 @@ Status Controller::remove_switch_impl(sden::SdenNetwork& net, SwitchId sw) {
   // items, so migration re-places these orphans along with every item
   // whose home changed — through the same rewrite-aware targets, with
   // store() enforcing each target's capacity.
-  return commit_topology_event(net, delta, cp, plan_fresh);
+  return commit_topology_event(net, delta, cp);
 }
 
 Result<std::size_t> Controller::ItemMoves::apply(sden::SdenNetwork& net) {
   const std::size_t mark = applied_;
-  if (mark == steps_.size()) return std::size_t{0};
-  // Any step changes which servers hold an item; cached answers that
-  // name a holder must not outlive the change (stale-home rule).
-  drop_cached_answers(net);
   for (; applied_ < steps_.size(); ++applied_) {
     Step& step = steps_[applied_];
     const std::string* payload = net.server(step.from).find(step.id);
@@ -1220,21 +1176,20 @@ Result<std::size_t> Controller::ItemMoves::apply(sden::SdenNetwork& net) {
     if (done.ok() && step.kind == Kind::kDrop) {
       step.payload = *payload;
     } else if (done.ok()) {
-      done = net.server(step.to).store(step.id, *payload);
+      done = net.store_item(step.to, step.id, *payload);
     }
     if (!done.ok()) {
       undo_to(net, mark);
       steps_.resize(mark);
       return done.error();
     }
-    if (step.kind != Kind::kCopy) net.server(step.from).erase(step.id);
+    if (step.kind != Kind::kCopy) net.erase_item(step.from, step.id);
   }
   return steps_.size() - mark;
 }
 
 void Controller::ItemMoves::undo(sden::SdenNetwork& net) {
   if (applied_ == 0) return;
-  drop_cached_answers(net);
   undo_to(net, 0);
   steps_.clear();
 }
@@ -1248,9 +1203,9 @@ void Controller::ItemMoves::undo_to(sden::SdenNetwork& net,
         step.payload = std::move(*moved);
       }
     }
-    if (step.kind != Kind::kDrop) net.server(step.to).erase(step.id);
+    if (step.kind != Kind::kDrop) net.erase_item(step.to, step.id);
     if (step.kind != Kind::kCopy) {
-      (void)net.server(step.from).store(step.id, std::move(step.payload));
+      (void)net.store_item(step.from, step.id, std::move(step.payload));
     }
   }
 }

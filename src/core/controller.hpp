@@ -227,14 +227,15 @@ class Controller {
   // --- Delta path (DESIGN.md §14) ---
   //
   // Every dynamics op runs on the delta path: delta-APSP, localized DT
-  // repair, per-switch flow-table patching, and (when the compiled plan
-  // was fresh going in) route-plan patching. When a delta declines, the
-  // op falls back to a from-scratch DT build and full install; the
-  // result is identical either way.
+  // repair and per-switch flow-table patching. When a delta declines,
+  // the op falls back to a from-scratch DT build and full install; the
+  // result is identical either way. The controller never touches a
+  // route plan: the switches it installs are stamped by the network,
+  // whose next sync patches exactly those (SdenNetwork::sync_plan).
 
   /// Switches whose installable state the last dynamics op changed,
-  /// sorted ascending — the patch set for ShardedDataPlane::
-  /// patch_plans. Empty after a full install (everything changed).
+  /// sorted ascending (diagnostics only). Empty after a full install
+  /// (everything changed).
   const std::vector<topology::SwitchId>& last_affected_switches() const {
     return last_affected_;
   }
@@ -292,8 +293,9 @@ class Controller {
 
     /// Applies the steps planned since the last apply, in plan order,
     /// and returns their count. On the first failure those steps are
-    /// undone and the failure is returned. Drops the network's cached
-    /// retrieval answers once when any step runs.
+    /// undone and the failure is returned. Every store and erase goes
+    /// through SdenNetwork::store_item/erase_item, which invalidate the
+    /// moved id's cached retrieval answers.
     Result<std::size_t> apply(sden::SdenNetwork& net);
     /// Undoes every applied step, newest first.
     void undo(sden::SdenNetwork& net);
@@ -365,12 +367,10 @@ class Controller {
 
   /// Shared tail of add_switch / remove_switch / remove_link after the
   /// topology and space changed: install `delta`, migrate items to
-  /// their new homes, restore the replication factor, and patch the
-  /// route plan (when it was fresh going in). Any failure rolls back to
-  /// `cp`.
+  /// their new homes, and restore the replication factor. Any failure
+  /// rolls back to `cp`.
   Status commit_topology_event(sden::SdenNetwork& net,
-                               const GraphDelta& delta, Checkpoint& cp,
-                               bool plan_fresh);
+                               const GraphDelta& delta, Checkpoint& cp);
 
   /// The one per-switch install: wipes and re-installs the flow tables
   /// of exactly the switches in `touched` (plus any switch holding a

@@ -71,12 +71,6 @@ Result<OpReport> GredProtocol::place(const std::string& data_id,
   auto primary = run(
       make_packet(sden::PacketType::kPlacement, data_id, payload), ingress);
   if (!primary.ok()) return primary;
-  // A placement may overwrite an existing payload without touching any
-  // flow table: cached copies of this id must stop serving the old
-  // bytes.
-  if (sden::HotKeyCache* cache = net_->hot_key_cache()) {
-    cache->invalidate_id(crypto::DataKey(data_id).digest());
-  }
   if (controller_->replication_factor() > 1) {
     // k-replica placement: each additional copy keeps the same data_id
     // but re-targets the packet at the replica home's own virtual
@@ -141,15 +135,7 @@ Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
 
 Result<OpReport> GredProtocol::remove(const std::string& data_id,
                                       topology::SwitchId ingress) {
-  sden::Packet pkt = make_packet(sden::PacketType::kRemoval, data_id, {});
-  const crypto::Digest digest = pkt.key_digest;
-  auto r = run(std::move(pkt), ingress);
-  // Cached copies of a removed id must stop serving even though
-  // removal changes no flow table (so no plan invalidation fires).
-  if (sden::HotKeyCache* cache = net_->hot_key_cache()) {
-    cache->invalidate_id(digest);
-  }
-  return r;
+  return run(make_packet(sden::PacketType::kRemoval, data_id, {}), ingress);
 }
 
 Result<std::vector<OpReport>> GredProtocol::place_replicated(
@@ -176,7 +162,7 @@ Result<OpReport> GredProtocol::retrieve_nearest_replica(
     return Error(ErrorCode::kInvalidArgument,
                  "retrieve_nearest_replica: copies must be >= 1");
   }
-  // Const view: plain reads must not invalidate the compiled plan.
+  // Const view: plain reads must not stamp switches.
   const sden::SdenNetwork& net = *net_;
   if (!net.switch_at(ingress).dt_participant()) {
     return Error(ErrorCode::kFailedPrecondition,

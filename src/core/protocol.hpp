@@ -101,10 +101,10 @@ class GredProtocol {
   /// served_from_cache set (identical payload/found/status by the
   /// coherence rule in sden/hot_key_cache.hpp); a found miss fills the
   /// cache when it is in kLearn mode. Cached retrieve() and
-  /// place()/remove() (which invalidate cached copies) must not run
-  /// concurrently with each other; concurrent cached retrievals are
-  /// safe in kServe mode. A load tracker installed on the network is
-  /// credited at the serving switch either way.
+  /// place()/remove() (whose deliveries invalidate cached copies) must
+  /// not run concurrently with each other; concurrent cached
+  /// retrievals are safe in kServe mode. A load tracker installed on
+  /// the network is credited at the serving switch either way.
   Result<OpReport> retrieve(const std::string& data_id,
                             topology::SwitchId ingress);
 

@@ -140,14 +140,8 @@ Status restore_snapshot(Controller& controller, sden::SdenNetwork& net,
     }
     table.add_rewrite(rw);
   }
-  // Every mutation above already rode through invalidate_plan(), but a
-  // restore replaces the whole control-plane state wholesale: bump the
-  // hot-key-cache epoch explicitly so no pre-restore cached answer —
-  // whatever path built it — can name a holder the restored plan no
-  // longer agrees with.
-  if (sden::HotKeyCache* cache = net.hot_key_cache()) {
-    cache->invalidate_all();
-  }
+  // The reinstall stamped every switch, which also dropped every
+  // pre-restore cached retrieval answer.
   return Status::Ok();
 }
 

@@ -127,7 +127,7 @@ Result<VirtualSpace> VirtualSpace::build(
   }  // embed_timer: the raw-embedding phase ends before C-regulation
 
   // C-regulation (skipped for the NoCVT variant).
-  if (options.use_cvt && options.cvt_iterations > 0 && n > 1) {
+  if (options.cvt_iterations > 0 && n > 1) {
     const obs::ScopedPhaseTimer cvt_timer("cvt");
     geometry::CvtOptions cvt;
     cvt.samples_per_iteration = options.cvt_samples;
@@ -268,10 +268,7 @@ void VirtualSpace::remove_participant(topology::SwitchId sw) {
 
 std::size_t VirtualSpace::refine_cvt(const VirtualSpaceOptions& options,
                                      double energy_delta_tolerance) {
-  if (!options.use_cvt || options.cvt_iterations == 0 ||
-      positions_.size() <= 1) {
-    return 0;
-  }
+  if (options.cvt_iterations == 0 || positions_.size() <= 1) return 0;
   const obs::ScopedPhaseTimer cvt_timer("cvt_warm");
   geometry::CvtOptions cvt;
   cvt.samples_per_iteration = options.cvt_samples;

@@ -39,11 +39,10 @@ struct VirtualSpaceOptions {
   /// Embedding algorithm for the M-position step.
   EmbeddingAlgorithm embedding = EmbeddingAlgorithm::kMPosition;
   /// C-regulation iterations T (the paper runs T = 50 by default and
-  /// sweeps T in Fig. 11(c)); 0 or use_cvt = false gives GRED-NoCVT.
+  /// sweeps T in Fig. 11(c)); 0 gives GRED-NoCVT.
   std::size_t cvt_iterations = 50;
   /// Sample points per C-regulation iteration (paper: 1000).
   std::size_t cvt_samples = 1000;
-  bool use_cvt = true;
   /// Early-stop CVT energy threshold (0 = run all T iterations).
   double cvt_energy_threshold = 0.0;
   /// Margin kept between the embedded switches and the unit-square

@@ -20,7 +20,6 @@ Result<topology::EdgeNetwork> build_network(const ScenarioOptions& options) {
 Result<core::GredSystem> build_gred(const topology::EdgeNetwork& net,
                                     const ScenarioOptions& options) {
   core::VirtualSpaceOptions vs;
-  vs.use_cvt = options.cvt_iterations > 0;
   vs.cvt_iterations = options.cvt_iterations;
   vs.cvt_samples = 1000;  // the paper's sampling density
   return core::GredSystem::create(net, vs);
@@ -30,7 +29,7 @@ Result<core::GredSystem> build_gred_nocvt(const topology::EdgeNetwork& net,
                                           const ScenarioOptions& options) {
   (void)options;
   core::VirtualSpaceOptions vs;
-  vs.use_cvt = false;
+  vs.cvt_iterations = 0;
   return core::GredSystem::create(net, vs);
 }
 

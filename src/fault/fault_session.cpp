@@ -114,13 +114,14 @@ namespace {
 std::size_t wipe_switch_storage(core::GredSystem& system,
                                 topology::SwitchId sw) {
   std::size_t wiped = 0;
-  for (const topology::ServerId sid :
-       system.network().description().servers_at(sw)) {
-    sden::ServerNode& server = system.network().server(sid);
+  sden::SdenNetwork& net = system.network();
+  for (const topology::ServerId sid : net.description().servers_at(sw)) {
     std::vector<std::string> ids;
-    ids.reserve(server.item_count());
-    for (const auto& [id, payload] : server.items()) ids.push_back(id);
-    for (const std::string& id : ids) server.erase(id);
+    ids.reserve(net.server(sid).item_count());
+    for (const auto& [id, payload] : net.server(sid).items()) {
+      ids.push_back(id);
+    }
+    for (const std::string& id : ids) net.erase_item(sid, id);
     wiped += ids.size();
   }
   return wiped;

@@ -10,6 +10,7 @@ HotKeyCache::HotKeyCache(std::size_t switches, std::size_t ways)
   entries_.resize(switch_count_ * ways_);
   ref_ = std::make_unique<std::atomic<std::uint8_t>[]>(entries_.size());
   hand_.assign(switch_count_, 0);
+  versions_ = std::make_unique<std::atomic<std::uint64_t>[]>(kVersionSlots);
 }
 
 const HotKeyCache::Entry* HotKeyCache::probe(topology::SwitchId sw,
@@ -22,7 +23,8 @@ const HotKeyCache::Entry* HotKeyCache::probe(topology::SwitchId sw,
   const std::size_t base = slot_base(sw);
   for (std::size_t w = 0; w < ways_; ++w) {
     const Entry& e = entries_[base + w];
-    if (e.used && e.epoch == now && e.digest == digest) {
+    if (e.used && e.epoch == now && e.digest == digest &&
+        e.version == version_of(digest)) {
       // relaxed: the reference bit is an eviction hint — lost or
       // reordered updates only degrade CLOCK's recency estimate.
       ref_[base + w].store(1, std::memory_order_relaxed);
@@ -45,7 +47,8 @@ void HotKeyCache::insert(topology::SwitchId sw, const crypto::Digest& digest,
   const std::size_t base = slot_base(sw);
 
   // Refresh in place when the key is already cached, and prefer any
-  // unused-or-stale slot over an eviction.
+  // unused-or-stale slot (old epoch or old key version) over an
+  // eviction.
   std::size_t victim = static_cast<std::size_t>(-1);
   for (std::size_t w = 0; w < ways_; ++w) {
     Entry& e = entries_[base + w];
@@ -54,7 +57,7 @@ void HotKeyCache::insert(topology::SwitchId sw, const crypto::Digest& digest,
       break;
     }
     if (victim == static_cast<std::size_t>(-1) &&
-        (!e.used || e.epoch != now)) {
+        (!e.used || e.epoch != now || e.version != version_of(e.digest))) {
       victim = w;
     }
   }
@@ -79,20 +82,11 @@ void HotKeyCache::insert(topology::SwitchId sw, const crypto::Digest& digest,
   e.home = home;
   e.responder = responder;
   e.epoch = now;
+  e.version = version_of(digest);
   e.used = true;
   // relaxed: eviction hint only (see probe).
   ref_[base + victim].store(1, std::memory_order_relaxed);
   ++insertions_;
-}
-
-void HotKeyCache::invalidate_id(const crypto::Digest& digest) {
-  // relaxed: control-plane-side single writer (see header contract).
-  const std::uint64_t now = epoch_.load(std::memory_order_relaxed);
-  for (Entry& e : entries_) {
-    if (e.used && e.epoch == now && e.digest == digest) e.used = false;
-  }
-  // relaxed: commutative tally.
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void HotKeyCache::ensure_switches(std::size_t switches) {

@@ -6,23 +6,25 @@
 //
 // Coherence rule (the invariant the soak tests pin): a cached entry is
 // only served while nothing that could move, rewrite, or delete data
-// has happened since it was filled. Every control-plane mutation flows
-// through SdenNetwork::invalidate_plan(), which bumps the cache's
-// global epoch — the same conservative hook that invalidates the
-// compiled route plan — and GredProtocol::place/remove additionally
-// invalidate the single affected id (payload overwrite / deletion
-// without a plan change). An entry whose epoch is stale is a miss.
+// has happened since it was filled. SdenNetwork enforces it at the
+// mutation itself: every stamped switch (network.hpp) bumps the global
+// epoch, and every storage write bumps its own key's version slot. An
+// entry whose epoch or key version moved is a miss. Outside the
+// network only FaultSession bumps the epoch, on a hard fault (a crash
+// destroys data without any write).
 //
 // Concurrency: probe() is safe concurrently with other probes (the
-// CLOCK reference bits and the hit/miss tallies are relaxed atomics);
-// insert()/invalidate_*()/ensure_switches() are control-plane-side and
-// must not run concurrently with probes, like any control-plane
+// CLOCK reference bits and the hit/miss tallies are relaxed atomics)
+// and invalidate_id() with itself (shards deliver concurrently);
+// insert()/invalidate_all()/ensure_switches() are control-plane-side
+// and must not run concurrently with probes, like any control-plane
 // mutation vs. routing.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,7 +45,8 @@ class HotKeyCache {
     std::string payload;
     topology::SwitchId home = 0;  ///< switch that served the fill
     topology::ServerId responder = topology::kNoServer;
-    std::uint64_t epoch = 0;  ///< valid iff == cache epoch
+    std::uint64_t epoch = 0;    ///< valid iff == cache epoch
+    std::uint64_t version = 0;  ///< valid iff == the key's version slot
     bool used = false;
   };
 
@@ -85,9 +88,8 @@ class HotKeyCache {
                              topology::SwitchId home,
                              topology::ServerId responder);
 
-  /// Drops every cached entry (epoch bump, O(1)). Hooked into
-  /// SdenNetwork::invalidate_plan: any mutation conservative enough to
-  /// invalidate the route plan also invalidates cached answers.
+  /// Drops every cached entry (epoch bump, O(1)): every forwarding
+  /// change (SdenNetwork's switch stamp).
   void invalidate_all() {
     // relaxed: control-plane mutations never run concurrently with
     // probes (the network-wide contract), so the bump needs atomicity
@@ -97,9 +99,16 @@ class HotKeyCache {
     invalidations_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Drops every cached copy of one id (payload overwrite or removal
-  /// without a topology/table change). O(switches × ways).
-  void invalidate_id(const crypto::Digest& digest);
+  /// Drops every cached copy of one id (O(1) version-slot bump): every
+  /// storage write of it. Ids sharing the slot only cost a refill.
+  void invalidate_id(const crypto::Digest& digest) {
+    // relaxed: concurrent shard deliveries may bump the same slot, so
+    // the bump must be atomic; probes never run concurrently with
+    // writes (the network-wide contract), so no ordering is needed.
+    versions_[version_slot(digest)].fetch_add(1, std::memory_order_relaxed);
+    // relaxed: commutative tally.
+    invalidations_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// Grows to cover `switches` (dynamics add_switch). Existing entries
   /// are kept; reference bits reset (they are only eviction hints).
@@ -134,6 +143,18 @@ class HotKeyCache {
   std::size_t slot_base(topology::SwitchId sw) const {
     return static_cast<std::size_t>(sw) * ways_;
   }
+  /// The digest's first eight bytes (position and H(d) mod s use the
+  /// last eight).
+  static std::size_t version_slot(const crypto::Digest& digest) {
+    std::uint64_t prefix = 0;
+    std::memcpy(&prefix, digest.data(), sizeof prefix);
+    return static_cast<std::size_t>(prefix) & (kVersionSlots - 1);
+  }
+  std::uint64_t version_of(const crypto::Digest& digest) const {
+    // relaxed: see invalidate_id.
+    return versions_[version_slot(digest)].load(std::memory_order_relaxed);
+  }
+  static constexpr std::size_t kVersionSlots = std::size_t{1} << 14;
 
   std::size_t switch_count_ = 0;
   std::size_t ways_ = 0;
@@ -144,6 +165,7 @@ class HotKeyCache {
   /// concurrent probes touch them, and Entry itself must stay movable.
   std::unique_ptr<std::atomic<std::uint8_t>[]> ref_;
   std::vector<std::uint8_t> hand_;  ///< per-switch CLOCK hand
+  std::unique_ptr<std::atomic<std::uint64_t>[]> versions_;  ///< per slot
   std::atomic<std::uint64_t> epoch_{1};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/mutex.hpp"
 #include "obs/metrics.hpp"
@@ -94,6 +95,7 @@ SdenNetwork::SdenNetwork(topology::EdgeNetwork description)
   for (SwitchId id = 0; id < description_.switch_count(); ++id) {
     switches_.emplace_back(id);
   }
+  stamps_.assign(switches_.size(), 0);
   servers_.reserve(description_.server_count());
   for (const topology::EdgeServer& s : description_.all_servers()) {
     servers_.emplace_back(s);
@@ -222,6 +224,13 @@ Status SdenNetwork::deliver_compiled(const RoutePlan& plan, const double* base,
 
 Status SdenNetwork::deliver(const Decision::TargetList& targets, Packet& pkt,
                             SwitchId terminal, RouteResult& result) {
+  // A write invalidates its own key's cached answers, whichever router
+  // delivered it (before any target: a partial delivery still wrote).
+  if (hot_cache_ && pkt.type != PacketType::kRetrieval) {
+    hot_cache_->invalidate_id(pkt.has_key_digest
+                                  ? pkt.key_digest
+                                  : crypto::DataKey(pkt.data_id).digest());
+  }
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const Decision::DeliveryTarget& target = targets[t];
     if (target.server >= servers_.size()) {
@@ -273,38 +282,53 @@ Status SdenNetwork::deliver(const Decision::TargetList& targets, Packet& pkt,
 }
 
 const RoutePlan& SdenNetwork::ensure_plan() {
-  // acquire: a clean flag read here pairs with rebuild_plan_slow's
-  // release store, publishing the rebuilt plan to this router.
+  // acquire: a clean flag read here pairs with sync_plan_slow's
+  // release store, publishing the synced plan to this router.
   if (plan_->dirty.load(std::memory_order_acquire)) {
-    rebuild_plan_slow();
+    sync_plan_slow();
   }
   return plan_->plan;
 }
 
-void SdenNetwork::rebuild_plan_slow() {
+void SdenNetwork::sync_plan_slow() {
   PlanState& state = *plan_;
-  // First router after an invalidation rebuilds; concurrent routers
-  // wait on the mutex and then read the fresh plan. (Mutating the
-  // network while packets are in flight was never supported; this
-  // only coordinates the rebuild itself.)
+  // First router after a stamp syncs; concurrent routers wait on the
+  // mutex and then read the fresh plan. (Mutating the network while
+  // packets are in flight was never supported; this only coordinates
+  // the sync itself.)
   MutexLock lock(state.rebuild_mutex);
   // relaxed: the mutex orders this re-check against the previous
   // holder's store; only the flag value matters here.
   if (state.dirty.load(std::memory_order_relaxed)) {
-    rebuild_plan(state.plan);
-    // release: publishes the rebuilt plan to lock-free readers that
+    // The whole-network plan is the subset plan that owns every switch.
+    std::vector<std::uint32_t> all(switches_.size());
+    std::iota(all.begin(), all.end(), std::uint32_t{0});
+    sync_plan(state.plan, all);
+    // release: publishes the synced plan to lock-free readers that
     // acquire dirty==false in ensure_plan.
     state.dirty.store(false, std::memory_order_release);
   }
 }
 
-void SdenNetwork::rebuild_plan(RoutePlan& plan) const {
-  // The whole-network plan is the subset plan that owns every switch.
-  std::vector<std::uint32_t> owned(switches_.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    owned[i] = static_cast<std::uint32_t>(i);
+bool SdenNetwork::sync_plan(RoutePlan& plan,
+                            const std::vector<std::uint32_t>& owned) const {
+  const bool compiled = !plan.offset.empty();
+  if (compiled && plan.synced == changes_) return false;
+  std::vector<std::uint32_t> stale;
+  for (const std::uint32_t sw : owned) {
+    if (stamps_[sw] > plan.synced) stale.push_back(sw);
   }
-  compile_plan_subset(plan, owned.data(), owned.size());
+  PlanPatch patch;
+  const bool from_scratch =
+      !compiled || (!stale.empty() && stale.size() == owned.size()) ||
+      !prepare_plan_patch(plan, stale.data(), stale.size(), patch);
+  if (from_scratch) {
+    compile_plan_subset(plan, owned.data(), owned.size());
+  } else {
+    commit_plan_patch(plan, patch);
+  }
+  plan.synced = changes_;
+  return from_scratch;
 }
 
 void SdenNetwork::compile_switch_region(
@@ -535,21 +559,6 @@ void SdenNetwork::commit_plan_patch(RoutePlan& plan, PlanPatch& patch) const {
   plan.dead_words += patch.dead_delta;
 }
 
-void SdenNetwork::patch_plan(const std::uint32_t* touched,
-                             std::size_t count) {
-  PlanState& state = *plan_;
-  MutexLock lock(state.rebuild_mutex);
-  PlanPatch patch;
-  if (prepare_plan_patch(state.plan, touched, count, patch)) {
-    commit_plan_patch(state.plan, patch);
-  } else {
-    rebuild_plan(state.plan);
-  }
-  // release: publishes the patched plan to lock-free readers that
-  // acquire dirty==false in ensure_plan, like rebuild_plan_slow.
-  state.dirty.store(false, std::memory_order_release);
-}
-
 std::vector<std::size_t> SdenNetwork::server_loads() const {
   std::vector<std::size_t> loads;
   loads.reserve(servers_.size());
@@ -574,16 +583,17 @@ Result<SwitchId> SdenNetwork::add_switch(
                    "add_switch: link target out of range");
     }
   }
-  invalidate_plan();
   const SwitchId id = description_.add_switch();
   switches_.emplace_back(id);
+  stamps_.push_back(0);
+  stamp(id);
   if (hot_cache_) hot_cache_->ensure_switches(switches_.size());
   // Grow the load tracker too: record() silently ignores ids beyond
   // its size, so without this a post-join switch would be invisible
   // to extend_for_load no matter how hot it runs.
   if (load_tracker_) load_tracker_->ensure_switches(switches_.size());
   for (SwitchId v : links) {
-    const Status s = description_.mutable_switches().add_edge(id, v);
+    const Status s = add_link(id, v);
     if (!s.ok()) return s.error();
   }
   return id;
@@ -591,38 +601,66 @@ Result<SwitchId> SdenNetwork::add_switch(
 
 Result<ServerId> SdenNetwork::attach_server(SwitchId sw,
                                             std::size_t capacity) {
-  invalidate_plan();
   auto id = description_.attach_server(sw, capacity);
   if (!id.ok()) return id.error();
   servers_.emplace_back(description_.server(id.value()));
+  stamp(sw);
   return id.value();
 }
 
 void SdenNetwork::remove_switch_links(SwitchId sw) {
   if (sw >= switches_.size()) return;
-  invalidate_plan();
+  stamp(sw);
+  for (const graph::EdgeTo& e : description_.switches().neighbors(sw)) {
+    stamp(e.to);
+  }
   description_.mutable_switches().remove_edges_of(sw);
   description_.detach_servers(sw);
   switches_[sw].reset();
 }
 
-void SdenNetwork::truncate_switches(std::size_t switch_count,
-                                    std::size_t server_count) {
-  if (switches_.size() <= switch_count && servers_.size() <= server_count) {
-    return;
-  }
-  invalidate_plan();
-  description_.truncate(switch_count, server_count);
+Status SdenNetwork::add_link(SwitchId a, SwitchId b, double weight) {
+  const Status added = description_.mutable_switches().add_edge(a, b, weight);
+  if (!added.ok()) return added;
+  stamp(a);
+  stamp(b);
+  return Status::Ok();
+}
+
+bool SdenNetwork::remove_link(SwitchId a, SwitchId b) {
+  if (!description_.mutable_switches().remove_edge(a, b)) return false;
+  stamp(a);
+  stamp(b);
+  return true;
+}
+
+void SdenNetwork::restore_topology(topology::EdgeNetwork description) {
+  description_ = std::move(description);
+  const std::size_t switch_count = description_.switch_count();
+  const std::size_t server_count = description_.server_count();
   if (switches_.size() > switch_count) {
     switches_.erase(switches_.begin() +
                         static_cast<std::ptrdiff_t>(switch_count),
                     switches_.end());
+    stamps_.resize(switch_count);
   }
   if (servers_.size() > server_count) {
     servers_.erase(servers_.begin() +
                        static_cast<std::ptrdiff_t>(server_count),
                    servers_.end());
   }
+  for (std::size_t sw = 0; sw < switches_.size(); ++sw) stamp(sw);
+}
+
+Status SdenNetwork::store_item(ServerId sid, const std::string& id,
+                               std::string payload) {
+  if (hot_cache_) hot_cache_->invalidate_id(crypto::DataKey(id).digest());
+  return servers_[sid].store(id, std::move(payload));
+}
+
+bool SdenNetwork::erase_item(ServerId sid, const std::string& id) {
+  if (hot_cache_) hot_cache_->invalidate_id(crypto::DataKey(id).digest());
+  return servers_[sid].erase(id);
 }
 
 void SdenNetwork::clear_storage() {

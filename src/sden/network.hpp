@@ -4,6 +4,14 @@
 // state (route_plan.hpp) exactly as the testbed forwards frames, every
 // hop over a real physical link, and `deliver()` applies the storage
 // side effects at the delivering server(s).
+//
+// Staleness of derived state is decided here alone: every mutator
+// stamps the switches whose plan regions it may change, which also
+// bumps the hot-key cache's epoch, and sync_plan patches exactly the
+// switches stamped since a plan last synced. Every storage write
+// (deliver, store_item, erase_item) invalidates its own key's cached
+// answers. Callers never patch or recompile a plan; outside this class
+// only a hard fault (FaultSession) drops cached answers.
 #pragma once
 
 #include <memory>
@@ -87,31 +95,34 @@ class SdenNetwork {
   std::size_t switch_count() const { return switches_.size(); }
   std::size_t server_count() const { return servers_.size(); }
 
-  /// Mutable switch access (controller installs). Conservatively
-  /// invalidates the compiled route plan: every flow-table or position
-  /// change flows through here.
+  /// Mutable switch access (controller installs); stamps the switch.
   Switch& switch_at(SwitchId id) {
-    invalidate_plan();
+    stamp(id);
     return switches_[id];
   }
   const Switch& switch_at(SwitchId id) const { return switches_[id]; }
-  /// Read-only switch access that does NOT invalidate the compiled
-  /// route plan, callable through a non-const network reference.
-  /// Inspection passes (validators, reference routers, metrics) must
-  /// use this — going through the mutable switch_at() silently
-  /// destroys the fast path on every call.
+  /// Read-only switch access that does NOT stamp the switch, callable
+  /// through a non-const network reference. Inspection passes
+  /// (validators, reference routers, metrics) must use this — the
+  /// mutable switch_at() re-compiles the region and empties the
+  /// hot-key cache.
   const Switch& const_switch_at(SwitchId id) const { return switches_[id]; }
+  /// Mutable access is for wholesale copies into a fresh network;
+  /// storage writes go through deliver/store_item/erase_item.
   ServerNode& server(ServerId id) { return servers_[id]; }
   const ServerNode& server(ServerId id) const { return servers_[id]; }
 
   const topology::EdgeNetwork& description() const { return description_; }
-  /// Mutable topology access for the controller's dynamics (link
-  /// add/remove); application code should go through the Controller.
-  /// Invalidates the compiled route plan (link weights are baked in).
-  topology::EdgeNetwork& mutable_description() {
-    invalidate_plan();
-    return description_;
-  }
+  /// Adds/removes a physical link (dynamics), stamping both endpoints:
+  /// their regions bake in link existence and weight.
+  Status add_link(SwitchId a, SwitchId b, double weight = 1.0);
+  bool remove_link(SwitchId a, SwitchId b);
+
+  /// Storage writes outside the data plane (controller item moves,
+  /// fault wipes); like a routed write, each invalidates its key.
+  Status store_item(ServerId sid, const std::string& id,
+                    std::string payload);
+  bool erase_item(ServerId sid, const std::string& id);
 
   /// Routes `pkt` from `ingress` until delivery/drop. Placement stores
   /// the payload; retrieval reads it (and bumps the responder's served
@@ -150,36 +161,25 @@ class SdenNetwork {
   Result<ServerId> attach_server(SwitchId sw, std::size_t capacity = 0);
 
   /// Tears down a leaving switch (dynamics): removes its physical
-  /// links and detaches its servers. The switch id stays valid as an
-  /// inert transit node so ids remain dense.
+  /// links and detaches its servers, stamping its former neighbors
+  /// too. The switch id stays valid as an inert transit node so ids
+  /// remain dense.
   void remove_switch_links(SwitchId sw);
 
-  /// Rolls the network back to earlier switch/server counts, undoing a
-  /// partially-applied add_switch/attach_server sequence (the counts
-  /// come from before the sequence started). Tail-only: dropped
-  /// servers must have attached to dropped-or-tail switches, which the
-  /// add_switch path guarantees. Stored items on dropped servers are
-  /// destroyed with them — callers roll back before any migration.
-  void truncate_switches(std::size_t switch_count,
-                         std::size_t server_count);
+  /// Rolls the topology back to `description`, an earlier state of
+  /// this network (controller rollback), dropping the switches and
+  /// servers beyond its counts and stamping every switch. Tail-only:
+  /// dropped servers must have attached to dropped-or-tail switches,
+  /// which the add_switch path guarantees. Stored items on dropped
+  /// servers are destroyed with them — callers roll back before any
+  /// migration.
+  void restore_topology(topology::EdgeNetwork description);
 
-  /// Marks the compiled route plan stale; the next route() rebuilds it.
-  /// Also the hot-key cache's conservative coherence hook: any
-  /// mutation that could move data or rewrite forwarding flows through
-  /// here, so cached retrieval answers are dropped alongside the plan.
-  void invalidate_plan() {
-    // release: not needed for publication (the REBUILDER's release
-    // store of dirty=false publishes the plan), kept so a stale flag
-    // observed by route_plan_stale() orders after the mutation.
-    plan_->dirty.store(true, std::memory_order_release);
-    if (hot_cache_) hot_cache_->invalidate_all();
-  }
-
-  /// Whether the compiled plan is currently marked stale (diagnostics
-  /// and regression tests: a read-only inspection pass must leave a
-  /// fresh plan intact).
+  /// Whether the network's own plan has switches stamped since it
+  /// last synced (diagnostics and regression tests: a read-only
+  /// inspection pass must leave a fresh plan intact).
   bool route_plan_stale() const {
-    // acquire: pairs with invalidate_plan / the rebuilder's stores.
+    // acquire: pairs with stamp() and the syncing router's stores.
     return plan_->dirty.load(std::memory_order_acquire);
   }
 
@@ -203,9 +203,9 @@ class SdenNetwork {
   /// commit_plan_patch then applies the writes. Returns false when the
   /// patch is not worth applying — the plan was never compiled, or the
   /// accumulated dead words would pass half the hot array — in which
-  /// case the caller should recompile the subset from scratch.
-  /// Read-only with respect to the flow tables; `plan` may be the
-  /// network's own cached plan or a shard-subset plan.
+  /// case sync_plan recompiles the subset from scratch. Read-only with
+  /// respect to the flow tables; `plan` may be the network's own
+  /// cached plan or a shard-subset plan.
   bool prepare_plan_patch(RoutePlan& plan, const std::uint32_t* touched,
                           std::size_t count, PlanPatch& patch) const;
 
@@ -219,12 +219,14 @@ class SdenNetwork {
   GRED_HOT_PATH void commit_plan_patch(RoutePlan& plan,
                                        PlanPatch& patch) const;
 
-  /// Patches the network's own cached plan in place for the given
-  /// touched switches and marks it fresh. Falls back to a full
-  /// recompile when prepare_plan_patch declines (never-compiled plan
-  /// or compaction due). Must not run concurrently with routing, like
-  /// any control-plane mutation.
-  void patch_plan(const std::uint32_t* touched, std::size_t count);
+  /// The one refresh path of the network's own plan and every shard
+  /// plan: patches the switches of `owned` (ascending) stamped since
+  /// `plan` last synced, or compiles it from scratch — returning true
+  /// — when it was never compiled, every owned switch is stamped, or
+  /// prepare_plan_patch declines. O(1) when nothing changed; must not
+  /// run concurrently with a walk over `plan`.
+  bool sync_plan(RoutePlan& plan,
+                 const std::vector<std::uint32_t>& owned) const;
 
   /// Hop bound of a single walk (relay hops included): exceeding it
   /// means a forwarding-table bug, classified as kRoutingLoop. Shared
@@ -254,8 +256,9 @@ class SdenNetwork {
   /// path and cost. Then the storage side effect at the server: a
   /// placement stores the payload (moved into the last target), a
   /// retrieval reads it back and bumps the server's served counter, a
-  /// removal erases it. Returns the first failure; targets before it
-  /// stay applied, and the caller fails the result.
+  /// removal erases it (both invalidate the key's cached answers).
+  /// Returns the first failure; targets before it stay applied, and
+  /// the caller fails the result.
   Status deliver(const Decision::TargetList& targets, Packet& pkt,
                  SwitchId terminal, RouteResult& result);
 
@@ -270,8 +273,8 @@ class SdenNetwork {
 
   /// Creates (or resizes) the per-switch hot-key cache with `ways`
   /// entries per switch and returns it. The cache is owned by the
-  /// network so every component (protocol, controller hooks, tests)
-  /// sees the same instance; GredProtocol::retrieve consults it.
+  /// network, which keeps it coherent (see the file comment);
+  /// GredProtocol::retrieve consults it.
   HotKeyCache& enable_hot_key_cache(std::size_t ways = 8);
   /// The hot-key cache, or nullptr when never enabled.
   HotKeyCache* hot_key_cache() { return hot_cache_.get(); }
@@ -286,15 +289,26 @@ class SdenNetwork {
   obs::SwitchLoadTracker* load_tracker() const { return load_tracker_; }
 
  private:
-  /// Returns the up-to-date compiled plan, rebuilding it first when a
-  /// mutating accessor flagged it dirty. The dirty check itself stays
-  /// on the hot path (one acquire load); the lock-and-rebuild lives in
-  /// rebuild_plan_slow behind a cold boundary.
+  /// Marks `sw`'s plan region stale for every plan and drops every
+  /// cached retrieval answer (forwarding may have moved).
+  void stamp(SwitchId sw) {
+    stamps_[sw] = ++changes_;
+    // release: not needed for publication (the syncing router's
+    // release store of dirty=false publishes the plan), kept so a
+    // stale flag observed by route_plan_stale() orders after the
+    // mutation.
+    plan_->dirty.store(true, std::memory_order_release);
+    if (hot_cache_) hot_cache_->invalidate_all();
+  }
+
+  /// Returns the up-to-date compiled plan, syncing it first when a
+  /// stamp flagged it dirty. The dirty check itself stays on the hot
+  /// path (one acquire load); the lock-and-sync lives in
+  /// sync_plan_slow behind a cold boundary.
   const RoutePlan& ensure_plan();
-  // cold: takes the rebuild mutex and recompiles the whole plan; runs
-  // only after a control-plane mutation, never in the steady state.
-  GRED_COLD_PATH void rebuild_plan_slow();
-  void rebuild_plan(RoutePlan& plan) const;
+  // cold: takes the rebuild mutex and syncs the plan; runs only after
+  // a control-plane mutation, never in the steady state.
+  GRED_COLD_PATH void sync_plan_slow();
   /// Compiles switch `i`'s plan region, appending the region words
   /// (header + four candidate columns) to `words`, the attached-server
   /// ids to `servers`, and the first-wins-deduped relay actions to
@@ -309,6 +323,8 @@ class SdenNetwork {
   topology::EdgeNetwork description_;
   std::vector<Switch> switches_;
   std::vector<ServerNode> servers_;
+  std::vector<std::uint64_t> stamps_;  ///< per switch: its last stamp
+  std::uint64_t changes_ = 0;          ///< the latest stamp
   std::size_t path_reserve_hint_ = 16;
   std::unique_ptr<PlanState> plan_;
   const FaultState* faults_ = nullptr;

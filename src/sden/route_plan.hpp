@@ -25,9 +25,10 @@
 //   base[4+2k .. 4+3k)    u64( next_hop << 32 | vlink_dest )
 //   base[4+3k .. 4+4k)    link weight to next_hop (NaN = missing link)
 //
-// The plan is a pure cache: SdenNetwork rebuilds it (lazily, under a
-// mutex) whenever control-plane state may have changed, which every
-// mutating accessor signals through the dirty flag. Semantics are
+// The plan is a pure cache: SdenNetwork stamps every switch a mutator
+// touches, and sync_plan patches exactly the switches stamped since a
+// plan last synced — lazily in route(), and per shard at the start of
+// every sharded round. No caller refreshes a plan. Semantics are
 // bit-identical to the oracle, Switch::process walked by
 // reference_router.hpp; the differentials in tests/data_plane_test.cpp
 // and tests/shard_test.cpp hold the paths together. A switch with
@@ -98,6 +99,8 @@ struct RoutePlan {
   /// place. Patching compacts (recompiles) once this passes half the
   /// array.
   std::size_t dead_words = 0;
+  /// The SdenNetwork stamp this plan reflects (sync_plan).
+  std::uint64_t synced = 0;
 
   void clear() {
     offset.clear();
@@ -106,6 +109,7 @@ struct RoutePlan {
     relays.clear();
     relay_dests.clear();
     dead_words = 0;
+    synced = 0;
   }
 };
 
@@ -125,7 +129,7 @@ struct PlanPatchRegion {
   std::vector<std::pair<Key2, PlanRelay>> relays;
 };
 
-/// A prepared two-phase route-plan patch (SdenNetwork::patch_plan).
+/// A prepared two-phase route-plan patch (SdenNetwork::sync_plan).
 /// prepare_plan_patch performs every allocation — compiling the
 /// touched regions, growing hot/offset/servers/relay_dests to their
 /// final sizes, reserving FlatMap slack — so commit_plan_patch is a
@@ -138,21 +142,19 @@ struct PlanPatch {
   std::size_t dead_delta = 0;
 };
 
-/// The plan plus its rebuild coordination. Held behind a unique_ptr so
-/// SdenNetwork stays movable (the address also keeps the dirty flag
-/// stable across moves). Routing threads only ever read `dirty` and
-/// `plan`; the first router after an invalidation rebuilds under the
-/// mutex while late arrivals wait, then everyone reads the immutable
-/// result.
+/// The network's own plan plus its sync coordination. Held behind a
+/// unique_ptr so SdenNetwork stays movable (the address also keeps the
+/// dirty flag stable across moves). Routing threads only ever read
+/// `dirty` and `plan`; the first router after a stamp syncs under the
+/// mutex while late arrivals wait, then everyone reads the result.
 struct PlanState {
   gred::Mutex rebuild_mutex;
   std::atomic<bool> dirty{true};
   /// tsa: deliberately NOT GRED_GUARDED_BY(rebuild_mutex) — the steady
-  /// state
-  /// reads `plan` lock-free after an acquire load of dirty==false
-  /// (double-checked publication — the rebuilder's release store of
-  /// dirty publishes the finished plan). Only rebuilds, which do hold
-  /// rebuild_mutex, write it.
+  /// state reads `plan` lock-free after an acquire load of
+  /// dirty==false (double-checked publication — the syncing router's
+  /// release store of dirty publishes the finished plan). Only syncs,
+  /// which do hold rebuild_mutex, write it.
   RoutePlan plan;
 };
 

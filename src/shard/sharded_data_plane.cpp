@@ -51,7 +51,7 @@ ShardedDataPlane::ShardedDataPlane(sden::SdenNetwork& net, std::size_t shards)
       rings_[from * s + to] = std::make_unique<SpscRing<Handoff>>(kRingCapacity);
     }
   }
-  recompile();
+  repartition();
 
   threads_.reserve(s > 0 ? s - 1 : 0);
   for (std::size_t me = 1; me < s; ++me) {
@@ -68,7 +68,7 @@ ShardedDataPlane::~ShardedDataPlane() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ShardedDataPlane::build_partition() {
+void ShardedDataPlane::repartition() {
   const std::size_t n = net_.switch_count();
   std::vector<double> xs(n);
   std::vector<double> ys(n);
@@ -84,25 +84,28 @@ void ShardedDataPlane::build_partition() {
   }
   owner_ = partition_by_position(xs.data(), ys.data(), valid.data(), n,
                                  shards_.size());
-  for (const std::unique_ptr<Shard>& sh : shards_) sh->owned.clear();
+  for (const std::unique_ptr<Shard>& sh : shards_) {
+    sh->owned.clear();
+    sh->plan.clear();
+  }
   for (std::size_t i = 0; i < n; ++i) {
     shards_[owner_[i]]->owned.push_back(static_cast<std::uint32_t>(i));
   }
-}
-
-void ShardedDataPlane::recompile() {
-  build_partition();
   for (const std::unique_ptr<Shard>& sh : shards_) {
-    net_.compile_plan_subset(sh->plan, sh->owned.data(), sh->owned.size());
+    net_.sync_plan(sh->plan, sh->owned);
   }
 }
 
-void ShardedDataPlane::patch_plans(const std::uint32_t* touched,
-                                   std::size_t count) {
+void ShardedDataPlane::sync_plans() {
+  const std::size_t n = net_.switch_count();
+  // A rollback dropped switches that shards still own.
+  if (owner_.size() > n) {
+    repartition();
+    return;
+  }
   // Switches that joined since the partition was built go to the
   // least-loaded shard (ties to the lowest index). New ids are the
   // largest, so push_back keeps each shard's owned list ascending.
-  const std::size_t n = net_.switch_count();
   for (std::size_t i = owner_.size(); i < n; ++i) {
     std::size_t best = 0;
     for (std::size_t s = 1; s < shards_.size(); ++s) {
@@ -111,23 +114,10 @@ void ShardedDataPlane::patch_plans(const std::uint32_t* touched,
     owner_.push_back(static_cast<std::uint32_t>(best));
     shards_[best]->owned.push_back(static_cast<std::uint32_t>(i));
   }
-
-  std::vector<std::uint32_t> mine;
-  sden::PlanPatch patch;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    mine.clear();
-    for (std::size_t j = 0; j < count; ++j) {
-      if (touched[j] < n && owner_[touched[j]] == s) {
-        mine.push_back(touched[j]);
-      }
-    }
-    // Even with no touched switches of its own, a shard's offset table
-    // must cover new switch ids; prepare resizes it.
-    if (net_.prepare_plan_patch(sh.plan, mine.data(), mine.size(), patch)) {
-      net_.commit_plan_patch(sh.plan, patch);
-    } else {
-      net_.compile_plan_subset(sh.plan, sh.owned.data(), sh.owned.size());
+  for (const std::unique_ptr<Shard>& sh : shards_) {
+    if (net_.sync_plan(sh->plan, sh->owned)) {
+      repartition();
+      return;
     }
   }
 }
@@ -137,6 +127,7 @@ void ShardedDataPlane::setup_round(const sden::Packet* pkts,
                                    std::size_t count,
                                    sden::RouteResult* results,
                                    bool open_loop) {
+  sync_plans();
   pkts_ = pkts;
   ingresses_ = ingresses;
   results_ = results;

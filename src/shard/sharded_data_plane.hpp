@@ -13,6 +13,9 @@
 // ring spills into a pre-reserved per-destination overflow vector, so
 // a push can never deadlock or allocate mid-round.
 //
+// Every round starts by syncing each shard's plan from the network's
+// stamps (SdenNetwork::sync_plan); nothing refreshes them by hand.
+//
 // Results are bit-identical to SdenNetwork::route by construction:
 // both walks execute the same plan_step (sden/plan_walk.hpp) over
 // regions compiled by the same SdenNetwork::compile_plan_subset, and
@@ -87,22 +90,6 @@ class ShardedDataPlane {
   /// Owning shard of each switch (the Morton-partition map).
   const std::vector<std::uint32_t>& owners() const { return owner_; }
 
-  /// Re-derives the partition and recompiles every shard's plan subset
-  /// from the network's current flow tables. Call after control-plane
-  /// changes (installs, dynamics); must not overlap a running round.
-  void recompile();
-
-  /// Incremental counterpart of recompile() for the churn path: keeps
-  /// the existing Morton partition fixed (so plan regions stay put),
-  /// assigns any switches added since the last (re)compile to the
-  /// least-loaded shard, and patches only the `count` switches in
-  /// `touched` (sorted, unique) into their owning shards' plans via
-  /// SdenNetwork::prepare/commit_plan_patch, recompiling a shard from
-  /// scratch only when its patch is declined (compaction due). Torn
-  /// down switches keep their owner and stay patched in place as inert
-  /// transit regions. Must not overlap a running round.
-  void patch_plans(const std::uint32_t* touched, std::size_t count);
-
   /// Routes `count` packets, writing results[i] for pkts[i] injected at
   /// ingresses[i] — each bit-identical to SdenNetwork::route on the
   /// same input. Closed-loop: every packet is started as soon as its
@@ -135,7 +122,7 @@ class ShardedDataPlane {
 
  private:
   struct alignas(64) Shard {
-    // Compiled per-partition state (recompile()).
+    // Compiled per-partition state (sync_plans()).
     sden::RoutePlan plan;
     std::vector<std::uint32_t> owned;  ///< owned switch ids, ascending
 
@@ -160,7 +147,11 @@ class ShardedDataPlane {
     return *rings_[from * shards_.size() + to];
   }
 
-  void build_partition();
+  /// Derives the Morton partition and compiles every shard plan.
+  void repartition();
+  /// Start of a round: patches the shard plans, or repartitions when a
+  /// sync compiled from scratch (a full install or a compaction).
+  void sync_plans();
   void setup_round(const sden::Packet* pkts, const sden::SwitchId* ingresses,
                    std::size_t count, sden::RouteResult* results,
                    bool open_loop);

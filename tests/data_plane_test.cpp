@@ -406,6 +406,21 @@ TEST(DataPlaneDifferential, FailedRoutesMatchLivePipeline) {
   EXPECT_TRUE(after.status.ok());
   EXPECT_TRUE(after.found);
 
+  // A link removed under the installed tables (no controller install):
+  // the network stamps both endpoints, so the compiled plan stops
+  // crossing it exactly where the oracle does.
+  const sden::SwitchId first = healthy.switch_path[0];
+  const sden::SwitchId second = healthy.switch_path[1];
+  const double weight =
+      net.description().switches().find_edge(first, second)->weight;
+  ASSERT_TRUE(net.remove_link(second, first));
+  {
+    const sden::RouteResult r = run_both("link removed under the tables");
+    EXPECT_EQ(r.status.error().code, ErrorCode::kLinkDown);
+    EXPECT_EQ(r.switch_path.size(), 1u);
+  }
+  ASSERT_TRUE(net.add_link(second, first, weight).ok());
+
   // Table-miss classification: a reset switch mid-path turns into a
   // non-DT transit node; both routers report kNoRoute identically.
   net.switch_at(terminal).reset();

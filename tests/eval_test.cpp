@@ -31,8 +31,8 @@ TEST(ScenarioTest, BuildsAllThreeProtocols) {
   ASSERT_TRUE(gred.ok());
   ASSERT_TRUE(nocvt.ok());
   ASSERT_TRUE(ring.ok());
-  EXPECT_TRUE(gred.value().controller().options().use_cvt);
-  EXPECT_FALSE(nocvt.value().controller().options().use_cvt);
+  EXPECT_GT(gred.value().controller().options().cvt_iterations, 0u);
+  EXPECT_EQ(nocvt.value().controller().options().cvt_iterations, 0u);
   EXPECT_EQ(ring.value().ring_size(), 150u);
 }
 

@@ -217,6 +217,24 @@ TEST(ProtocolCacheTest, SecondRetrieveServedFromCache) {
   EXPECT_FALSE(elsewhere.value().served_from_cache);
 }
 
+/// Routes one packet for `id` straight through SdenNetwork::route(),
+/// bypassing GredProtocol (and so any invalidation it could do).
+sden::RouteResult route_direct(GredSystem& sys, sden::PacketType type,
+                               const std::string& id,
+                               const std::string& payload,
+                               SwitchId ingress) {
+  sden::Packet pkt;
+  pkt.type = type;
+  pkt.data_id = id;
+  pkt.payload = payload;
+  const crypto::DataKey key(id);
+  pkt.target = {key.position().x, key.position().y};
+  pkt.set_key(key);
+  sden::RouteResult r;
+  sys.network().route(pkt, ingress, r);
+  return r;
+}
+
 TEST(ProtocolCacheTest, PlaceOverwriteInvalidatesCachedPayload) {
   GredSystem sys = make_system(topology::grid(4, 4), 2);
   sys.network().enable_hot_key_cache();
@@ -233,6 +251,16 @@ TEST(ProtocolCacheTest, PlaceOverwriteInvalidatesCachedPayload) {
   auto refilled = sys.retrieve("d", 3);
   EXPECT_TRUE(refilled.value().served_from_cache);
   EXPECT_EQ(refilled.value().route.payload, "v2");
+
+  // The network invalidates at the write itself, so an overwrite routed
+  // around GredProtocol drops the cached payload too.
+  ASSERT_TRUE(
+      route_direct(sys, sden::PacketType::kPlacement, "d", "v3", 1)
+          .status.ok());
+  auto routed = sys.retrieve("d", 3);
+  ASSERT_TRUE(routed.ok() && routed.value().route.found);
+  EXPECT_FALSE(routed.value().served_from_cache);
+  EXPECT_EQ(routed.value().route.payload, "v3");
 }
 
 TEST(ProtocolCacheTest, RemoveInvalidatesCachedAnswer) {
@@ -247,6 +275,46 @@ TEST(ProtocolCacheTest, RemoveInvalidatesCachedAnswer) {
   ASSERT_TRUE(gone.ok());
   EXPECT_FALSE(gone.value().route.found);  // never a stale cached hit
   EXPECT_FALSE(gone.value().served_from_cache);
+
+  // Same for a removal routed around GredProtocol.
+  ASSERT_TRUE(sys.place("d", "v", 0).ok());
+  ASSERT_TRUE(sys.retrieve("d", 2).ok());  // refill
+  ASSERT_TRUE(sys.retrieve("d", 2).value().served_from_cache);
+  const sden::RouteResult del =
+      route_direct(sys, sden::PacketType::kRemoval, "d", "", 0);
+  ASSERT_TRUE(del.status.ok() && del.found);
+  auto routed = sys.retrieve("d", 2);
+  ASSERT_TRUE(routed.ok());
+  EXPECT_FALSE(routed.value().route.found);
+  EXPECT_FALSE(routed.value().served_from_cache);
+}
+
+// A rejected range op only reads the switch, so it must neither mark
+// the route plan stale nor drop cached answers.
+TEST(ProtocolCacheTest, RejectedRangeOpsKeepPlanAndCache) {
+  GredSystem sys = make_system(topology::grid(4, 4), 2);
+  sys.network().enable_hot_key_cache();
+  ASSERT_TRUE(sys.place("d", "v", 0).ok());
+  ASSERT_TRUE(sys.retrieve("d", 3).ok());  // fill; syncs the plan
+  ASSERT_FALSE(sys.network().route_plan_stale());
+
+  // No extension is active on server 0.
+  EXPECT_EQ(sys.retract_range(0).error().code, ErrorCode::kNotFound);
+  EXPECT_FALSE(sys.network().route_plan_stale());
+  auto warm = sys.retrieve("d", 3);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm.value().served_from_cache);
+
+  // Re-extending an active extension is rejected the same way.
+  ASSERT_TRUE(sys.extend_range(0).ok());
+  ASSERT_TRUE(sys.retrieve("d", 3).ok());  // refill after the extension
+  ASSERT_FALSE(sys.network().route_plan_stale());
+  EXPECT_EQ(sys.extend_range(0).error().code,
+            ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(sys.network().route_plan_stale());
+  auto still_warm = sys.retrieve("d", 3);
+  ASSERT_TRUE(still_warm.ok());
+  EXPECT_TRUE(still_warm.value().served_from_cache);
 }
 
 TEST(ProtocolCacheTest, RangeExtensionNeverServesStaleHome) {

@@ -1,7 +1,8 @@
 // Delta-path churn differential soak. A system absorbs a seeded stream
 // of dynamics events — switch join/leave, link add/remove, range
 // extend/retract — on the delta path (delta-APSP, localized DT repair,
-// flow-table and route-plan patching). After EVERY event it must be
+// flow-table patching, and route-plan patching of the stamped
+// switches). After EVERY event it must be
 // bit-identical to a cold restore of its own state: capture_snapshot +
 // restore_snapshot into a fresh SdenNetwork over the same topology,
 // which recomputes APSP, builds the DT from scratch and installs every
@@ -11,8 +12,8 @@
 //   2. the repaired DT adjacency,
 //   3. the installed flow tables, field by field,
 //   4. routed packets through the cold network's fresh plan, the delta
-//      system's PATCHED plan, and a 4-shard ShardedDataPlane kept
-//      current via patch_plans().
+//      system's PATCHED plan, and a 4-shard ShardedDataPlane whose
+//      rounds sync their own plans (no refresh call anywhere).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -128,8 +129,8 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
   core::Controller ctrl;
   ASSERT_TRUE(ctrl.initialize(net).ok());
 
-  // 4-shard sharded runtime kept current with patch_plans after every
-  // delta event (fixed shard count so the TSan tree exercises the
+  // 4-shard sharded runtime; every replay syncs its plans from the
+  // network's stamps (fixed shard count so the TSan tree exercises the
   // cross-shard rings deterministically).
   shard::ShardedDataPlane sdp(net, 4);
 
@@ -143,7 +144,6 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
     ASSERT_TRUE(scratch.status.ok()) << id;
     live.push_back(id);
   }
-  sdp.recompile();  // placements invalidated the compiled plans
 
   Rng rng(0xD15EA5Eu);
   auto random_participant = [&]() -> SwitchId {
@@ -256,14 +256,7 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
         break;
     }
 
-    if (ok && ctrl.last_event_incremental()) {
-      ++delta_events;
-      const auto& affected = ctrl.last_affected_switches();
-      std::vector<std::uint32_t> touched(affected.begin(), affected.end());
-      sdp.patch_plans(touched.data(), touched.size());
-    } else {
-      sdp.recompile();
-    }
+    if (ok && ctrl.last_event_incremental()) ++delta_events;
 
     verify(step);
     ASSERT_FALSE(::testing::Test::HasFailure())

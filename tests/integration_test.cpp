@@ -36,15 +36,14 @@ class EndToEndTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
 
 TEST_P(EndToEndTest, PlacementRetrievalAndDelivery) {
-  const auto [switches, use_cvt] = GetParam();
+  const auto [switches, cvt] = GetParam();
   VirtualSpaceOptions opt;
-  opt.use_cvt = use_cvt;
-  opt.cvt_iterations = 20;
+  opt.cvt_iterations = cvt ? 20 : 0;
   auto built = GredSystem::create(waxman_net(switches, 4, switches), opt);
   ASSERT_TRUE(built.ok()) << built.error().to_string();
   GredSystem sys = std::move(built).value();
 
-  Rng rng(switches * 31 + use_cvt);
+  Rng rng(switches * 31 + cvt);
   StretchCollector stretch;
   for (int i = 0; i < 150; ++i) {
     const std::string id = "e2e-" + std::to_string(i);
@@ -119,7 +118,7 @@ TEST(ComparisonTest, CvtImprovesLoadBalanceOverNoCvtAndChord) {
   VirtualSpaceOptions cvt_opt;
   cvt_opt.cvt_iterations = 50;
   VirtualSpaceOptions nocvt_opt;
-  nocvt_opt.use_cvt = false;
+  nocvt_opt.cvt_iterations = 0;
   auto sys_cvt = GredSystem::create(net, cvt_opt);
   auto sys_nocvt = GredSystem::create(net, nocvt_opt);
   ASSERT_TRUE(sys_cvt.ok());

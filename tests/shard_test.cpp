@@ -359,30 +359,42 @@ TEST(ShardInvariance, RecompileTracksControlPlaneChanges) {
 
   shard::ShardedDataPlane plane(net, 3);
 
-  // Store after construction: storage is data-plane state, no
-  // recompile needed.
+  // Store after construction: storage is data-plane state, not plan
+  // state.
   std::vector<sden::Packet> pkts;
   std::vector<sden::SwitchId> ingresses;
   seed_storage(sys.value(), n, 8, 931, &pkts, &ingresses);
   std::vector<sden::RouteResult> got(pkts.size());
-  plane.replay(pkts.data(), ingresses.data(), pkts.size(), got.data());
   sden::RouteResult fast;
   sden::Packet scratch;
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    scratch = pkts[i];
-    net.route(scratch, ingresses[i], fast);
-    expect_identical(got[i], fast, "pre-recompile pkt " + std::to_string(i));
-  }
+  // Every replay matches the fast path on the current network. Nothing
+  // refreshes the shard plans by hand: each round syncs them from the
+  // switches the control plane stamped.
+  const auto replay_matches = [&](const std::string& when) {
+    plane.replay(pkts.data(), ingresses.data(), pkts.size(), got.data());
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      scratch = pkts[i];
+      net.route(scratch, ingresses[i], fast);
+      expect_identical(got[i], fast, when + " pkt " + std::to_string(i));
+    }
+  };
+  replay_matches("initial");
 
-  // recompile() re-derives the partition and plans; replays still
-  // match the fast path afterwards.
-  plane.recompile();
-  plane.replay(pkts.data(), ingresses.data(), pkts.size(), got.data());
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    scratch = pkts[i];
-    net.route(scratch, ingresses[i], fast);
-    expect_identical(got[i], fast, "post-recompile pkt " + std::to_string(i));
+  // New links between non-adjacent switches reroute greedy walks and
+  // virtual links.
+  Rng rng(932);
+  for (std::size_t added = 0; added < 6;) {
+    const sden::SwitchId u = rng.next_below(n);
+    const sden::SwitchId v = rng.next_below(n);
+    if (u == v || net.description().switches().has_edge(u, v)) continue;
+    ASSERT_TRUE(sys.value().add_link(u, v).ok());
+    ++added;
   }
+  replay_matches("after add_link");
+
+  // A joining switch brings a new id that some shard must adopt.
+  ASSERT_TRUE(sys.value().add_switch({0, 1}, /*servers=*/1).ok());
+  replay_matches("after add_switch");
 }
 
 // --- Open-loop sustained load -------------------------------------------

@@ -96,7 +96,7 @@ TEST(VirtualSpaceTest, EmbeddingPreservesDistanceOrder) {
   const graph::Graph g = topology::grid(6, 6);
   const auto apsp = graph::all_pairs_shortest_paths(g);
   VirtualSpaceOptions opt;
-  opt.use_cvt = false;  // test the raw M-position output
+  opt.cvt_iterations = 0;  // test the raw M-position output
   auto vs = VirtualSpace::build(all_switches(g), apsp, opt);
   ASSERT_TRUE(vs.ok());
   EXPECT_LT(vs.value().embedding_stress(), 0.25);
@@ -113,7 +113,7 @@ TEST(VirtualSpaceTest, NoCvtSkipsRefinement) {
   const graph::Graph g = topology::grid(4, 4);
   const auto apsp = graph::all_pairs_shortest_paths(g);
   VirtualSpaceOptions opt;
-  opt.use_cvt = false;
+  opt.cvt_iterations = 0;
   auto vs = VirtualSpace::build(all_switches(g), apsp, opt);
   ASSERT_TRUE(vs.ok());
   EXPECT_EQ(vs.value().positions(), vs.value().mds_positions());
