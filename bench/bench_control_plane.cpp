@@ -177,14 +177,9 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   ChurnReport rep;
   rep.n = n;
   const bool lockstep = n <= 256;
-  core::VirtualSpaceOptions opts = bench::gred_options(smoke ? 10 : 30);
-  // Jacobi MDS is O(n^3) — fine at 256, prohibitive beyond. The churn
-  // machinery under test (delta-APSP, DT repair, plan patching) is
-  // embedding-agnostic, so the larger sizes embed with Vivaldi.
-  if (n > 256) opts.embedding = core::EmbeddingAlgorithm::kVivaldi;
   auto made =
       core::GredSystem::create(bench::make_waxman_network(n, 1, 3, 8100 + n),
-                               opts);
+                               bench::gred_options(smoke ? 10 : 30));
   require(made.ok(), "GredSystem::create (churn)");
   core::GredSystem sys = std::move(made).value();
   sden::SdenNetwork& net = sys.network();

@@ -77,7 +77,12 @@ void BM_ClassicalMds(benchmark::State& state) {
     benchmark::DoNotOptimize(mds);
   }
 }
-BENCHMARK(BM_ClassicalMds)->Arg(50)->Arg(100);
+BENCHMARK(BM_ClassicalMds)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ControlPlaneFull(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -14,9 +14,12 @@ namespace {
 using geometry::Point2D;
 
 /// Deterministically separates exactly coincident embedded points
-/// (possible for graphs with strong symmetry) so the DT has distinct
-/// sites. The nudge is far below one hop of embedded distance.
+/// (possible for graphs with strong symmetry, or joins at one position)
+/// so the DT has distinct sites. The nudge is far below one hop of
+/// embedded distance and points toward the square's centre, so a site
+/// on the boundary stays inside [0,1]^2.
 void separate_duplicates(std::vector<Point2D>& pts) {
+  const auto inward = [](double v) { return v < 0.5 ? 1.0 : -1.0; };
   bool moved = true;
   double eps = 1e-9;
   while (moved) {
@@ -24,8 +27,8 @@ void separate_duplicates(std::vector<Point2D>& pts) {
     for (std::size_t i = 0; i < pts.size(); ++i) {
       for (std::size_t j = i + 1; j < pts.size(); ++j) {
         if (pts[i] == pts[j]) {
-          pts[j].x += eps * static_cast<double>(j + 1);
-          pts[j].y += eps * static_cast<double>(i + 1);
+          pts[j].x += inward(pts[j].x) * eps * static_cast<double>(j + 1);
+          pts[j].y += inward(pts[j].y) * eps * static_cast<double>(i + 1);
           moved = true;
         }
       }

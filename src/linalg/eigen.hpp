@@ -1,7 +1,8 @@
-// Symmetric eigendecomposition via the cyclic Jacobi rotation method.
-// The control plane's M-position algorithm needs the top-m eigenpairs of
-// the double-centered matrix B (n x n, n = #switches), for which Jacobi
-// is simple, robust, and plenty fast at these sizes.
+// Symmetric eigendecomposition via the cyclic Jacobi rotation method:
+// all n eigenpairs, O(n^3) per sweep. classical_mds runs it only on the
+// k x k Rayleigh-Ritz projection of its subspace iteration (k = m + 4);
+// on the full n x n double-centered matrix it is the test oracle for
+// that solver.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 // Dense row-major double matrix — the only linear-algebra container the
 // control plane needs (distance matrices are n x n with n = #switches,
-// a few hundred at most, so dense is the right choice).
+// up to a few thousand, and every pair is populated, so dense is the
+// right choice).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,10 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const {
     return data_[r * cols_ + c];
   }
+
+  /// Row r as a contiguous array of cols() values.
+  double* row(std::size_t r) { return data_.data() + r * cols_; }
+  const double* row(std::size_t r) const { return data_.data() + r * cols_; }
 
   /// Bounds-checked access (asserts in debug, throws in release).
   double& at(std::size_t r, std::size_t c);

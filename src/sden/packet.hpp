@@ -52,9 +52,8 @@ struct Packet {
   /// H(d), filled in by whoever already hashed data_id (GredProtocol,
   /// the bench drivers). The terminal switch needs H(d) for the
   /// H(d) mod s server choice; the cache spares it a second SHA-256
-  /// per packet. Transparent to the codec and to equality of routing
-  /// results: a packet without the cache routes identically, just
-  /// slower.
+  /// per packet. Transparent to equality of routing results: a packet
+  /// without the cache routes identically, just slower.
   bool has_key_digest = false;
   crypto::Digest key_digest{};
 

@@ -2,12 +2,17 @@
 // mathematical core of the M-position algorithm).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
+#include "graph/shortest_path.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/mds.hpp"
+#include "topology/presets.hpp"
+#include "topology/waxman.hpp"
 
 namespace gred::linalg {
 namespace {
@@ -202,6 +207,24 @@ Matrix distances_of(const std::vector<std::pair<double, double>>& pts) {
   return d;
 }
 
+/// B = -1/2 J L^(2) J by explicit products, the textbook form the
+/// solver's O(n^2) centring must match.
+Matrix centred_gram(const Matrix& d) {
+  const std::size_t n = d.rows();
+  Matrix j = Matrix::identity(n);
+  j -= Matrix::ones(n, n) * (1.0 / static_cast<double>(n));
+  Matrix b = j * d.elementwise_square() * j;
+  b *= -0.5;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = r + 1; c < n; ++c) {
+      const double avg = 0.5 * (b(r, c) + b(c, r));
+      b(r, c) = avg;
+      b(c, r) = avg;
+    }
+  }
+  return b;
+}
+
 TEST(MdsTest, RecoversPlanarConfigurationExactly) {
   // Points genuinely in 2-D: classical MDS must reproduce all pairwise
   // distances (stress ~ 0).
@@ -327,11 +350,7 @@ TEST(MdsTest, HigherDimensionReducesStrain) {
   // Strain = || B - Q Q^T ||_F^2 where B is the double-centered squared
   // distance matrix — the objective classical MDS provably minimizes,
   // monotone non-increasing in m.
-  const std::size_t nn = d.rows();
-  Matrix j = Matrix::identity(nn);
-  j -= Matrix::ones(nn, nn) * (1.0 / static_cast<double>(nn));
-  Matrix b = j * d.elementwise_square() * j;
-  b *= -0.5;
+  const Matrix b = centred_gram(d);
   auto strain = [&b](const Matrix& coords) {
     const Matrix bhat = coords * coords.transpose();
     const Matrix diff = b - bhat;
@@ -340,6 +359,148 @@ TEST(MdsTest, HigherDimensionReducesStrain) {
   EXPECT_LE(strain(m3.value().coordinates),
             strain(m2.value().coordinates) + 1e-9);
 }
+
+// ---------- classical MDS against the full Jacobi decomposition ----------
+
+/// Hop-distance matrix of a connected graph.
+Matrix hop_distances(const graph::Graph& g) {
+  const auto apsp = graph::all_pairs_shortest_paths(g);
+  const std::size_t n = g.node_count();
+  Matrix d(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) d(i, j) = apsp.dist(i, j);
+  }
+  return d;
+}
+
+graph::Graph waxman_graph(std::size_t n, std::uint64_t seed) {
+  topology::WaxmanOptions opt;
+  opt.node_count = n;
+  Rng rng(seed);
+  return topology::generate_waxman(opt, rng).value().graph;
+}
+
+struct MdsOracleCase {
+  std::string name;
+  graph::Graph graph;
+  /// lambda_m == lambda_{m+1}: the top-m eigenspace is not unique, so
+  /// Q Q^T may differ from the oracle's while both are exact.
+  bool tied;
+};
+
+class MdsOracleTest : public ::testing::TestWithParam<int> {};
+
+MdsOracleCase oracle_case(int id) {
+  switch (id) {
+    case 0: return {"waxman128", waxman_graph(128, 7128), false};
+    case 1: return {"waxman256", waxman_graph(256, 7256), false};
+    case 2: return {"ring64", topology::ring(64), false};
+    case 3: return {"grid8x8", topology::grid(8, 8), false};
+    case 4: return {"grid12x6", topology::grid(12, 6), false};
+    case 5: return {"testbed6", topology::testbed6(), true};
+    case 6: return {"star16", topology::star(16), true};
+    default: return {"complete12", topology::complete(12), true};
+  }
+}
+
+TEST_P(MdsOracleTest, TopEigenpairsMatchJacobi) {
+  constexpr std::size_t m = 2;
+  const MdsOracleCase tc = oracle_case(GetParam());
+  SCOPED_TRACE(tc.name);
+  const Matrix d = hop_distances(tc.graph);
+  const std::size_t n = d.rows();
+  const Matrix b = centred_gram(d);
+  const EigenDecomposition oracle = symmetric_eigen(b);
+  const double top = oracle.values[0];
+  ASSERT_GT(top, 0.0);
+  EXPECT_EQ(tc.tied, oracle.values[m - 1] - oracle.values[m] <= 1e-9 * top);
+
+  auto r = classical_mds(d, m);
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  const MdsResult& got = r.value();
+  ASSERT_EQ(got.eigenvalues.size(), m);
+  for (std::size_t c = 0; c < m; ++c) {
+    EXPECT_NEAR(got.eigenvalues[c], oracle.values[c],
+                1e-9 * std::fabs(oracle.values[c]))
+        << "axis " << c;
+  }
+
+  // Every axis is an eigenvector of B scaled by sqrt(lambda): recover
+  // the unit vectors and check residual and orthonormality.
+  std::vector<std::vector<double>> v(m, std::vector<double>(n));
+  for (std::size_t c = 0; c < m; ++c) {
+    const double scale = std::sqrt(got.eigenvalues[c]);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[c][i] = got.coordinates(i, c) / scale;
+    }
+  }
+  const double b_norm = b.frobenius_norm();
+  for (std::size_t c = 0; c < m; ++c) {
+    double res_sq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double bv = 0.0;
+      for (std::size_t j = 0; j < n; ++j) bv += b(i, j) * v[c][j];
+      const double diff = bv - got.eigenvalues[c] * v[c][i];
+      res_sq += diff * diff;
+    }
+    EXPECT_LE(std::sqrt(res_sq), 1e-9 * b_norm) << "axis " << c;
+    for (std::size_t e = 0; e < m; ++e) {
+      double dot = 0.0;
+      for (std::size_t i = 0; i < n; ++i) dot += v[c][i] * v[e][i];
+      EXPECT_NEAR(dot, c == e ? 1.0 : 0.0, 1e-9) << c << "," << e;
+    }
+  }
+
+  // With a gap below the top m, Q Q^T is unique: the solver's must be
+  // the oracle's, whatever rotation or signs each picked.
+  if (!tc.tied) {
+    double worst = 0.0;
+    double scale = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        double mine = 0.0;
+        double want = 0.0;
+        for (std::size_t c = 0; c < m; ++c) {
+          mine += got.coordinates(i, c) * got.coordinates(j, c);
+          want += oracle.values[c] * oracle.vectors(i, c) *
+                  oracle.vectors(j, c);
+        }
+        worst = std::max(worst, std::fabs(mine - want));
+        scale = std::max(scale, std::fabs(want));
+      }
+    }
+    EXPECT_LE(worst, 1e-7 * scale);
+  }
+}
+
+TEST_P(MdsOracleTest, DeterministicAndSigned) {
+  const MdsOracleCase tc = oracle_case(GetParam());
+  SCOPED_TRACE(tc.name);
+  const Matrix d = hop_distances(tc.graph);
+  auto first = classical_mds(d, 2);
+  auto second = classical_mds(d, 2);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value().coordinates, second.value().coordinates);
+  EXPECT_EQ(first.value().eigenvalues, second.value().eigenvalues);
+  EXPECT_EQ(first.value().stress, second.value().stress);
+
+  // Sign convention: on every axis the largest-magnitude coordinate
+  // (lowest index on ties) is positive.
+  const Matrix& q = first.value().coordinates;
+  for (std::size_t c = 0; c < q.cols(); ++c) {
+    std::size_t peak = 0;
+    for (std::size_t i = 1; i < q.rows(); ++i) {
+      if (std::fabs(q(i, c)) > std::fabs(q(peak, c))) peak = i;
+    }
+    EXPECT_GT(q(peak, c), 0.0) << "axis " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, MdsOracleTest, ::testing::Range(0, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return oracle_case(info.param).name;
+                         });
 
 TEST(KruskalStressTest, ZeroForExactMatch) {
   Matrix coords{{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}};

@@ -201,6 +201,32 @@ TEST(VirtualSpaceTest, AddRemoveParticipant) {
   EXPECT_EQ(vs.positions().size(), 3u);
 }
 
+TEST(VirtualSpaceTest, CollidingJoinsOnTheBoundaryStayInTheUnitSquare) {
+  // Two joins at the corner (1, 1): the second collides and is nudged
+  // apart. The nudge must point inward, or the space leaves [0,1]^2
+  // and from_positions (snapshot restore) rejects it.
+  const graph::Graph g = topology::ring(8);
+  const auto apsp = graph::all_pairs_shortest_paths(g);
+  auto built = VirtualSpace::build({0, 1, 2, 3, 4, 5}, apsp, {});
+  ASSERT_TRUE(built.ok());
+  VirtualSpace vs = std::move(built).value();
+  vs.add_participant(6, {1.0, 1.0});
+  vs.add_participant(7, {1.0, 1.0});
+  const std::vector<Point2D>& pos = vs.positions();
+  ASSERT_EQ(pos.size(), 8u);
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    EXPECT_GE(pos[i].x, 0.0);
+    EXPECT_LE(pos[i].x, 1.0);
+    EXPECT_GE(pos[i].y, 0.0);
+    EXPECT_LE(pos[i].y, 1.0);
+    for (std::size_t j = i + 1; j < pos.size(); ++j) {
+      EXPECT_FALSE(pos[i] == pos[j]) << i << " and " << j;
+    }
+  }
+  auto restored = VirtualSpace::from_positions(vs.participants(), pos, apsp);
+  EXPECT_TRUE(restored.ok()) << restored.error().to_string();
+}
+
 // ---------- MultiHopDT ----------
 
 TEST(MultiHopDtTest, SizeMismatchRejected) {
