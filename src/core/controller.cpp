@@ -33,8 +33,8 @@ std::size_t total_flow_entries(const sden::SdenNetwork& net) {
 }
 
 /// Captures the before-state of a dynamics op at construction and
-/// appends one event-log entry in finish(), including the path the op
-/// took. Inert (two loads) when obs is disabled.
+/// appends one event-log entry in finish(), including how many switches
+/// the op patched. Inert (two loads) when obs is disabled.
 class EventRecorder {
  public:
   EventRecorder(obs::EventKind kind, const sden::SdenNetwork& net,
@@ -53,8 +53,7 @@ class EventRecorder {
               std::size_t subject = static_cast<std::size_t>(-1)) {
     if (!active_) return;
     ev_.ok = status.ok();
-    ev_.incremental = ctrl.last_event_incremental();
-    ev_.fallback = ctrl.last_fallback();
+    ev_.patched = ctrl.last_affected_switches().size();
     if (!status.ok()) ev_.status = status.error().to_string();
     if (subject != static_cast<std::size_t>(-1)) {
       ev_.subject = static_cast<std::uint32_t>(subject);
@@ -413,7 +412,6 @@ Status Controller::extend_range_impl(sden::SdenNetwork& net,
   // A rewrite touches exactly one switch's region (its deliver-fallback
   // flag), so the event is patchable without any recompute.
   last_affected_.assign(1, sw);
-  last_event_incremental_ = true;
   return Status::Ok();
 }
 
@@ -447,7 +445,6 @@ Status Controller::retract_range_impl(sden::SdenNetwork& net,
 
   net.switch_at(sw).table().remove_rewrite(overloaded);
   last_affected_.assign(1, sw);
-  last_event_incremental_ = true;
   return Status::Ok();
 }
 
@@ -617,49 +614,31 @@ geometry::Point2D Controller::fit_position(const sden::SdenNetwork& net,
   const auto& participants = space_.participants();
   const auto& positions = space_.positions();
 
-  // Anchor set: existing participants with finite hop distance.
-  std::vector<Point2D> anchors;
-  std::vector<double> targets;  // desired virtual distance
-  Point2D init{0.5, 0.5};
-  double init_weight = 0.0;
+  // Centroid of the participants nearest to the joiner (Section VI: a
+  // join "only affects its neighbors"). A centroid lies in its points'
+  // hull, so the joiner lands among its neighbours instead of being
+  // pulled out to the square's boundary.
+  double nearest = graph::kUnreachable;
+  Point2D sum{0.0, 0.0};
+  std::size_t count = 0;
   for (std::size_t i = 0; i < participants.size(); ++i) {
-    if (participants[i] == sw) continue;
     const double d = sssp.dist[participants[i]];
-    if (d == graph::kUnreachable) continue;
-    anchors.push_back(positions[i]);
-    targets.push_back(d * space_.scale());
-    if (d <= 1.0) {
-      init = init_weight == 0.0 ? positions[i] : init + positions[i];
-      init_weight += 1.0;
+    if (d == graph::kUnreachable || d > nearest) continue;
+    if (d < nearest) {
+      nearest = d;
+      sum = {0.0, 0.0};
+      count = 0;
     }
+    sum = sum + positions[i];
+    ++count;
   }
-  if (anchors.empty()) return {0.5, 0.5};
-  if (init_weight > 0.0) {
-    init = init / init_weight;
-    if (init_weight == 1.0) {
-      // Single neighbor: offset by one hop so the points are distinct.
-      init.x += space_.scale();
-    }
+  if (count == 0) return {0.5, 0.5};
+  if (count == 1) {
+    // A lone nearest participant: step from it toward the square's
+    // centre, so the two sites stay distinct.
+    return sum + (Point2D{0.5, 0.5} - sum) * 0.125;
   }
-
-  // Gradient descent on sum_i (|p - a_i| - t_i)^2.
-  Point2D p = init;
-  double step = 0.1;
-  for (int iter = 0; iter < 400; ++iter) {
-    Point2D grad{0.0, 0.0};
-    for (std::size_t i = 0; i < anchors.size(); ++i) {
-      const Point2D diff = p - anchors[i];
-      const double len = geometry::norm(diff);
-      if (len < 1e-12) continue;
-      const double coef = 2.0 * (len - targets[i]) / len;
-      grad = grad + diff * coef;
-    }
-    p = p - grad * (step / static_cast<double>(anchors.size()));
-    step *= 0.995;
-    p.x = std::clamp(p.x, 0.0, 1.0);
-    p.y = std::clamp(p.y, 0.0, 1.0);
-  }
-  return p;
+  return sum / static_cast<double>(count);
 }
 
 void Controller::recompute_apsp(const sden::SdenNetwork& net) {
@@ -688,6 +667,8 @@ Status Controller::add_link_impl(sden::SdenNetwork& net, SwitchId u,
           : net.add_link(u, v, weight);
   if (!added.ok()) return added;
 
+  // A new link only shortens paths, so no step of its delta can fail
+  // (every DT neighbour stays reachable); no checkpoint is needed.
   GraphDelta delta;
   delta.kind = GraphDelta::Kind::kLinkAdd;
   delta.u = u;
@@ -781,17 +762,12 @@ Status Controller::roll_back(sden::SdenNetwork& net, Checkpoint& cp,
   return cause;
 }
 
-void Controller::begin_event() {
-  last_affected_.clear();
-  last_event_incremental_ = false;
-  last_fallback_ = obs::FallbackReason::kNone;
-}
+void Controller::begin_event() { last_affected_.clear(); }
 
 Status Controller::reinstall(sden::SdenNetwork& net) {
   // Every switch's state is replaced, so there is no meaningful
   // "affected subset" to report.
   last_affected_.clear();
-  last_event_incremental_ = false;
   auto dt = MultiHopDT::build(space_.participants(), space_.positions(),
                               net.description().switches(), routing_apsp());
   if (!dt.ok()) return dt.error();
@@ -846,41 +822,24 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
       break;
   }
 
-  // A declined delta finishes the event as a from-scratch DT build and
-  // full install. The APSP tables are current either way: a delta past
-  // its staleness threshold recomputes its table outright.
-  const auto decline = [&](obs::FallbackReason reason) {
-    last_fallback_ = reason;
-    return reinstall(net);
-  };
-  // The routing table drives the affected set; past the staleness
-  // threshold its changed-row list is unavailable.
+  // The routing table's changed rows drive the affected set.
   const graph::ApspDelta& routing_delta =
       options_.weighted_embedding ? wgt : hop;
-  if (routing_delta.full_recompute) {
-    return decline(obs::FallbackReason::kApspStale);
-  }
-  if (delta.position_collision) {
-    return decline(obs::FallbackReason::kPositionCollision);
-  }
 
-  // 2. Localized DT repair for switch join/leave. The repair rebuilds
-  // the rim participants itself; `touched` accumulates every switch
-  // whose installable state changed.
+  // 2. DT repair for switch join/leave, at the joiner's stored position
+  // (the space's collision nudge moves only the appended site). The
+  // repair rebuilds the participants it reports; `touched` accumulates
+  // every switch whose installable state changed.
   std::vector<std::size_t> repaired;
   std::vector<SwitchId> touched;
   if (delta.joined_dt) {
     const Status dt_repaired =
         delta.kind == GraphDelta::Kind::kSwitchAdd
-            ? dt_.add_participant(delta.u, delta.position, g, routing_apsp(),
-                                  &repaired, &touched)
+            ? dt_.add_participant(delta.u, space_.positions().back(), g,
+                                  routing_apsp(), &repaired, &touched)
             : dt_.remove_participant(delta.u, g, routing_apsp(), &repaired,
                                      &touched);
-    if (!dt_repaired.ok()) {
-      return decline(dt_repaired.error().code == ErrorCode::kUnavailable
-                         ? obs::FallbackReason::kDtNotLocalized
-                         : obs::FallbackReason::kRepairError);
-    }
+    if (!dt_repaired.ok()) return dt_repaired;
   }
 
   // 3. The affected participants beyond the DT rim: those whose
@@ -946,7 +905,7 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
     if (std::binary_search(repaired.begin(), repaired.end(), i)) continue;
     const Status rebuilt = dt_.rebuild_participant(i, g, routing_apsp(),
                                                    &touched);
-    if (!rebuilt.ok()) return decline(obs::FallbackReason::kRepairError);
+    if (!rebuilt.ok()) return rebuilt;
     touched.push_back(parts[i]);
   }
 
@@ -959,9 +918,8 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
   }
 
   const Status patched = install_patch(net, touched, "install_patch");
-  if (!patched.ok()) return decline(obs::FallbackReason::kRepairError);
+  if (!patched.ok()) return patched;
   last_affected_ = std::move(touched);
-  last_event_incremental_ = true;
   return Status::Ok();
 }
 
@@ -1026,7 +984,7 @@ Status Controller::install_patch(sden::SdenNetwork& net,
   }
 
   // Machine-checked invariants (Debug / GRED_CHECKED builds), global so
-  // they re-prove after every install — cold, fallback or patch — that
+  // they re-prove after every install — cold, rollback or patch — that
   // the DT kept its empty-circumcircle property, the APSP tables agree
   // with the component structure, and the installed greedy/relay
   // entries realize the DT: the facts the stretch≈1 guarantee rests on.
@@ -1095,11 +1053,7 @@ Result<topology::SwitchId> Controller::add_switch_impl(
     // The new node joins the DT; others keep their positions
     // (Section VI: a join "only affects its neighbors").
     delta.joined_dt = true;
-    delta.position = fit_position(net, sw);
-    const std::vector<Point2D>& sites = space_.positions();
-    delta.position_collision =
-        std::find(sites.begin(), sites.end(), delta.position) != sites.end();
-    space_.add_participant(sw, delta.position);
+    space_.add_participant(sw, fit_position(net, sw));
   }
   // A rollback undoes the migration before the new switch's servers
   // are truncated away, so no item is lost with them.

@@ -13,7 +13,6 @@
 #include "core/virtual_space.hpp"
 #include "crypto/data_key.hpp"
 #include "graph/shortest_path.hpp"
-#include "obs/events.hpp"
 #include "sden/network.hpp"
 
 namespace gred::obs {
@@ -193,9 +192,9 @@ class Controller {
   /// Joins a new switch with the given physical links and
   /// `server_count` servers of `capacity`. Existing switch positions
   /// are untouched (the join "only affects its neighbors"): the new
-  /// position is a local stress fit to hop distances, then the DT and
-  /// flow tables are rebuilt and affected items migrate to the new
-  /// home. Returns the new switch id.
+  /// position is the centroid of its nearest participants, then the DT
+  /// and the affected flow tables are repaired and affected items
+  /// migrate to the new home. Returns the new switch id.
   Result<topology::SwitchId> add_switch(
       sden::SdenNetwork& net, const std::vector<topology::SwitchId>& links,
       std::size_t server_count, std::size_t capacity = 0);
@@ -226,24 +225,19 @@ class Controller {
 
   // --- Delta path (DESIGN.md §14) ---
   //
-  // Every dynamics op runs on the delta path: delta-APSP, localized DT
-  // repair and per-switch flow-table patching. When a delta declines,
-  // the op falls back to a from-scratch DT build and full install; the
-  // result is identical either way. The controller never touches a
-  // route plan: the switches it installs are stamped by the network,
-  // whose next sync patches exactly those (SdenNetwork::sync_plan).
+  // Every dynamics op runs on the delta path: delta-APSP, DT repair
+  // and per-switch flow-table patching. A step that fails fails the op,
+  // which rolls back. The controller never touches a route plan: the
+  // switches it installs are stamped by the network, whose next sync
+  // patches exactly those (SdenNetwork::sync_plan).
 
-  /// Switches whose installable state the last dynamics op changed,
-  /// sorted ascending (diagnostics only). Empty after a full install
+  /// Switches whose installable state the last dynamics op patched,
+  /// sorted ascending (diagnostics, and the event log's `patched`
+  /// count). Empty when the op failed or after a full install
   /// (everything changed).
   const std::vector<topology::SwitchId>& last_affected_switches() const {
     return last_affected_;
   }
-  /// Whether the last dynamics op completed on the delta path (false:
-  /// it fell back, failed, or installed nothing).
-  bool last_event_incremental() const { return last_event_incremental_; }
-  /// Why the last dynamics op fell back (kNone when it did not).
-  obs::FallbackReason last_fallback() const { return last_fallback_; }
 
   /// Warm-started C-regulation (Section IV-B maintenance): re-runs
   /// Lloyd iterations seeded from the current positions until the CVT
@@ -333,7 +327,7 @@ class Controller {
 
   /// Rebuilds the DT from scratch over the current APSP and space and
   /// installs every switch: the tail of cold start, rollback and
-  /// re_regulate, and the fallback of a declined delta.
+  /// re_regulate.
   Status reinstall(sden::SdenNetwork& net);
 
   /// One churn event's description for the delta path. Remove events
@@ -350,18 +344,13 @@ class Controller {
     /// kSwitchRemove: participants whose virtual-link paths crossed u,
     /// captured (as switch ids) before the DT mutation.
     std::vector<topology::SwitchId> vlinks_through;
-    bool joined_dt = false;      ///< switch events: u is a participant
-    geometry::Point2D position;  ///< kSwitchAdd: u's fitted position
-    /// kSwitchAdd: the fitted position coincided with a site, so the
-    /// space nudged other sites apart — invisible to a local repair.
-    bool position_collision = false;
+    bool joined_dt = false;  ///< switch events: u is a participant
   };
 
-  /// The delta path: delta-APSP on both tables, localized DT repair,
+  /// The delta path: delta-APSP on both tables, DT repair,
   /// per-participant rebuild of the affected set, and a per-switch
-  /// flow-table patch. Falls back to reinstall() (identical result)
-  /// when a step declines: APSP staleness, a non-localized DT repair, a
-  /// position collision, or a repair error.
+  /// flow-table patch. Returns the first step's error; the caller rolls
+  /// back.
   Status rebuild_and_install_incremental(sden::SdenNetwork& net,
                                          const GraphDelta& delta);
 
@@ -402,7 +391,8 @@ class Controller {
   Status repair_replication_after_dynamics(sden::SdenNetwork& net,
                                            ItemMoves& moves);
 
-  /// Local stress-minimizing position for a joining switch.
+  /// A joining switch's position: the centroid of its nearest
+  /// participants (one step toward the square's centre from a lone one).
   geometry::Point2D fit_position(const sden::SdenNetwork& net,
                                  topology::SwitchId sw) const;
 
@@ -420,8 +410,6 @@ class Controller {
   graph::ApspResult apsp_weighted_;
   bool initialized_ = false;
   std::vector<topology::SwitchId> last_affected_;
-  bool last_event_incremental_ = false;
-  obs::FallbackReason last_fallback_ = obs::FallbackReason::kNone;
   std::size_t last_migration_ = 0;
   ReplicationOptions replication_;
   bool replication_enabled_ = false;

@@ -190,25 +190,19 @@ Status MultiHopDT::add_participant(
                       " already participates");
   }
 
-  geometry::RepairInfo repair;
-  auto inserted = dt_.insert(position, &repair);
+  std::vector<std::size_t> repaired;
+  auto inserted = dt_.insert(position, &repaired);
   if (!inserted.ok()) return inserted.error();
   const std::size_t idx = inserted.value();
 
   participants_.push_back(sw);
   index_[sw] = idx;
   candidates_.emplace_back();
-
-  if (!repair.localized) {
-    return Status(ErrorCode::kUnavailable,
-                  "MultiHopDT: Delaunay repair not localized");
-  }
-
-  for (const std::size_t i : repair.affected) {
+  for (const std::size_t i : repaired) {
     const Status s = rebuild_participant(i, physical, apsp, touched_switches);
     if (!s.ok()) return s;
   }
-  if (affected != nullptr) *affected = repair.affected;
+  if (affected != nullptr) *affected = std::move(repaired);
   return Status::Ok();
 }
 
@@ -230,8 +224,8 @@ Status MultiHopDT::remove_participant(
   drop_vlinks_of(sw, touched_switches);
   if (touched_switches != nullptr) touched_switches->push_back(sw);
 
-  geometry::RepairInfo repair;
-  const Status removed = dt_.remove(idx, &repair);
+  std::vector<std::size_t> repaired;
+  const Status removed = dt_.remove(idx, &repaired);
   if (!removed.ok()) return removed;
 
   participants_.erase(participants_.begin() +
@@ -242,16 +236,11 @@ Status MultiHopDT::remove_participant(
     index_[participants_[i]] = i;
   }
 
-  if (!repair.localized) {
-    return Status(ErrorCode::kUnavailable,
-                  "MultiHopDT: Delaunay repair not localized");
-  }
-
-  for (const std::size_t i : repair.affected) {
+  for (const std::size_t i : repaired) {
     const Status s = rebuild_participant(i, physical, apsp, touched_switches);
     if (!s.ok()) return s;
   }
-  if (affected != nullptr) *affected = repair.affected;
+  if (affected != nullptr) *affected = std::move(repaired);
   return Status::Ok();
 }
 

@@ -74,16 +74,15 @@ class MultiHopDT {
 
   // ----- incremental maintenance ------------------------------------
 
-  /// Joins `sw` at `position` via localized Delaunay repair (cavity
-  /// re-triangulation) and rebuilds the candidates/relays of every
-  /// participant whose DT adjacency changed. `affected` receives the
-  /// post-insert indices of those participants (the new one included);
+  /// Joins `sw` at `position` via Delaunay insertion (a local cavity
+  /// re-triangulation, or a rebuild of a degenerate triangulation) and
+  /// rebuilds the candidates/relays of every participant the insertion
+  /// reports as affected. `affected` receives the post-insert indices
+  /// of those participants (the new one included);
   /// `touched_switches` (optional) accumulates every switch whose
   /// installable state changed — rebuilt participants plus old and new
   /// virtual-link intermediates. The graph must already contain the
-  /// new switch's links and `apsp` must already be updated. Returns
-  /// kUnavailable when the Delaunay repair was not localized (degenerate
-  /// triangulation); the DT is then stale and must be rebuilt.
+  /// new switch's links and `apsp` must already be updated.
   Status add_participant(topology::SwitchId sw,
                          const geometry::Point2D& position,
                          const graph::Graph& physical,
@@ -91,11 +90,11 @@ class MultiHopDT {
                          std::vector<std::size_t>* affected,
                          std::vector<topology::SwitchId>* touched_switches);
 
-  /// Removes `sw` via localized repair and rebuilds the rim
-  /// participants. `affected` receives the post-removal indices of
-  /// participants whose adjacency changed. Returns kUnavailable when
-  /// the repair was not localized (hull site, degenerate or tiny
-  /// triangulation); the DT is then stale and must be rebuilt.
+  /// Removes `sw` via Delaunay removal (local for an interior site; a
+  /// hull site or a degenerate or tiny triangulation is rebuilt, and
+  /// every participant then counts as affected) and rebuilds the
+  /// affected participants. `affected` receives their post-removal
+  /// indices.
   Status remove_participant(topology::SwitchId sw,
                             const graph::Graph& physical,
                             const graph::ApspResult& apsp,

@@ -63,13 +63,10 @@ Result<VirtualSpace> VirtualSpace::build(
   } else if (n <= 3) {
     static const Point2D kTiny[3] = {{0.25, 0.35}, {0.75, 0.35}, {0.5, 0.75}};
     vs.mds_positions_.assign(kTiny, kTiny + n);
-    // Scale: the layout spans ~0.5 units for a 1-hop distance.
-    const double d01 = apsp.dist(participants[0], participants[1]);
-    if (d01 == graph::kUnreachable) {
+    if (apsp.dist(participants[0], participants[1]) == graph::kUnreachable) {
       return Error(ErrorCode::kFailedPrecondition,
                    "VirtualSpace: participants are disconnected");
     }
-    vs.scale_ = d01 > 0 ? 0.5 / d01 : 1.0;
   } else {
     // Distance sub-matrix of the participants (hop counts, or latency
     // costs under weighted_embedding — apsp is chosen by the caller).
@@ -116,7 +113,6 @@ Result<VirtualSpace> VirtualSpace::build(
     const double extent = std::max(max_x - min_x, max_y - min_y);
     const double usable = 1.0 - 2.0 * options.margin;
     const double scale = extent > 0.0 ? usable / extent : 1.0;
-    vs.scale_ = scale;
     const double cx = 0.5 * (min_x + max_x);
     const double cy = 0.5 * (min_y + max_y);
     vs.mds_positions_.reserve(n);
@@ -175,30 +171,18 @@ Result<VirtualSpace> VirtualSpace::from_positions(
     }
   }
 
+  // Reachability is symmetric, so one row decides connectivity.
+  for (const topology::SwitchId p : participants) {
+    if (apsp.dist(participants.front(), p) == graph::kUnreachable) {
+      return Error(ErrorCode::kFailedPrecondition,
+                   "from_positions: participants are disconnected");
+    }
+  }
+
   VirtualSpace vs;
   vs.participants_ = std::move(participants);
   vs.positions_ = std::move(positions);
   vs.mds_positions_ = vs.positions_;
-
-  // Scale estimate: mean (virtual distance / hop distance) over pairs.
-  double ratio_sum = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 0; i < vs.participants_.size(); ++i) {
-    for (std::size_t j = i + 1; j < vs.participants_.size(); ++j) {
-      const double hops =
-          apsp.dist(vs.participants_[i], vs.participants_[j]);
-      if (hops == graph::kUnreachable) {
-        return Error(ErrorCode::kFailedPrecondition,
-                     "from_positions: participants are disconnected");
-      }
-      if (hops > 0.0) {
-        ratio_sum +=
-            geometry::distance(vs.positions_[i], vs.positions_[j]) / hops;
-        ++pairs;
-      }
-    }
-  }
-  vs.scale_ = pairs > 0 ? ratio_sum / static_cast<double>(pairs) : 1.0;
   vs.rebuild_grid();
   return vs;
 }

@@ -81,9 +81,9 @@ class VirtualSpace {
       const graph::ApspResult& apsp, const VirtualSpaceOptions& options);
 
   /// Restores a space from explicit positions (snapshot load): no MDS
-  /// or CVT runs; the scale is re-estimated from `apsp` so later joins
-  /// fit consistently. Fails on size mismatch, duplicate positions, or
-  /// coordinates outside [0, 1].
+  /// or CVT runs. Fails on size mismatch, duplicate positions,
+  /// coordinates outside [0, 1], or participants `apsp` finds
+  /// disconnected.
   static Result<VirtualSpace> from_positions(
       std::vector<topology::SwitchId> participants,
       std::vector<geometry::Point2D> positions,
@@ -115,10 +115,6 @@ class VirtualSpace {
     return energy_history_;
   }
 
-  /// Virtual-space units per physical hop of the normalized embedding
-  /// (used to place newly joining switches consistently).
-  double scale() const { return scale_; }
-
   /// The participant whose position is nearest to `p` (paper
   /// tie-break). Answered from a uniform-grid index over the positions
   /// — expected O(1) per query instead of the O(n) scan, with exactly
@@ -134,8 +130,9 @@ class VirtualSpace {
       const geometry::Point2D& p, std::size_t k) const;
 
   /// Appends a participant at an explicit position (node join,
-  /// Section VI). The caller computes the position (Controller does a
-  /// local stress fit).
+  /// Section VI). The caller computes the position (Controller: the
+  /// centroid of the joiner's nearest participants). A position that
+  /// coincides with a site is nudged; only the appended site moves.
   void add_participant(topology::SwitchId sw, const geometry::Point2D& p);
 
   /// Removes a participant (node leave). No-op when absent.
@@ -161,7 +158,6 @@ class VirtualSpace {
   geometry::SiteGrid grid_;
   std::vector<double> energy_history_;
   double stress_ = 0.0;
-  double scale_ = 1.0;
 };
 
 }  // namespace gred::core

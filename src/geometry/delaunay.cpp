@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "geometry/predicates.hpp"
@@ -21,6 +22,14 @@ bool all_collinear(const std::vector<Point2D>& pts) {
     if (orient2d(a, b, pts[i]) != Orientation::kCollinear) return false;
   }
   return true;
+}
+
+/// Sets `affected` (when given) to all `n` sites: a rebuild may change
+/// any adjacency.
+void list_every_site(std::size_t n, std::vector<std::size_t>* affected) {
+  if (affected == nullptr) return;
+  affected->resize(n);
+  std::iota(affected->begin(), affected->end(), std::size_t{0});
 }
 
 }  // namespace
@@ -227,12 +236,9 @@ Result<DelaunayTriangulation> DelaunayTriangulation::build(
   return dt;
 }
 
-Result<std::size_t> DelaunayTriangulation::insert(const Point2D& p,
-                                                  RepairInfo* repair) {
-  if (repair != nullptr) {
-    repair->localized = false;
-    repair->affected.clear();
-  }
+Result<std::size_t> DelaunayTriangulation::insert(
+    const Point2D& p, std::vector<std::size_t>* affected) {
+  if (affected != nullptr) affected->clear();
   for (const Point2D& q : points_) {
     if (q == p) {
       return Error(ErrorCode::kInvalidArgument,
@@ -248,57 +254,57 @@ Result<std::size_t> DelaunayTriangulation::insert(const Point2D& p,
     auto rebuilt = build(std::move(pts));
     if (!rebuilt.ok()) return rebuilt.error();
     *this = std::move(rebuilt).value();
+    list_every_site(points_.size(), affected);
     return points_.size() - 1;
   }
 
   points_.push_back(p);
   const std::size_t idx = points_.size() - 1;
-  std::vector<std::size_t> cavity;
-  const Status inserted = insert_into_faces(
-      points_, faces_, idx, repair != nullptr ? &cavity : nullptr);
+  const Status inserted = insert_into_faces(points_, faces_, idx, affected);
   if (!inserted.ok()) {
     points_.pop_back();
     return inserted.error();
   }
   refresh_from_faces();
-  if (repair != nullptr) {
-    cavity.push_back(idx);
-    std::sort(cavity.begin(), cavity.end());
-    cavity.erase(std::unique(cavity.begin(), cavity.end()), cavity.end());
-    repair->localized = true;
-    repair->affected = std::move(cavity);
+  if (affected != nullptr) {
+    affected->push_back(idx);
+    std::sort(affected->begin(), affected->end());
+    affected->erase(std::unique(affected->begin(), affected->end()),
+                    affected->end());
   }
   return idx;
 }
 
-Status DelaunayTriangulation::rebuild_without(std::size_t idx) {
+Status DelaunayTriangulation::rebuild_without(
+    std::size_t idx, std::vector<std::size_t>* affected) {
   std::vector<Point2D> pts = points_;
   pts.erase(pts.begin() + static_cast<std::ptrdiff_t>(idx));
   auto rebuilt = build(std::move(pts));
   if (!rebuilt.ok()) return rebuilt.error();
   *this = std::move(rebuilt).value();
+  list_every_site(points_.size(), affected);
   return Status::Ok();
 }
 
-Status DelaunayTriangulation::remove(std::size_t idx, RepairInfo* repair) {
-  if (repair != nullptr) {
-    repair->localized = false;
-    repair->affected.clear();
-  }
+Status DelaunayTriangulation::remove(std::size_t idx,
+                                     std::vector<std::size_t>* affected) {
+  if (affected != nullptr) affected->clear();
   if (idx >= points_.size()) {
     return Status(ErrorCode::kInvalidArgument,
                   "DelaunayTriangulation::remove: index out of range");
   }
 
   // Degenerate or tiny states: adjacency-only representation, rebuild.
-  if (!maintainable_ || points_.size() <= 4) return rebuild_without(idx);
+  if (!maintainable_ || points_.size() <= 4) {
+    return rebuild_without(idx, affected);
+  }
 
   // Hull sites (any ghost face mentions them) change the hull shape;
   // repairing those locally needs the ghost ring rebuilt, which the
-  // ear-clipping below does not do. Fall back to a full rebuild.
+  // ear-clipping below does not do, so they are rebuilt.
   for (const Face& f : faces_) {
     if (f.c == kGhostVertex && (f.a == idx || f.b == idx)) {
-      return rebuild_without(idx);
+      return rebuild_without(idx, affected);
     }
   }
 
@@ -325,7 +331,7 @@ Status DelaunayTriangulation::remove(std::size_t idx, RepairInfo* repair) {
     }
     ring_next[a] = b;
   }
-  if (ring_next.size() < 3) return rebuild_without(idx);
+  if (ring_next.size() < 3) return rebuild_without(idx, affected);
 
   std::vector<std::size_t> ring;
   ring.reserve(ring_next.size());
@@ -333,17 +339,17 @@ Status DelaunayTriangulation::remove(std::size_t idx, RepairInfo* repair) {
   for (std::size_t step = 0; step < ring_next.size(); ++step) {
     ring.push_back(cur);
     const auto it = ring_next.find(cur);
-    if (it == ring_next.end()) return rebuild_without(idx);
+    if (it == ring_next.end()) return rebuild_without(idx, affected);
     cur = it->second;
   }
   // The walk must close into a single cycle covering every ring vertex.
-  if (cur != ring.front()) return rebuild_without(idx);
+  if (cur != ring.front()) return rebuild_without(idx, affected);
 
   // Ear clipping: repeatedly clip a convex corner whose circumdisk is
   // empty of the remaining ring vertices. The hole filling of a deleted
   // Delaunay vertex has every triangle's circumdisk empty of ALL ring
   // vertices, so a final verification pass against the full ring
-  // certifies the result; any failure (degenerate ring) falls back.
+  // certifies the result; any failure (degenerate ring) rebuilds.
   const std::vector<std::size_t> full_ring = ring;
   std::vector<Face> ears;
   ears.reserve(ring.size() - 2);
@@ -371,11 +377,11 @@ Status DelaunayTriangulation::remove(std::size_t idx, RepairInfo* repair) {
       clipped = true;
       break;
     }
-    if (!clipped) return rebuild_without(idx);
+    if (!clipped) return rebuild_without(idx, affected);
   }
   if (orient2d(points_[ring[0]], points_[ring[1]], points_[ring[2]]) !=
       Orientation::kCounterClockwise) {
-    return rebuild_without(idx);
+    return rebuild_without(idx, affected);
   }
   ears.push_back({ring[0], ring[1], ring[2]});
   for (const Face& e : ears) {
@@ -383,7 +389,7 @@ Status DelaunayTriangulation::remove(std::size_t idx, RepairInfo* repair) {
       if (r == e.a || r == e.b || r == e.c) continue;
       if (in_circumcircle(points_[e.a], points_[e.b], points_[e.c],
                           points_[r])) {
-        return rebuild_without(idx);
+        return rebuild_without(idx, affected);
       }
     }
   }
@@ -411,11 +417,10 @@ Status DelaunayTriangulation::remove(std::size_t idx, RepairInfo* repair) {
   points_.erase(points_.begin() + static_cast<std::ptrdiff_t>(idx));
   refresh_from_faces();
 
-  if (repair != nullptr) {
-    repair->localized = true;
-    repair->affected = full_ring;
-    for (std::size_t& v : repair->affected) v = compact(v);
-    std::sort(repair->affected.begin(), repair->affected.end());
+  if (affected != nullptr) {
+    *affected = full_ring;
+    for (std::size_t& v : *affected) v = compact(v);
+    std::sort(affected->begin(), affected->end());
   }
   return Status::Ok();
 }

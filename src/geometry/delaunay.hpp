@@ -29,17 +29,6 @@ struct Triangle {
   }
 };
 
-/// What an incremental insert/remove touched. When `localized` the
-/// repair was a cavity re-triangulation and `affected` lists the
-/// post-operation site indices whose DT adjacency may have changed
-/// (sorted, deduplicated; the inserted site included). When the
-/// structure fell back to a full rebuild, `localized` is false and
-/// `affected` is empty — every site must be treated as changed.
-struct RepairInfo {
-  bool localized = false;
-  std::vector<std::size_t> affected;
-};
-
 class DelaunayTriangulation {
  public:
   /// An empty triangulation (no sites); fill via build().
@@ -91,17 +80,22 @@ class DelaunayTriangulation {
   /// faces whose circumdisk contains `p` are retriangulated, so the
   /// update cost is local. Returns the new site's index. Fails on
   /// duplicates. Degenerate triangulations (fewer than 3 sites or a
-  /// collinear chain) fall back to a full rebuild internally.
-  /// `repair` (optional) reports the touched sites.
-  Result<std::size_t> insert(const Point2D& p, RepairInfo* repair = nullptr);
+  /// collinear chain) are rebuilt from scratch instead. `affected`
+  /// (optional) receives the sites whose adjacency may have changed,
+  /// sorted: the cavity's sites and the new one, or every site after a
+  /// rebuild.
+  Result<std::size_t> insert(const Point2D& p,
+                             std::vector<std::size_t>* affected = nullptr);
 
   /// Removes site `idx` (node leave). Interior sites are removed
   /// locally: their incident faces are deleted and the star polygon is
   /// re-triangulated by Delaunay ear clipping, so only the link ring is
-  /// touched. Hull sites and degenerate states fall back to a full
-  /// rebuild (reported via `repair`). Site indices above `idx` shift
-  /// down by one, exactly like erasing from the point vector.
-  Status remove(std::size_t idx, RepairInfo* repair = nullptr);
+  /// touched. Hull sites and degenerate or tiny states are rebuilt from
+  /// scratch instead. `affected` (optional) receives the post-removal
+  /// indices of the sites whose adjacency may have changed, sorted: the
+  /// link ring, or every site after a rebuild. Site indices above `idx`
+  /// shift down by one, exactly like erasing from the point vector.
+  Status remove(std::size_t idx, std::vector<std::size_t>* affected = nullptr);
 
  private:
   /// Face record including ghost faces: finite faces are CCW triangles;
@@ -120,9 +114,9 @@ class DelaunayTriangulation {
                                   std::vector<Face>& faces, std::size_t idx,
                                   std::vector<std::size_t>* cavity = nullptr);
 
-  /// Rebuilds from scratch over the current points with `idx` erased;
-  /// shared fallback for remove().
-  Status rebuild_without(std::size_t idx);
+  /// Rebuilds from scratch over the current points with `idx` erased
+  /// (remove()'s non-local case) and lists every site in `affected`.
+  Status rebuild_without(std::size_t idx, std::vector<std::size_t>* affected);
 
   /// Refreshes triangles_ and adjacency_ from faces_.
   void refresh_from_faces();

@@ -231,10 +231,11 @@ ApspDelta collect_rows(const std::vector<char>& changed) {
   return delta;
 }
 
+/// Guard for a table that does not match the graph: recompute it and
+/// list every row.
 ApspDelta full_fallback(ApspResult& r, const Graph& g, ThreadPool* pool) {
   r = all_pairs_shortest_paths(g, r.weighted, pool);
   ApspDelta delta;
-  delta.full_recompute = true;
   delta.changed_rows.resize(g.node_count());
   for (NodeId s = 0; s < delta.changed_rows.size(); ++s) {
     delta.changed_rows[s] = s;
@@ -345,21 +346,18 @@ ApspDelta apsp_add_edge(ApspResult& r, const Graph& g, NodeId u, NodeId v,
   if (edge == nullptr || r.dist.size() != n) return full_fallback(r, g, pool);
   const double w = r.weighted ? edge->weight : 1.0;
 
-  // Staleness pre-scan: rows the new edge strictly improves (two reads
-  // per row). Past the 50% threshold the localized updates approach
-  // full-recompute work with extra bookkeeping, so recompute outright.
+  // Pre-scan: rows the new edge strictly improves (two reads per row).
+  // Exactly these rows change, since the edge shortens a row only by
+  // improving one of its endpoints.
   std::vector<char> seeded(n, 0);
-  std::size_t seed_count = 0;
   for (NodeId s = 0; s < n; ++s) {
     const double du = r.dist(s, u);
     const double dv = r.dist(s, v);
     if ((du != kUnreachable && du + w < dv) ||
         (dv != kUnreachable && dv + w < du)) {
       seeded[s] = 1;
-      ++seed_count;
     }
   }
-  if (2 * seed_count > n) return full_fallback(r, g, pool);
 
   pool_or_global(pool).parallel_for(0, n, 1, [&](std::size_t lo,
                                                  std::size_t hi) {
@@ -389,10 +387,9 @@ ApspDelta apsp_remove_edge(ApspResult& r, const Graph& g, NodeId u, NodeId v,
   // Pre-scan: rows where the removed edge was tight (supported one
   // endpoint's value). Tight is an overestimate of affected — the
   // endpoint may have alternative support — but it is the cheapest
-  // sound filter, and past the threshold we recompute.
+  // sound filter; the per-row update reports whether the row moved.
   std::vector<char> tight(n, 0);
   std::vector<NodeId> casualty(n, kNoNode);
-  std::size_t tight_count = 0;
   for (NodeId s = 0; s < n; ++s) {
     const double du = r.dist(s, u);
     const double dv = r.dist(s, v);
@@ -406,10 +403,8 @@ ApspDelta apsp_remove_edge(ApspResult& r, const Graph& g, NodeId u, NodeId v,
     if (z != kNoNode) {
       tight[s] = 1;
       casualty[s] = z;
-      ++tight_count;
     }
   }
-  if (2 * tight_count > n) return full_fallback(r, g, pool);
 
   std::vector<char> changed(n, 0);
   pool_or_global(pool).parallel_for(0, n, 1, [&](std::size_t lo,

@@ -120,16 +120,13 @@ struct ApspResult {
 ApspResult all_pairs_shortest_paths(const Graph& g, bool weighted = false,
                                     ThreadPool* pool = nullptr);
 
-/// What a delta update touched. `changed_rows` lists sources whose
-/// distance row differs from before (sorted ascending); consumers use
-/// it to localize virtual-link and flow-table repair. When the
-/// affected fraction crosses the staleness threshold the update is
-/// performed as a full recompute instead (identical result, and the
-/// delta bookkeeping would have cost more than it saves);
-/// `full_recompute` reports that so benchmarks can count it.
+/// What a delta update touched. `changed_rows` lists exactly the
+/// sources whose distance row differs from before (sorted ascending);
+/// consumers use it to localize virtual-link and flow-table repair. A
+/// table that does not match the graph (wrong size, missing edge) is
+/// recomputed instead, and every row is listed.
 struct ApspDelta {
   std::vector<NodeId> changed_rows;
-  bool full_recompute = false;
 };
 
 /// Delta update after edge (u, v) was ADDED to `g` (the edge must

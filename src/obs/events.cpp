@@ -20,22 +20,6 @@ const char* event_kind_name(EventKind kind) {
   return "unknown";
 }
 
-const char* fallback_reason_name(FallbackReason reason) {
-  switch (reason) {
-    case FallbackReason::kNone:
-      return "none";
-    case FallbackReason::kApspStale:
-      return "apsp_stale";
-    case FallbackReason::kDtNotLocalized:
-      return "dt_not_localized";
-    case FallbackReason::kPositionCollision:
-      return "position_collision";
-    case FallbackReason::kRepairError:
-      return "repair_error";
-  }
-  return "unknown";
-}
-
 std::uint64_t EventLog::append(DynamicsEvent ev) {
   gred::MutexLock lock(mu_);
   ev.seq = next_seq_++;

@@ -1,10 +1,9 @@
 // Dynamics event log: an audit trail of every Section VI topology
 // change and Section V-B range-extension change the controller
 // executes. Each entry records what was asked, whether it succeeded,
-// whether it ran on the delta path (and if not, why it fell back), how
-// many items migrated, and the installed flow-entry count before and
-// after — enough to reconstruct what a reconfiguration actually did to
-// the data plane.
+// how many switches its delta patched, how many items migrated, and the
+// installed flow-entry count before and after — enough to reconstruct
+// what a reconfiguration actually did to the data plane.
 //
 // Control-plane rate only (a handful of events per churn op), so a
 // mutex-guarded vector is the right tool; entries are appended only
@@ -32,18 +31,6 @@ enum class EventKind : std::uint8_t {
 
 const char* event_kind_name(EventKind kind);
 
-/// Why a dynamics event declined the delta path and fell back to a
-/// from-scratch DT rebuild and full install.
-enum class FallbackReason : std::uint8_t {
-  kNone,               ///< no fallback (delta path, or no install ran)
-  kApspStale,          ///< delta-APSP crossed its staleness threshold
-  kDtNotLocalized,     ///< the Delaunay repair touched the hull
-  kPositionCollision,  ///< a joiner's position coincided with a site
-  kRepairError,        ///< a DT repair or patch step returned an error
-};
-
-const char* fallback_reason_name(FallbackReason reason);
-
 struct DynamicsEvent {
   std::uint64_t seq = 0;  ///< assigned by the log, append order
   EventKind kind = EventKind::kAddSwitch;
@@ -55,10 +42,9 @@ struct DynamicsEvent {
   /// Secondary subject: the v of a link op, the delegate server of an
   /// extension; 0 otherwise.
   std::uint32_t peer = 0;
-  /// The op's install ran on the delta path (delta-APSP, local DT
-  /// repair, per-switch patch).
-  bool incremental = false;
-  FallbackReason fallback = FallbackReason::kNone;
+  /// Switches whose flow tables the op patched
+  /// (Controller::last_affected_switches()); 0 when it failed.
+  std::size_t patched = 0;
   std::size_t migrated = 0;        ///< items moved by the op
   std::size_t entries_before = 0;  ///< installed flow entries, pre-op
   std::size_t entries_after = 0;   ///< installed flow entries, post-op

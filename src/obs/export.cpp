@@ -170,11 +170,9 @@ void append_events_json(std::string& out, const EventLog& log) {
     out += num(static_cast<std::uint64_t>(e.subject));
     out += ", \"peer\": ";
     out += num(static_cast<std::uint64_t>(e.peer));
-    out += ", \"incremental\": ";
-    out += e.incremental ? "true" : "false";
-    out += ", \"fallback\": \"";
-    out += fallback_reason_name(e.fallback);
-    out += "\", \"migrated\": ";
+    out += ", \"patched\": ";
+    out += num(static_cast<std::uint64_t>(e.patched));
+    out += ", \"migrated\": ";
     out += num(static_cast<std::uint64_t>(e.migrated));
     out += ", \"entries_before\": ";
     out += num(static_cast<std::uint64_t>(e.entries_before));

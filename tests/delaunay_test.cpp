@@ -320,6 +320,164 @@ TEST(DelaunayInsertTest, GreedyDeliveryHoldsAfterInsertions) {
   }
 }
 
+// ---------- incremental repair: insert / remove ----------
+
+/// Sites of `after` whose neighbour list differs from the one they had
+/// in `before`, where after-site j was before-site `old_of[j]` (kNoSite:
+/// a new site, which always counts). Losing a removed neighbour counts
+/// as a change.
+std::vector<std::size_t> changed_sites(const DelaunayTriangulation& before,
+                                       const DelaunayTriangulation& after,
+                                       const std::vector<std::size_t>& old_of) {
+  std::vector<std::size_t> new_of(before.size(), kNoSite);
+  for (std::size_t j = 0; j < after.size(); ++j) {
+    if (old_of[j] != kNoSite) new_of[old_of[j]] = j;
+  }
+  std::vector<std::size_t> out;
+  for (std::size_t j = 0; j < after.size(); ++j) {
+    if (old_of[j] == kNoSite) {
+      out.push_back(j);
+      continue;
+    }
+    std::vector<std::size_t> was;
+    for (const std::size_t k : before.neighbors(old_of[j])) {
+      was.push_back(new_of[k]);
+    }
+    std::sort(was.begin(), was.end());
+    if (was != after.neighbors(j)) out.push_back(j);
+  }
+  return out;
+}
+
+/// The repaired triangulation must equal a fresh build of its points,
+/// and `affected` must be sorted and cover every changed site.
+void expect_repair_exact(const DelaunayTriangulation& before,
+                         const DelaunayTriangulation& after,
+                         const std::vector<std::size_t>& old_of,
+                         const std::vector<std::size_t>& affected) {
+  auto fresh = DelaunayTriangulation::build(after.points());
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(fresh.value().size(), after.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after.neighbors(i), fresh.value().neighbors(i)) << "site " << i;
+  }
+  EXPECT_TRUE(std::is_sorted(affected.begin(), affected.end()));
+  const std::vector<std::size_t> changed = changed_sites(before, after, old_of);
+  EXPECT_TRUE(std::includes(affected.begin(), affected.end(), changed.begin(),
+                            changed.end()))
+      << changed.size() << " changed, " << affected.size() << " affected";
+}
+
+std::vector<std::size_t> every_site(std::size_t n) {
+  std::vector<std::size_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = i;
+  return out;
+}
+
+/// Inserts `p`, checks the repair, and returns the affected sites.
+std::vector<std::size_t> insert_checked(DelaunayTriangulation& dt,
+                                        const Point2D& p) {
+  const DelaunayTriangulation before = dt;
+  std::vector<std::size_t> affected;
+  auto idx = dt.insert(p, &affected);
+  EXPECT_TRUE(idx.ok());
+  if (!idx.ok()) return {};
+  EXPECT_EQ(idx.value(), before.size());
+  std::vector<std::size_t> old_of = every_site(before.size());
+  old_of.push_back(kNoSite);
+  expect_repair_exact(before, dt, old_of, affected);
+  return affected;
+}
+
+/// Removes site `idx`, checks the repair, and returns the affected sites.
+std::vector<std::size_t> remove_checked(DelaunayTriangulation& dt,
+                                        std::size_t idx) {
+  const DelaunayTriangulation before = dt;
+  std::vector<std::size_t> affected;
+  EXPECT_TRUE(dt.remove(idx, &affected).ok());
+  std::vector<std::size_t> old_of;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (i != idx) old_of.push_back(i);
+  }
+  EXPECT_EQ(dt.size(), old_of.size());
+  expect_repair_exact(before, dt, old_of, affected);
+  return affected;
+}
+
+bool on_hull(const DelaunayTriangulation& dt, std::size_t i) {
+  const std::vector<Point2D> hull = convex_hull(dt.points());
+  return std::find(hull.begin(), hull.end(), dt.points()[i]) != hull.end();
+}
+
+TEST(DelaunayRepairTest, InteriorAndHullInsertsAreLocal) {
+  auto built = DelaunayTriangulation::build(random_points(40, 501));
+  ASSERT_TRUE(built.ok());
+  DelaunayTriangulation dt = std::move(built).value();
+  const auto interior = insert_checked(dt, {0.5, 0.5});
+  EXPECT_LT(interior.size(), dt.size());
+  // Outside the hull: the ghost faces keep the cavity local too.
+  const auto hull = insert_checked(dt, {1.5, 0.5});
+  EXPECT_LT(hull.size(), dt.size());
+}
+
+TEST(DelaunayRepairTest, InteriorRemoveIsLocal) {
+  auto built = DelaunayTriangulation::build(random_points(40, 502));
+  ASSERT_TRUE(built.ok());
+  DelaunayTriangulation dt = std::move(built).value();
+  const std::size_t idx = dt.nearest_site({0.5, 0.5});
+  ASSERT_FALSE(on_hull(dt, idx));
+  const auto affected = remove_checked(dt, idx);
+  EXPECT_FALSE(affected.empty());
+  EXPECT_LT(affected.size(), dt.size());
+}
+
+TEST(DelaunayRepairTest, HullRemoveRebuildsAndListsEverySite) {
+  auto built = DelaunayTriangulation::build(random_points(40, 503));
+  ASSERT_TRUE(built.ok());
+  DelaunayTriangulation dt = std::move(built).value();
+  std::size_t idx = 0;
+  while (!on_hull(dt, idx)) ++idx;
+  EXPECT_EQ(remove_checked(dt, idx), every_site(39));
+}
+
+TEST(DelaunayRepairTest, TinyAndCollinearStatesListEverySite) {
+  // Fewer than three sites: insert rebuilds.
+  auto pair = DelaunayTriangulation::build({{0.1, 0.1}, {0.9, 0.2}});
+  ASSERT_TRUE(pair.ok());
+  DelaunayTriangulation dt = std::move(pair).value();
+  EXPECT_EQ(insert_checked(dt, {0.4, 0.8}), every_site(3));
+  // Four sites or fewer: remove rebuilds, interior site included.
+  EXPECT_EQ(insert_checked(dt, {0.45, 0.4}).size(), 4u);
+  EXPECT_EQ(remove_checked(dt, 3), every_site(3));
+
+  // A collinear chain: inserts on and off the line, and removes, rebuild.
+  auto chain = DelaunayTriangulation::build(
+      {{0.1, 0.5}, {0.3, 0.5}, {0.5, 0.5}, {0.7, 0.5}, {0.9, 0.5}});
+  ASSERT_TRUE(chain.ok());
+  DelaunayTriangulation line = std::move(chain).value();
+  EXPECT_EQ(insert_checked(line, {0.2, 0.5}), every_site(6));
+  EXPECT_EQ(remove_checked(line, 2), every_site(5));
+  EXPECT_EQ(insert_checked(line, {0.5, 0.9}), every_site(6));
+  EXPECT_FALSE(line.triangles().empty());
+}
+
+TEST(DelaunayRepairTest, RandomInsertRemoveSequenceStaysExact) {
+  auto built = DelaunayTriangulation::build(random_points(30, 504));
+  ASSERT_TRUE(built.ok());
+  DelaunayTriangulation dt = std::move(built).value();
+  Rng rng(505);
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE(step);
+    if (rng.next_below(2) == 0 && dt.size() > 8) {
+      remove_checked(dt, rng.next_below(dt.size()));
+    } else {
+      insert_checked(dt, {rng.next_double(), rng.next_double()});
+    }
+    ASSERT_FALSE(::testing::Test::HasFailure());
+  }
+  EXPECT_TRUE(dt.is_valid_delaunay());
+}
+
 TEST(DelaunayStressTest, NearCollinearBand) {
   Rng rng(89);
   std::vector<Point2D> pts;

@@ -8,6 +8,9 @@
 //      reinstalls all switch state from scratch).
 //   4. Controller::remove_switch must be atomic like add_switch — a
 //      failed re-placement must not destroy the leaving switch's items.
+//   5. A joining switch must land among its neighbours, not on the
+//      unit square's boundary (which made every later leave a hull
+//      removal).
 // Each test fails on the pre-fix code. The planned-move primitive's
 // edges (all-or-nothing pullback, capacity-bounded hot-item spread)
 // close the file.
@@ -16,10 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/controller.hpp"
 #include "core/protocol.hpp"
 #include "obs/switch_load.hpp"
 #include "topology/presets.hpp"
+#include "topology/waxman.hpp"
 
 namespace gred::core {
 namespace {
@@ -392,6 +397,55 @@ TEST(PlannedMoveTest, HotItemSpreadStopsAtDelegateCapacity) {
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().route.found) << id;
     EXPECT_EQ(r.value().route.payload, "v-" + id);
+  }
+}
+
+// --- Bug 5: join position -------------------------------------------
+
+TEST(JoinPositionTest, JoinerLandsInsideItsNeighboursHull) {
+  Rng rng(0x6A01u);
+  topology::WaxmanOptions opt;
+  opt.node_count = 128;
+  opt.min_degree = 3;
+  auto topo = topology::generate_waxman(opt, rng);
+  ASSERT_TRUE(topo.ok());
+  SdenNetwork net = make_net(std::move(topo).value().graph, 1);
+  Controller ctrl;
+  ASSERT_TRUE(ctrl.initialize(net).ok());
+
+  for (int join = 0; join < 8; ++join) {
+    SCOPED_TRACE(join);
+    // Like an edge deployment: next to a participant and to one 2-3
+    // hops from it.
+    const std::vector<SwitchId>& parts = ctrl.space().participants();
+    const SwitchId a = parts[rng.next_below(parts.size())];
+    SwitchId b = a;
+    std::size_t seen = 0;
+    for (const SwitchId t : parts) {
+      const double d = ctrl.apsp().dist(a, t);
+      if (d >= 2.0 && d <= 3.0 && rng.next_below(++seen) == 0) b = t;
+    }
+    ASSERT_NE(a, b);
+    auto joined = ctrl.add_switch(net, {a, b}, /*server_count=*/1);
+    ASSERT_TRUE(joined.ok()) << joined.error().to_string();
+
+    const auto position_of = [&](SwitchId sw) {
+      return ctrl.space().positions()[ctrl.space().index_of(sw)];
+    };
+    const geometry::Point2D p = position_of(joined.value());
+    const geometry::Point2D pa = position_of(a);
+    const geometry::Point2D pb = position_of(b);
+    EXPECT_GT(p.x, 0.0);
+    EXPECT_LT(p.x, 1.0);
+    EXPECT_GT(p.y, 0.0);
+    EXPECT_LT(p.y, 1.0);
+    // Its participant neighbours are a and b, whose hull is the segment
+    // between them (up to a collision nudge).
+    const geometry::Point2D ab = pb - pa;
+    const double t = geometry::dot(p - pa, ab) / geometry::dot(ab, ab);
+    EXPECT_GE(t, 0.0);
+    EXPECT_LE(t, 1.0);
+    EXPECT_LT(geometry::norm(p - (pa + ab * t)), 1e-6);
   }
 }
 

@@ -254,6 +254,150 @@ TEST(ApspTest, TriangleInequality) {
   }
 }
 
+// ---------- delta APSP ----------
+
+/// A delta update must leave `after` bit-equal to a fresh recompute and
+/// list exactly the rows that differ from `before`. A row `before` does
+/// not have counts as changed; column `skip` and columns `before` does
+/// not have are not compared.
+void expect_exact_delta(const ApspResult& before, const ApspResult& after,
+                        const ApspDelta& delta, const Graph& g,
+                        NodeId skip = kNoNode) {
+  EXPECT_TRUE(after.dist == all_pairs_shortest_paths(g, after.weighted).dist);
+  std::vector<NodeId> differ;
+  for (NodeId s = 0; s < after.dist.size(); ++s) {
+    bool row_differs = s >= before.dist.size();
+    for (NodeId t = 0; !row_differs && t < before.dist.size(); ++t) {
+      row_differs = t != skip && before.dist(s, t) != after.dist(s, t);
+    }
+    if (row_differs) differ.push_back(s);
+  }
+  EXPECT_EQ(delta.changed_rows, differ);
+}
+
+Graph latency_waxman(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  topology::WaxmanOptions opt;
+  opt.node_count = n;
+  opt.min_degree = 3;
+  opt.latency_weights = true;
+  auto topo = topology::generate_waxman(opt, rng);
+  EXPECT_TRUE(topo.ok());
+  return std::move(topo).value().graph;
+}
+
+TEST(DeltaApspTest, AddEdgeMatchesRecompute) {
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted);
+    // A chord joining the ends of line(8) shortens 6 of its 8 rows.
+    Graph line = topology::line(8);
+    ApspResult r = all_pairs_shortest_paths(line, weighted);
+    ASSERT_TRUE(line.add_edge(0, 7).ok());
+    const ApspResult before = r;
+    const ApspDelta d = apsp_add_edge(r, line, 0, 7);
+    expect_exact_delta(before, r, d, line);
+    EXPECT_GT(2 * d.changed_rows.size(), line.node_count());
+
+    Graph g = latency_waxman(60, 31);
+    ApspResult wr = all_pairs_shortest_paths(g, weighted);
+    Rng rng(32);
+    for (int k = 0; k < 20; ++k) {
+      const NodeId u = rng.next_below(60);
+      const NodeId v = rng.next_below(60);
+      if (u == v || g.has_edge(u, v)) continue;
+      ASSERT_TRUE(g.add_edge(u, v, 0.5 + rng.next_double()).ok());
+      const ApspResult prev = wr;
+      expect_exact_delta(prev, wr, apsp_add_edge(wr, g, u, v), g);
+    }
+  }
+}
+
+TEST(DeltaApspTest, RemoveEdgeMatchesRecompute) {
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted);
+    // Cutting ring(8) lengthens 6 of its 8 rows.
+    Graph ring = topology::ring(8);
+    ApspResult r = all_pairs_shortest_paths(ring, weighted);
+    ASSERT_TRUE(ring.remove_edge(0, 1));
+    const ApspResult before = r;
+    const ApspDelta d = apsp_remove_edge(r, ring, 0, 1, 1.0);
+    expect_exact_delta(before, r, d, ring);
+    EXPECT_GT(2 * d.changed_rows.size(), ring.node_count());
+
+    // Random cuts, disconnecting ones included.
+    Graph g = latency_waxman(60, 41);
+    ApspResult wr = all_pairs_shortest_paths(g, weighted);
+    Rng rng(42);
+    for (int k = 0; k < 20; ++k) {
+      const NodeId u = rng.next_below(60);
+      if (g.neighbors(u).empty()) continue;
+      const EdgeTo e = g.neighbors(u)[rng.next_below(g.neighbors(u).size())];
+      ASSERT_TRUE(g.remove_edge(u, e.to));
+      const ApspResult prev = wr;
+      expect_exact_delta(prev, wr, apsp_remove_edge(wr, g, u, e.to, e.weight),
+                         g);
+    }
+  }
+}
+
+TEST(DeltaApspTest, AddNodeMatchesRecompute) {
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted);
+    // A node linked to both ends of line(8) shortcuts 6 of the old rows.
+    Graph line = topology::line(8);
+    ApspResult r = all_pairs_shortest_paths(line, weighted);
+    const NodeId hub = line.add_node();
+    ASSERT_TRUE(line.add_edge(hub, 0).ok());
+    ASSERT_TRUE(line.add_edge(hub, 7).ok());
+    const ApspResult before = r;
+    const ApspDelta d = apsp_add_node(r, line, hub);
+    expect_exact_delta(before, r, d, line);
+    EXPECT_GT(2 * d.changed_rows.size(), line.node_count());
+
+    Graph g = latency_waxman(60, 51);
+    ApspResult wr = all_pairs_shortest_paths(g, weighted);
+    Rng rng(52);
+    for (int k = 0; k < 10; ++k) {
+      const NodeId v = g.add_node();
+      for (int link = 0; link < 3; ++link) {
+        const NodeId u = rng.next_below(v);
+        if (!g.has_edge(u, v)) {
+          ASSERT_TRUE(g.add_edge(u, v, 0.5 + rng.next_double()).ok());
+        }
+      }
+      const ApspResult prev = wr;
+      expect_exact_delta(prev, wr, apsp_add_node(wr, g, v), g);
+    }
+  }
+}
+
+TEST(DeltaApspTest, RemoveNodeEdgesMatchesRecompute) {
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted);
+    // Detaching a node of ring(8) turns the rest into a line.
+    Graph ring = topology::ring(8);
+    ApspResult r = all_pairs_shortest_paths(ring, weighted);
+    const std::vector<EdgeTo> removed = ring.neighbors(0);
+    ring.remove_edges_of(0);
+    const ApspResult before = r;
+    const ApspDelta d = apsp_remove_node_edges(r, ring, 0, removed);
+    expect_exact_delta(before, r, d, ring, /*skip=*/0);
+    EXPECT_GT(2 * d.changed_rows.size(), ring.node_count());
+
+    Graph g = latency_waxman(60, 61);
+    ApspResult wr = all_pairs_shortest_paths(g, weighted);
+    Rng rng(62);
+    for (int k = 0; k < 10; ++k) {
+      const NodeId v = rng.next_below(60);
+      const std::vector<EdgeTo> adj = g.neighbors(v);
+      g.remove_edges_of(v);
+      const ApspResult prev = wr;
+      expect_exact_delta(prev, wr, apsp_remove_node_edges(wr, g, v, adj), g,
+                         v);
+    }
+  }
+}
+
 // ---------- properties ----------
 
 TEST(PropertiesTest, Connectivity) {

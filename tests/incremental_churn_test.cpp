@@ -256,17 +256,18 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
         break;
     }
 
-    if (ok && ctrl.last_event_incremental()) ++delta_events;
+    const std::size_t patched = ctrl.last_affected_switches().size();
+    if (ok && patched > 0 && patched < net.switch_count()) ++delta_events;
 
     verify(step);
     ASSERT_FALSE(::testing::Test::HasFailure())
         << "identity broke at step " << step << " (op " << op << ")";
   }
 
-  // The point of the soak is the delta path; if nearly every event
-  // fell back to the full install the differential proved nothing.
-  // (Fallbacks are legal — staleness, hull repairs, collisions — but
-  // must stay the exception at this scale.)
+  // The point of the soak is local repair; if nearly every event
+  // patched every switch the differential proved nothing about it.
+  // (Whole-network patches are legal — a hull leave rebuilds the DT —
+  // but must stay the exception at this scale.)
   EXPECT_GE(delta_events, kEvents / 3) << "delta path engaged too rarely";
 }
 
@@ -290,12 +291,70 @@ TEST(IncrementalChurn, LinkAddReportsDeltaPatchSet) {
   }
   ASSERT_NE(u, v);
   ASSERT_TRUE(ctrl.add_link(net, u, v, 1.0).ok());
-  EXPECT_TRUE(ctrl.last_event_incremental());
-  EXPECT_EQ(ctrl.last_fallback(), obs::FallbackReason::kNone);
   const auto& affected = ctrl.last_affected_switches();
   EXPECT_FALSE(affected.empty());
   EXPECT_TRUE(std::binary_search(affected.begin(), affected.end(), u));
   EXPECT_TRUE(std::binary_search(affected.begin(), affected.end(), v));
+}
+
+/// Restores `snap` into a fresh network over `net`'s topology and
+/// storage, expects its flow tables to equal `net`'s, and returns the
+/// restored controller's own snapshot.
+core::Snapshot cold_restore_matches(sden::SdenNetwork& net,
+                                    const core::Snapshot& snap, int step) {
+  sden::SdenNetwork cold(net.description());
+  for (ServerId s = 0; s < net.server_count(); ++s) {
+    cold.server(s) = net.server(s);
+  }
+  core::Controller cold_ctrl;
+  EXPECT_TRUE(core::restore_snapshot(cold_ctrl, cold, snap).ok()) << step;
+  expect_tables_equal(net, cold, step);
+  auto again = core::capture_snapshot(cold_ctrl, cold);
+  EXPECT_TRUE(again.ok()) << step;
+  return again.ok() ? again.value() : core::Snapshot{};
+}
+
+// Two switches joined to the same pair of participants fit the same
+// position; the space nudges the second one, and the DT takes it there.
+// Both joins stay local, match a cold restore, and the state survives a
+// snapshot text round trip.
+TEST(IncrementalChurn, CollidingJoinsStayLocalAndRoundTrip) {
+  sden::SdenNetwork net(make_net(64, 0xC011DEu));
+  core::Controller ctrl;
+  ASSERT_TRUE(ctrl.initialize(net).ok());
+  sden::RouteResult scratch;
+  for (int i = 0; i < 40; ++i) {
+    const std::string id = "col-" + std::to_string(i);
+    sden::Packet p = make_packet(id, sden::PacketType::kPlacement, "v-" + id);
+    net.route(p, static_cast<SwitchId>(i % 64), scratch);
+    ASSERT_TRUE(scratch.status.ok()) << id;
+  }
+
+  std::vector<geometry::Point2D> joined_at;
+  for (int step = 0; step < 2; ++step) {
+    auto joined = ctrl.add_switch(net, {3, 17}, /*server_count=*/2);
+    ASSERT_TRUE(joined.ok()) << joined.error().to_string();
+    const auto& affected = ctrl.last_affected_switches();
+    EXPECT_FALSE(affected.empty()) << step;
+    EXPECT_LT(affected.size(), net.switch_count()) << step;
+    joined_at.push_back(
+        ctrl.space().positions()[ctrl.space().index_of(joined.value())]);
+
+    auto snap = core::capture_snapshot(ctrl, net);
+    ASSERT_TRUE(snap.ok());
+    cold_restore_matches(net, snap.value(), step);
+  }
+  // The fits collided: the second joiner sits a nudge away from the first.
+  EXPECT_FALSE(joined_at[0] == joined_at[1]);
+  EXPECT_LT(geometry::norm(joined_at[1] - joined_at[0]), 1e-6);
+
+  auto snap = core::capture_snapshot(ctrl, net);
+  ASSERT_TRUE(snap.ok());
+  auto parsed = core::parse_snapshot(core::serialize_snapshot(snap.value()));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  const core::Snapshot again = cold_restore_matches(net, parsed.value(), 2);
+  EXPECT_EQ(again.participants, snap.value().participants);
+  EXPECT_EQ(again.positions, snap.value().positions);
 }
 
 }  // namespace

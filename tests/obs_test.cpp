@@ -249,39 +249,40 @@ TEST_F(ObsSystemTest, EventLogCoversChurnOps) {
   for (const DynamicsEvent& ev : events) EXPECT_TRUE(ev.ok);
 }
 
-TEST_F(ObsSystemTest, EventLogRecordsDeltaPathAndFallbackReason) {
-  // A chord across ring(6) shortens two of six distance rows: the
-  // delta path absorbs it.
+TEST_F(ObsSystemTest, EventLogRecordsPatchedCounts) {
+  // A chord across ring(6) shortens two of six distance rows; cutting
+  // ring(8) lengthens six of eight. Both finish on the delta path, and
+  // the log records how many switches each one patched.
   sden::SdenNetwork net = make_net();
   core::Controller ctrl;
   ASSERT_TRUE(ctrl.initialize(net).ok());
   ASSERT_TRUE(ctrl.add_link(net, 0, 3).ok());
-  // Cutting ring(8) lengthens every distance row, past delta-APSP's
-  // staleness threshold: the event falls back to a full install.
+  const std::size_t chord_patched = ctrl.last_affected_switches().size();
   sden::SdenNetwork ring8(
       topology::uniform_edge_network(topology::ring(8), 1));
   core::Controller ctrl8;
   ASSERT_TRUE(ctrl8.initialize(ring8).ok());
   ASSERT_TRUE(ctrl8.remove_link(ring8, 0, 1).ok());
-  EXPECT_FALSE(ctrl8.last_event_incremental());
-  EXPECT_EQ(ctrl8.last_fallback(), FallbackReason::kApspStale);
+  const std::size_t cut_patched = ctrl8.last_affected_switches().size();
+  EXPECT_GT(chord_patched, 0u);
+  EXPECT_GT(cut_patched, 0u);
 
   const auto events = event_log().snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, EventKind::kAddLink);
-  EXPECT_TRUE(events[0].incremental);
-  EXPECT_EQ(events[0].fallback, FallbackReason::kNone);
+  EXPECT_TRUE(events[0].ok);
+  EXPECT_EQ(events[0].patched, chord_patched);
   EXPECT_EQ(events[1].kind, EventKind::kRemoveLink);
-  EXPECT_FALSE(events[1].incremental);
-  EXPECT_EQ(events[1].fallback, FallbackReason::kApspStale);
-  EXPECT_STREQ(fallback_reason_name(events[1].fallback), "apsp_stale");
+  EXPECT_TRUE(events[1].ok);
+  EXPECT_EQ(events[1].patched, cut_patched);
 
   const std::string json = to_json(default_sources());
-  EXPECT_NE(json.find("\"incremental\": true, \"fallback\": \"none\""),
-            std::string::npos);
-  EXPECT_NE(
-      json.find("\"incremental\": false, \"fallback\": \"apsp_stale\""),
-      std::string::npos);
+  for (const std::size_t patched : {chord_patched, cut_patched}) {
+    EXPECT_NE(json.find("\"patched\": " + std::to_string(patched) +
+                        ", \"migrated\""),
+              std::string::npos)
+        << patched;
+  }
 }
 
 TEST_F(ObsSystemTest, JsonAndPrometheusExportCarryAllSections) {
