@@ -17,17 +17,17 @@ namespace {
 void ablate_cvt_samples() {
   std::printf("\n[A] C-regulation sampling density (T = 50, 100k items, "
               "60 switches x 10 servers)\n");
-  const auto ids = bench::make_ids(100000, 21);
+  const auto ids = eval::workload_ids(100000, 21);
   Table table({"samples/iter", "max/avg", "Jain fairness"});
   for (std::size_t samples : {100u, 500u, 1000u, 5000u, 20000u}) {
     const topology::EdgeNetwork net =
-        bench::make_waxman_network(60, 10, 3, 8000);
+        bench::network({.switches = 60, .topology_seed = 8000});
     core::VirtualSpaceOptions opt = bench::gred_options(50);
     opt.cvt_samples = samples;
     auto sys = core::GredSystem::create(net, opt);
     if (!sys.ok()) std::abort();
     const auto report =
-        core::load_balance(bench::gred_loads(sys.value(), ids));
+        eval::measure_gred_balance(sys.value(), ids).report;
     table.add_row({std::to_string(samples), Table::fmt(report.max_over_avg),
                    Table::fmt(report.jain)});
   }
@@ -38,7 +38,7 @@ void ablate_embedding_dimension() {
   std::printf("\n[B] Embedding dimension: Kruskal stress of the M-position "
               "embedding (100-switch Waxman)\n");
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(100, 10, 3, 8100);
+      bench::network({.switches = 100, .topology_seed = 8100});
   const auto apsp = graph::all_pairs_shortest_paths(net.switches());
   linalg::Matrix dist(100, 100);
   for (std::size_t i = 0; i < 100; ++i) {
@@ -59,8 +59,8 @@ void ablate_chord_virtual_nodes() {
   std::printf("\n[C] Chord virtual nodes: balance vs routing state "
               "(50 switches x 10 servers, 100k items)\n");
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(50, 10, 3, 8200);
-  const auto ids = bench::make_ids(100000, 22);
+      bench::network({.switches = 50, .topology_seed = 8200});
+  const auto ids = eval::workload_ids(100000, 22);
   Table table({"virtual nodes", "max/avg", "finger entries/server"});
   for (unsigned v : {1u, 2u, 4u, 8u, 16u}) {
     chord::ChordOptions opt;
@@ -68,14 +68,10 @@ void ablate_chord_virtual_nodes() {
     auto ring = chord::ChordRing::build(net, opt);
     if (!ring.ok()) std::abort();
     const double bal =
-        core::load_balance(bench::chord_loads(ring.value(), net, ids))
-            .max_over_avg;
-    double fingers = 0;
-    for (topology::ServerId s = 0; s < net.server_count(); ++s) {
-      fingers += static_cast<double>(ring.value().finger_entries(s));
-    }
-    table.add_row({std::to_string(v), Table::fmt(bal),
-                   Table::fmt(fingers / net.server_count(), 1)});
+        eval::measure_chord_balance(ring.value(), net, ids).report.max_over_avg;
+    table.add_row(
+        {std::to_string(v), Table::fmt(bal),
+         Table::fmt(eval::mean_chord_fingers(ring.value(), net), 1)});
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("Chord can buy balance with virtual nodes but pays in routing "
@@ -113,15 +109,9 @@ void ablate_replication() {
 void ablate_latency_embedding() {
   std::printf("\n[E] Hop-count vs latency-weighted embedding on a "
               "latency-weighted Waxman network (80 switches)\n");
-  Rng rng(31);
-  topology::WaxmanOptions wopt;
-  wopt.node_count = 80;
-  wopt.min_degree = 3;
-  wopt.latency_weights = true;  // link weight = geographic latency (ms)
-  auto topo = topology::generate_waxman(wopt, rng);
-  if (!topo.ok()) std::abort();
-  const topology::EdgeNetwork net = topology::uniform_edge_network(
-      std::move(topo).value().graph, 10);
+  // Link weight = geographic latency (ms).
+  const topology::EdgeNetwork net = bench::network(
+      {.switches = 80, .topology_seed = 31, .latency_weights = true});
 
   Table table({"embedding", "hop stretch", "latency stretch"});
   for (bool weighted : {false, true}) {
@@ -150,9 +140,9 @@ void ablate_embedding_algorithm() {
   std::printf("\n[F] Embedding algorithm: M-position (classical MDS) vs "
               "Vivaldi spring relaxation (80-switch Waxman, T = 50)\n");
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(80, 10, 3, 8300);
+      bench::network({.switches = 80, .topology_seed = 8300});
   Table table({"embedding", "stress", "mean stretch", "max/avg (100k items)"});
-  const auto ids = bench::make_ids(100000, 24);
+  const auto ids = eval::workload_ids(100000, 24);
   for (auto algo : {core::EmbeddingAlgorithm::kMPosition,
                     core::EmbeddingAlgorithm::kVivaldi}) {
     core::VirtualSpaceOptions opt = bench::gred_options(50);
@@ -167,9 +157,8 @@ void ablate_embedding_algorithm() {
       if (!r.ok()) std::abort();
       stretch.add(r.value().stretch);
     }
-    const double bal = core::load_balance(
-                           bench::gred_loads(sys.value(), ids))
-                           .max_over_avg;
+    const double bal =
+        eval::measure_gred_balance(sys.value(), ids).report.max_over_avg;
     table.add_row(
         {algo == core::EmbeddingAlgorithm::kMPosition ? "M-position"
                                                       : "Vivaldi",
@@ -186,7 +175,7 @@ void ablate_second_dht_baseline() {
   std::printf("\n[G] Second DHT baseline: GRED vs Chord vs Kademlia "
               "(60 switches x 10 servers, 100 lookups, 100k items)\n");
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(60, 10, 3, 8400);
+      bench::network({.switches = 60, .topology_seed = 8400});
   const auto apsp = graph::all_pairs_shortest_paths(net.switches());
   auto gred = core::GredSystem::create(net, bench::gred_options(50));
   auto ring = chord::ChordRing::build(net);
@@ -210,13 +199,11 @@ void ablate_second_dht_baseline() {
                   .stretch);
   }
 
-  const auto ids = bench::make_ids(100000, 27);
-  const double gred_bal = core::load_balance(
-                              bench::gred_loads(gred.value(), ids))
-                              .max_over_avg;
+  const auto ids = eval::workload_ids(100000, 27);
+  const double gred_bal =
+      eval::measure_gred_balance(gred.value(), ids).report.max_over_avg;
   const double chord_bal =
-      core::load_balance(bench::chord_loads(ring.value(), net, ids))
-          .max_over_avg;
+      eval::measure_chord_balance(ring.value(), net, ids).report.max_over_avg;
   std::vector<std::size_t> kad_loads(net.server_count(), 0);
   for (const std::string& id : ids) {
     ++kad_loads[kad_net.value().closest_server(

@@ -114,7 +114,8 @@ int main(int argc, char** argv) {
   const std::size_t throughput_rounds = smoke ? 5 : 40;
 
   const topology::EdgeNetwork desc =
-      bench::make_waxman_network(n, 4, 3, 9200 + n);
+      bench::network({.switches = n, .servers_per_switch = 4,
+                      .topology_seed = 9200 + n});
   auto built = core::GredSystem::create(desc, bench::gred_options(30));
   require(built.ok(), "GredSystem::create");
   core::GredSystem& sys = built.value();

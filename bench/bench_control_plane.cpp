@@ -178,7 +178,9 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   rep.n = n;
   const bool lockstep = n <= 256;
   auto made =
-      core::GredSystem::create(bench::make_waxman_network(n, 1, 3, 8100 + n),
+      core::GredSystem::create(bench::network({.switches = n,
+                                               .servers_per_switch = 1,
+                                               .topology_seed = 8100 + n}),
                                bench::gred_options(smoke ? 10 : 30));
   require(made.ok(), "GredSystem::create (churn)");
   core::GredSystem sys = std::move(made).value();
@@ -436,7 +438,9 @@ int main(int argc, char** argv) {
               pool.thread_count());
 
   // --- APSP: 400-switch Waxman, both tables like recompute_apsp. ---
-  const topology::EdgeNetwork net = bench::make_waxman_network(400, 1, 3, 424);
+  const topology::EdgeNetwork net = bench::network({.switches = 400,
+                                                    .servers_per_switch = 1,
+                                                    .topology_seed = 424});
   const graph::Graph& g = net.switches();
   graph::ApspResult serial_hops, serial_lat, pool_hops, pool_lat;
   const double apsp_serial_ms = time_ms([&] {
@@ -535,7 +539,8 @@ int main(int argc, char** argv) {
   obs::set_enabled(true);
   {
     const topology::EdgeNetwork obs_net =
-        bench::make_waxman_network(200, 2, 3, 777);
+        bench::network({.switches = 200, .servers_per_switch = 2,
+                        .topology_seed = 777});
     auto sys = core::GredSystem::create(obs_net, bench::gred_options(30));
     require(sys.ok(), "GredSystem::create (obs section)");
   }

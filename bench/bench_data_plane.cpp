@@ -144,7 +144,8 @@ SizeReport run_size(std::size_t n, bool smoke, bool trace,
   rep.n = static_cast<double>(n);
 
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(n, 4, 3, 7100 + n);
+      bench::network({.switches = n, .servers_per_switch = 4,
+                      .topology_seed = 7100 + n});
   auto sys = core::GredSystem::create(net, bench::gred_options(30));
   require(sys.ok(), "GredSystem::create");
   sden::SdenNetwork& network = sys.value().network();

@@ -135,7 +135,8 @@ struct RunConfig {
 VariantResult run_variant(const RunConfig& cfg, std::size_t k,
                           bool diverse) {
   const topology::EdgeNetwork desc =
-      bench::make_waxman_network(cfg.switches, 4, 3, cfg.topo_seed);
+      bench::network({.switches = cfg.switches, .servers_per_switch = 4,
+                      .topology_seed = cfg.topo_seed});
   auto built = core::GredSystem::create(desc, bench::gred_options(30));
   require(built.ok(), "GredSystem::create");
   core::GredSystem& sys = built.value();
@@ -254,7 +255,8 @@ int main(int argc, char** argv) {
   double nofault_allocs = 0.0;
   {
     const topology::EdgeNetwork desc =
-        bench::make_waxman_network(cfg.switches, 4, 3, cfg.topo_seed);
+        bench::network({.switches = cfg.switches, .servers_per_switch = 4,
+                        .topology_seed = cfg.topo_seed});
     auto built = core::GredSystem::create(desc, bench::gred_options(30));
     require(built.ok(), "GredSystem::create");
     core::GredSystem& sys = built.value();

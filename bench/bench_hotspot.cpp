@@ -333,7 +333,8 @@ int main(int argc, char** argv) {
   base.alloc_rounds = smoke ? 4 : 20;
 
   const topology::EdgeNetwork desc =
-      bench::make_waxman_network(base.switches, 4, 3, 7300 + base.switches);
+      bench::network({.switches = base.switches, .servers_per_switch = 4,
+                      .topology_seed = 7300 + base.switches});
 
   const double alphas[3] = {0.8, 1.0, 1.2};
   const char* alabel[3] = {"a08", "a10", "a12"};

@@ -6,31 +6,14 @@
 
 namespace gred::bench {
 
-topology::EdgeNetwork make_waxman_network(std::size_t switches,
-                                          std::size_t servers_per_switch,
-                                          std::size_t min_degree,
-                                          std::uint64_t seed) {
-  Rng rng(seed);
-  topology::WaxmanOptions opt;
-  opt.node_count = switches;
-  opt.min_degree = min_degree;
-  auto topo = topology::generate_waxman(opt, rng);
-  if (!topo.ok()) {
+topology::EdgeNetwork network(const eval::ScenarioOptions& scenario) {
+  auto net = eval::build_network(scenario);
+  if (!net.ok()) {
     std::fprintf(stderr, "topology generation failed: %s\n",
-                 topo.error().to_string().c_str());
+                 net.error().to_string().c_str());
     std::abort();
   }
-  return topology::uniform_edge_network(std::move(topo).value().graph,
-                                        servers_per_switch);
-}
-
-std::vector<std::string> make_ids(std::size_t count, std::uint64_t trial) {
-  std::vector<std::string> ids;
-  ids.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ids.push_back("data-" + std::to_string(trial) + "-" + std::to_string(i));
-  }
-  return ids;
+  return std::move(net).value();
 }
 
 core::VirtualSpaceOptions gred_options(std::size_t cvt_iterations) {
@@ -44,69 +27,6 @@ core::VirtualSpaceOptions nocvt_options() {
   core::VirtualSpaceOptions opt;
   opt.cvt_iterations = 0;
   return opt;
-}
-
-std::vector<double> gred_stretch_samples(core::GredSystem& sys,
-                                         std::size_t items,
-                                         std::uint64_t seed) {
-  Rng rng(seed);
-  const std::size_t switches = sys.network().switch_count();
-  std::vector<double> samples;
-  samples.reserve(items);
-  for (std::size_t i = 0; i < items; ++i) {
-    const std::string id = "stretch-" + std::to_string(seed) + "-" +
-                           std::to_string(i);
-    auto r = sys.place(id, "", rng.next_below(switches));
-    if (!r.ok()) {
-      std::fprintf(stderr, "placement failed: %s\n",
-                   r.error().to_string().c_str());
-      std::abort();
-    }
-    samples.push_back(r.value().stretch);
-  }
-  return samples;
-}
-
-std::vector<double> chord_stretch_samples(const chord::ChordRing& ring,
-                                          const topology::EdgeNetwork& net,
-                                          std::size_t items,
-                                          std::uint64_t seed) {
-  Rng rng(seed ^ 0xc402d);
-  const auto apsp = graph::all_pairs_shortest_paths(net.switches());
-  std::vector<double> samples;
-  samples.reserve(items);
-  for (std::size_t i = 0; i < items; ++i) {
-    const std::string id = "stretch-" + std::to_string(seed) + "-" +
-                           std::to_string(i);
-    const topology::ServerId origin = rng.next_below(net.server_count());
-    samples.push_back(
-        chord::measure_lookup(ring, net, apsp, origin,
-                              crypto::DataKey(id).prefix64())
-            .stretch);
-  }
-  return samples;
-}
-
-std::vector<std::size_t> gred_loads(core::GredSystem& sys,
-                                    const std::vector<std::string>& ids) {
-  std::vector<std::size_t> loads(sys.network().server_count(), 0);
-  for (const std::string& id : ids) {
-    const auto placement = sys.controller().expected_placement(
-        sys.network(), crypto::DataKey(id));
-    if (placement.ok()) ++loads[placement.value().server];
-  }
-  return loads;
-}
-
-std::vector<std::size_t> chord_loads(const chord::ChordRing& ring,
-                                     const topology::EdgeNetwork& net,
-                                     const std::vector<std::string>& ids) {
-  std::vector<chord::RingId> keys;
-  keys.reserve(ids.size());
-  for (const std::string& id : ids) {
-    keys.push_back(crypto::DataKey(id).prefix64());
-  }
-  return chord::chord_key_loads(ring, net, keys);
 }
 
 void parallel_trials(std::size_t count,

@@ -1,6 +1,6 @@
-// Shared harness pieces for the figure-reproduction benches: workload
-// generation, GRED/Chord/NoCVT experiment runners, and the measurement
-// loops the paper's Section VII describes.
+// Shared harness pieces for the figure-reproduction benches: the
+// substrate and GRED variant shortcuts, trial fan-out, and output
+// helpers. The measurements themselves are gred::eval's (Section VII).
 #pragma once
 
 #include <cstdint>
@@ -16,50 +16,20 @@
 #include "common/table.hpp"
 #include "core/metrics.hpp"
 #include "core/system.hpp"
+#include "eval/experiments.hpp"
+#include "eval/scenario.hpp"
 #include "topology/edge_network.hpp"
-#include "topology/waxman.hpp"
 
 namespace gred::bench {
 
-/// Generates the paper's default simulation substrate: a Waxman graph
-/// of `switches` nodes with `min_degree`, `servers_per_switch` servers
-/// each (Section VII-B).
-topology::EdgeNetwork make_waxman_network(std::size_t switches,
-                                          std::size_t servers_per_switch,
-                                          std::size_t min_degree,
-                                          std::uint64_t seed);
-
-/// `count` data identifiers ("data-<trial>-<i>").
-std::vector<std::string> make_ids(std::size_t count, std::uint64_t trial);
+/// eval::build_network, aborting on failure: the physical substrate
+/// of a bench (defaults: the paper's 10 servers per switch, minimum
+/// degree 3).
+topology::EdgeNetwork network(const eval::ScenarioOptions& scenario);
 
 /// GRED variant configuration shortcuts.
 core::VirtualSpaceOptions gred_options(std::size_t cvt_iterations);
 core::VirtualSpaceOptions nocvt_options();
-
-/// Measures GRED placement stretch: `items` random data ids, each
-/// entering at a uniformly random access switch. Returns one stretch
-/// sample per item.
-std::vector<double> gred_stretch_samples(core::GredSystem& sys,
-                                         std::size_t items,
-                                         std::uint64_t seed);
-
-/// Measures Chord lookup stretch on the same network: each lookup
-/// starts from a random server (the access point's server).
-std::vector<double> chord_stretch_samples(const chord::ChordRing& ring,
-                                          const topology::EdgeNetwork& net,
-                                          std::size_t items,
-                                          std::uint64_t seed);
-
-/// Per-server load vector after assigning `ids` with GRED's placement
-/// function (home switch + H(d) mod s). Uses the controller's ground
-/// truth, which tests verify equals the routed destination.
-std::vector<std::size_t> gred_loads(core::GredSystem& sys,
-                                    const std::vector<std::string>& ids);
-
-/// Per-server load vector after assigning `ids` with Chord.
-std::vector<std::size_t> chord_loads(const chord::ChordRing& ring,
-                                     const topology::EdgeNetwork& net,
-                                     const std::vector<std::string>& ids);
 
 /// Fans `count` independent trial bodies across the global thread pool
 /// (GRED_THREADS). fn(i) must write its result into a per-trial slot;

@@ -31,10 +31,15 @@ int main() {
       std::fprintf(stderr, "system creation failed\n");
       std::abort();
     }
-    const Summary gred = summarize(
-        bench::gred_stretch_samples(gred_sys.value(), requests, requests));
-    const Summary nocvt = summarize(
-        bench::gred_stretch_samples(nocvt_sys.value(), requests, requests));
+    const eval::StretchOptions run{.items = requests, .seed = requests};
+    const Summary gred =
+        eval::measure_gred_stretch(gred_sys.value(), run).hop_stretch;
+    const Summary nocvt =
+        eval::measure_gred_stretch(nocvt_sys.value(), run).hop_stretch;
+    if (gred.count != requests || nocvt.count != requests) {
+      std::fprintf(stderr, "a placement failed\n");
+      std::abort();
+    }
     rows[k] = {std::to_string(requests), bench::mean_ci_cell(gred),
                bench::mean_ci_cell(nocvt)};
   });

@@ -28,13 +28,11 @@ int main() {
   std::vector<std::vector<std::string>> rows(item_counts.size());
   bench::parallel_trials(item_counts.size(), [&](std::size_t k) {
     const std::size_t items = item_counts[k];
-    const auto ids = bench::make_ids(items, 7);
-    const double g = core::load_balance(
-                         bench::gred_loads(gred_sys.value(), ids))
-                         .max_over_avg;
-    const double n = core::load_balance(
-                         bench::gred_loads(nocvt_sys.value(), ids))
-                         .max_over_avg;
+    const auto ids = eval::workload_ids(items, 7);
+    const double g =
+        eval::measure_gred_balance(gred_sys.value(), ids).report.max_over_avg;
+    const double n =
+        eval::measure_gred_balance(nocvt_sys.value(), ids).report.max_over_avg;
     rows[k] = {std::to_string(items), Table::fmt(g), Table::fmt(n)};
   });
   for (const auto& row : rows) table.add_row(row);

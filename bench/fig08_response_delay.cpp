@@ -19,7 +19,7 @@ namespace {
 double mean_delay(core::GredSystem& sys, std::size_t requests,
                   std::uint64_t seed) {
   // Preload 200 items.
-  std::vector<std::string> ids = bench::make_ids(200, seed);
+  std::vector<std::string> ids = eval::workload_ids(200, seed);
   for (const auto& id : ids) {
     if (!sys.place(id, "payload", 0).ok()) std::abort();
   }

@@ -21,7 +21,7 @@ int main() {
   bench::parallel_trials(sizes.size(), [&](std::size_t k) {
     const std::size_t n = sizes[k];
     const topology::EdgeNetwork net =
-        bench::make_waxman_network(n, 10, 3, 1000 + n);
+        bench::network({.switches = n, .topology_seed = 1000 + n});
 
     auto gred_sys = core::GredSystem::create(net, bench::gred_options(50));
     auto nocvt_sys = core::GredSystem::create(net, bench::nocvt_options());
@@ -29,11 +29,18 @@ int main() {
     if (!gred_sys.ok() || !nocvt_sys.ok() || !ring.ok()) std::abort();
 
     const Summary chord_s =
-        summarize(bench::chord_stretch_samples(ring.value(), net, 100, n));
+        eval::measure_chord_stretch(
+            ring.value(), net, graph::all_pairs_shortest_paths(net.switches()),
+            {.items = 100, .seed = n})
+            .hop_stretch;
     const Summary gred_s =
-        summarize(bench::gred_stretch_samples(gred_sys.value(), 100, n));
-    const Summary nocvt_s = summarize(
-        bench::gred_stretch_samples(nocvt_sys.value(), 100, n + 1));
+        eval::measure_gred_stretch(gred_sys.value(), {.items = 100, .seed = n})
+            .hop_stretch;
+    const Summary nocvt_s =
+        eval::measure_gred_stretch(nocvt_sys.value(),
+                                   {.items = 100, .seed = n + 1})
+            .hop_stretch;
+    if (gred_s.count != 100 || nocvt_s.count != 100) std::abort();
 
     rows[k] = {std::to_string(n), std::to_string(net.server_count()),
                bench::mean_ci_cell(chord_s), bench::mean_ci_cell(gred_s),

@@ -21,19 +21,28 @@ int main() {
   bench::parallel_trials(rows.size(), [&](std::size_t k) {
     const std::size_t degree = first_degree + k;
     const topology::EdgeNetwork net =
-        bench::make_waxman_network(100, 10, degree, 2000 + degree);
+        bench::network({.switches = 100, .min_degree = degree,
+                        .topology_seed = 2000 + degree});
 
     auto gred_sys = core::GredSystem::create(net, bench::gred_options(50));
     auto nocvt_sys = core::GredSystem::create(net, bench::nocvt_options());
     auto ring = chord::ChordRing::build(net);
     if (!gred_sys.ok() || !nocvt_sys.ok() || !ring.ok()) std::abort();
 
-    const Summary chord_s = summarize(
-        bench::chord_stretch_samples(ring.value(), net, 100, degree));
-    const Summary gred_s = summarize(
-        bench::gred_stretch_samples(gred_sys.value(), 100, degree));
-    const Summary nocvt_s = summarize(
-        bench::gred_stretch_samples(nocvt_sys.value(), 100, degree + 50));
+    const Summary chord_s =
+        eval::measure_chord_stretch(
+            ring.value(), net, graph::all_pairs_shortest_paths(net.switches()),
+            {.items = 100, .seed = degree})
+            .hop_stretch;
+    const Summary gred_s =
+        eval::measure_gred_stretch(gred_sys.value(),
+                                   {.items = 100, .seed = degree})
+            .hop_stretch;
+    const Summary nocvt_s =
+        eval::measure_gred_stretch(nocvt_sys.value(),
+                                   {.items = 100, .seed = degree + 50})
+            .hop_stretch;
+    if (gred_s.count != 100 || nocvt_s.count != 100) std::abort();
 
     rows[k] = {std::to_string(degree), bench::mean_ci_cell(chord_s),
                bench::mean_ci_cell(gred_s), bench::mean_ci_cell(nocvt_s)};

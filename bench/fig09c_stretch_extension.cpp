@@ -56,7 +56,7 @@ int main() {
   bench::parallel_trials(sizes.size(), [&](std::size_t k) {
     const std::size_t n = sizes[k];
     const topology::EdgeNetwork net =
-        bench::make_waxman_network(n, 10, 3, 3000 + n);
+        bench::network({.switches = n, .topology_seed = 3000 + n});
 
     auto gred_sys = core::GredSystem::create(net, bench::gred_options(50));
     auto ext_sys = core::GredSystem::create(net, bench::gred_options(50));
@@ -64,9 +64,14 @@ int main() {
     if (!gred_sys.ok() || !ext_sys.ok() || !ring.ok()) std::abort();
 
     const Summary chord_s =
-        summarize(bench::chord_stretch_samples(ring.value(), net, 100, n));
+        eval::measure_chord_stretch(
+            ring.value(), net, graph::all_pairs_shortest_paths(net.switches()),
+            {.items = 100, .seed = n})
+            .hop_stretch;
     const Summary gred_s =
-        summarize(bench::gred_stretch_samples(gred_sys.value(), 100, n));
+        eval::measure_gred_stretch(gred_sys.value(), {.items = 100, .seed = n})
+            .hop_stretch;
+    if (gred_s.count != 100) std::abort();
     const Summary ext_s =
         summarize(extended_gred_samples(ext_sys.value(), 100, n));
 

@@ -22,23 +22,13 @@ int main() {
   bench::parallel_trials(sizes.size(), [&](std::size_t k) {
     const std::size_t n = sizes[k];
     const topology::EdgeNetwork net =
-        bench::make_waxman_network(n, 10, 3, 4000 + n);
+        bench::network({.switches = n, .topology_seed = 4000 + n});
     auto sys = core::GredSystem::create(net, bench::gred_options(50));
     auto ring = chord::ChordRing::build(net);
     if (!sys.ok() || !ring.ok()) std::abort();
 
-    std::vector<double> counts;
-    for (std::size_t c : sys.value().network().table_entry_counts()) {
-      counts.push_back(static_cast<double>(c));
-    }
-    const Summary s = summarize(counts);
-
-    double chord_total = 0;
-    for (topology::ServerId srv = 0; srv < net.server_count(); ++srv) {
-      chord_total += static_cast<double>(ring.value().finger_entries(srv));
-    }
-    const double chord_mean =
-        chord_total / static_cast<double>(net.server_count());
+    const Summary s = eval::measure_table_entries(sys.value().network());
+    const double chord_mean = eval::mean_chord_fingers(ring.value(), net);
 
     rows[k] = {std::to_string(n), bench::mean_ci_cell(s, 2),
                Table::fmt(s.min, 0) + ".." + Table::fmt(s.max, 0),

@@ -16,7 +16,7 @@ int main() {
       "Chord grows with size; GRED(T=50) < GRED(T=10), both nearly flat");
 
   const std::size_t items = 100000;
-  const auto ids = bench::make_ids(items, 11);
+  const auto ids = eval::workload_ids(items, 11);
 
   Table table({"servers", "Chord", "GRED (T=10)", "GRED (T=50)"});
   const std::vector<std::size_t> sizes = {20, 40, 60, 80, 100};
@@ -24,7 +24,7 @@ int main() {
   bench::parallel_trials(sizes.size(), [&](std::size_t k) {
     const std::size_t n = sizes[k];
     const topology::EdgeNetwork net =
-        bench::make_waxman_network(n, 10, 3, 5000 + n);
+        bench::network({.switches = n, .topology_seed = 5000 + n});
 
     auto sys10 = core::GredSystem::create(net, bench::gred_options(10));
     auto sys50 = core::GredSystem::create(net, bench::gred_options(50));
@@ -32,14 +32,11 @@ int main() {
     if (!sys10.ok() || !sys50.ok() || !ring.ok()) std::abort();
 
     const double chord_bal =
-        core::load_balance(bench::chord_loads(ring.value(), net, ids))
-            .max_over_avg;
+        eval::measure_chord_balance(ring.value(), net, ids).report.max_over_avg;
     const double g10 =
-        core::load_balance(bench::gred_loads(sys10.value(), ids))
-            .max_over_avg;
+        eval::measure_gred_balance(sys10.value(), ids).report.max_over_avg;
     const double g50 =
-        core::load_balance(bench::gred_loads(sys50.value(), ids))
-            .max_over_avg;
+        eval::measure_gred_balance(sys50.value(), ids).report.max_over_avg;
 
     rows[k] = {std::to_string(net.server_count()), Table::fmt(chord_bal),
                Table::fmt(g10), Table::fmt(g50)};

@@ -14,7 +14,7 @@ int main() {
       "Chord > 6; GRED(T=10) < 2.5; GRED(T=50) < 2");
 
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(100, 10, 3, 6000);
+      bench::network({.switches = 100, .topology_seed = 6000});
   auto sys10 = core::GredSystem::create(net, bench::gred_options(10));
   auto sys50 = core::GredSystem::create(net, bench::gred_options(50));
   auto ring = chord::ChordRing::build(net);
@@ -26,16 +26,13 @@ int main() {
                                                 750000, 1000000};
   std::vector<std::vector<std::string>> rows(item_counts.size());
   bench::parallel_trials(item_counts.size(), [&](std::size_t k) {
-    const auto ids = bench::make_ids(item_counts[k], 12);
+    const auto ids = eval::workload_ids(item_counts[k], 12);
     const double chord_bal =
-        core::load_balance(bench::chord_loads(ring.value(), net, ids))
-            .max_over_avg;
+        eval::measure_chord_balance(ring.value(), net, ids).report.max_over_avg;
     const double g10 =
-        core::load_balance(bench::gred_loads(sys10.value(), ids))
-            .max_over_avg;
+        eval::measure_gred_balance(sys10.value(), ids).report.max_over_avg;
     const double g50 =
-        core::load_balance(bench::gred_loads(sys50.value(), ids))
-            .max_over_avg;
+        eval::measure_gred_balance(sys50.value(), ids).report.max_over_avg;
     rows[k] = {std::to_string(item_counts[k]), Table::fmt(chord_bal),
                Table::fmt(g10), Table::fmt(g50)};
   });

@@ -17,19 +17,17 @@ int main() {
       "GRED-NoCVT flat");
 
   const std::size_t items = 100000;
-  const auto ids = bench::make_ids(items, 13);
+  const auto ids = eval::workload_ids(items, 13);
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(100, 10, 3, 7000);
+      bench::network({.switches = 100, .topology_seed = 7000});
 
   auto ring = chord::ChordRing::build(net);
   auto nocvt = core::GredSystem::create(net, bench::nocvt_options());
   if (!ring.ok() || !nocvt.ok()) return 1;
   const double chord_bal =
-      core::load_balance(bench::chord_loads(ring.value(), net, ids))
-          .max_over_avg;
+      eval::measure_chord_balance(ring.value(), net, ids).report.max_over_avg;
   const double nocvt_bal =
-      core::load_balance(bench::gred_loads(nocvt.value(), ids))
-          .max_over_avg;
+      eval::measure_gred_balance(nocvt.value(), ids).report.max_over_avg;
 
   Table table({"T", "GRED", "GRED-NoCVT", "Chord"});
   const std::vector<std::size_t> iters = {0,  10, 20, 30, 40, 50,
@@ -41,8 +39,7 @@ int main() {
     auto sys = core::GredSystem::create(net, bench::gred_options(t));
     if (!sys.ok()) std::abort();
     const double bal =
-        core::load_balance(bench::gred_loads(sys.value(), ids))
-            .max_over_avg;
+        eval::measure_gred_balance(sys.value(), ids).report.max_over_avg;
     rows[k] = {std::to_string(t), Table::fmt(bal), Table::fmt(nocvt_bal),
                Table::fmt(chord_bal)};
   });

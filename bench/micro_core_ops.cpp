@@ -66,7 +66,8 @@ BENCHMARK(BM_DelaunayBuild)->Arg(50)->Arg(100)->Arg(200);
 void BM_ClassicalMds(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(n, 1, 3, 900 + n);
+      bench::network({.switches = n, .servers_per_switch = 1,
+                      .topology_seed = 900 + n});
   const auto apsp = graph::all_pairs_shortest_paths(net.switches());
   linalg::Matrix dist(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -87,7 +88,7 @@ BENCHMARK(BM_ClassicalMds)
 void BM_ControlPlaneFull(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(n, 10, 3, 910 + n);
+      bench::network({.switches = n, .topology_seed = 910 + n});
   for (auto _ : state) {
     auto sys = core::GredSystem::create(net, bench::gred_options(50));
     benchmark::DoNotOptimize(sys);
@@ -97,7 +98,7 @@ BENCHMARK(BM_ControlPlaneFull)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond)
 
 void BM_GredPlacementWalk(benchmark::State& state) {
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(100, 10, 3, 920);
+      bench::network({.switches = 100, .topology_seed = 920});
   auto sys = core::GredSystem::create(net, bench::gred_options(50));
   if (!sys.ok()) state.SkipWithError("system creation failed");
   Rng rng(5);
@@ -133,7 +134,8 @@ void BM_PlanGreedyStep(benchmark::State& state) {
   // switches, the k of the argmin.
   const auto n = static_cast<std::size_t>(state.range(0));
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(n, 4, 3, 970 + n);
+      bench::network({.switches = n, .servers_per_switch = 4,
+                      .topology_seed = 970 + n});
   auto sys = core::GredSystem::create(net, bench::gred_options(50));
   if (!sys.ok()) {
     state.SkipWithError("system creation failed");
@@ -173,7 +175,8 @@ void BM_GredRetrievalFastPath(benchmark::State& state) {
   // steady-state data-plane unit of work (allocation-free).
   const std::size_t n = 100;
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(n, 4, 3, 940);
+      bench::network({.switches = n, .servers_per_switch = 4,
+                      .topology_seed = 940});
   auto sys = core::GredSystem::create(net, bench::gred_options(50));
   if (!sys.ok()) state.SkipWithError("system creation failed");
   auto& network = sys.value().network();
@@ -288,7 +291,8 @@ void BM_ApspDeltaEdgeToggle(benchmark::State& state) {
   // iteration; the matrix provably returns to its original state.
   const auto n = static_cast<std::size_t>(state.range(0));
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(n, 1, 3, 950 + n);
+      bench::network({.switches = n, .servers_per_switch = 1,
+                      .topology_seed = 950 + n});
   graph::Graph g = net.switches();
   graph::ApspResult apsp = graph::all_pairs_shortest_paths(g, true);
   Rng rng(13);
@@ -358,7 +362,8 @@ void BM_PlanPatchSwitch(benchmark::State& state) {
   // 100-switch plan — the plan-maintenance unit of churn.
   const std::size_t n = 100;
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(n, 4, 3, 960);
+      bench::network({.switches = n, .servers_per_switch = 4,
+                      .topology_seed = 960});
   auto sys = core::GredSystem::create(net, bench::gred_options(50));
   if (!sys.ok()) {
     state.SkipWithError("system creation failed");
@@ -384,7 +389,7 @@ BENCHMARK(BM_PlanPatchSwitch);
 
 void BM_ChordLookup(benchmark::State& state) {
   const topology::EdgeNetwork net =
-      bench::make_waxman_network(100, 10, 3, 930);
+      bench::network({.switches = 100, .topology_seed = 930});
   auto ring = chord::ChordRing::build(net);
   if (!ring.ok()) state.SkipWithError("ring build failed");
   Rng rng(6);

@@ -1,7 +1,6 @@
 #include "common/strings.hpp"
 
 #include <cctype>
-#include <sstream>
 
 namespace gred {
 
@@ -36,29 +35,6 @@ std::string trim(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
-std::string human_bytes(std::size_t bytes) {
-  static const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-  double v = static_cast<double>(bytes);
-  std::size_t unit = 0;
-  while (v >= 1024.0 && unit + 1 < sizeof(kUnits) / sizeof(kUnits[0])) {
-    v /= 1024.0;
-    ++unit;
-  }
-  std::ostringstream os;
-  if (unit == 0) {
-    os << bytes << " B";
-  } else {
-    os.precision(1);
-    os << std::fixed << v << " " << kUnits[unit];
-  }
-  return os.str();
 }
 
 }  // namespace gred

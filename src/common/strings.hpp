@@ -16,10 +16,4 @@ std::string join(const std::vector<std::string>& parts,
 /// Trims ASCII whitespace from both ends.
 std::string trim(const std::string& s);
 
-/// True if `s` begins with `prefix`.
-bool starts_with(const std::string& s, const std::string& prefix);
-
-/// Human-readable byte count ("1.5 KiB", "3.2 MiB").
-std::string human_bytes(std::size_t bytes);
-
 }  // namespace gred

@@ -6,21 +6,6 @@
 
 namespace gred {
 
-namespace {
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 
 void Table::add_row(std::vector<std::string> cells) {
@@ -31,21 +16,6 @@ void Table::add_row(std::vector<std::string> cells) {
 std::string Table::fmt(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;
-  return os.str();
-}
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto render = [&os](const std::vector<std::string>& row,
-                      std::size_t width) {
-    for (std::size_t c = 0; c < width; ++c) {
-      if (c > 0) os << ",";
-      os << csv_escape(c < row.size() ? row[c] : std::string());
-    }
-    os << "\n";
-  };
-  render(header_, header_.size());
-  for (const auto& row : rows_) render(row, header_.size());
   return os.str();
 }
 

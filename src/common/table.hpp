@@ -26,10 +26,6 @@ class Table {
 
   std::string to_string() const;
 
-  /// Comma-separated rendering (header + rows); cells containing commas
-  /// or quotes are quoted per RFC 4180.
-  std::string to_csv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

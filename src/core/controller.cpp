@@ -192,7 +192,6 @@ Status Controller::enable_replication(sden::SdenNetwork& net,
     replication_enabled_ = false;
     return repaired.error();
   }
-  last_repairs_ = repaired.value();
   return Status::Ok();
 }
 
@@ -350,11 +349,9 @@ Result<std::size_t> Controller::restore_replication(sden::SdenNetwork& net,
 
 Status Controller::repair_replication_after_dynamics(sden::SdenNetwork& net,
                                                      ItemMoves& moves) {
-  last_repairs_ = 0;
   if (!replication_enabled_) return Status::Ok();
   auto repaired = restore_replication(net, moves);
   if (!repaired.ok()) return repaired.error();
-  last_repairs_ = repaired.value();
   return Status::Ok();
 }
 
@@ -500,7 +497,6 @@ Result<std::size_t> Controller::extend_for_load(
     // with no eligible neighbor simply stays hot.
     if (!extend_range(net, victim).ok()) continue;
     ++performed;
-    if (!opts.migrate_hot_items) continue;
 
     // Spread the existing hot set: move the (deterministic) digest-
     // parity half of the victim's owned items onto the delegate, as
@@ -997,26 +993,6 @@ Status Controller::install_patch(sden::SdenNetwork& net,
                                          space_.positions(),
                                          &dt_.triangulation()));
   return Status::Ok();
-}
-
-Result<std::size_t> Controller::re_regulate(sden::SdenNetwork& net,
-                                            double energy_delta_tolerance) {
-  if (!initialized_) {
-    return Error(ErrorCode::kFailedPrecondition,
-                 "Controller not initialized");
-  }
-  const std::size_t iterations =
-      space_.refine_cvt(options_, energy_delta_tolerance);
-  // Only positions moved; the APSP tables still describe the graph.
-  const Status rebuilt = reinstall(net);
-  if (!rebuilt.ok()) return rebuilt.error();
-  ItemMoves moves;
-  auto migrated = migrate_items(net, moves);
-  if (!migrated.ok()) return migrated.error();
-  last_migration_ = migrated.value();
-  const Status repaired = repair_replication_after_dynamics(net, moves);
-  if (!repaired.ok()) return repaired.error();
-  return iterations;
 }
 
 Result<topology::SwitchId> Controller::add_switch_impl(

@@ -48,12 +48,6 @@ struct LoadExtensionOptions {
   double hot_factor = 2.0;
   /// Extensions per call (hottest switches first).
   std::size_t max_extensions = 1;
-  /// Move half the overloaded server's owned items (by digest parity)
-  /// onto the delegate, so existing hot keys — not just future
-  /// placements — spread across the extension. retract_range remains
-  /// the exact inverse (it moves back everything whose expected
-  /// placement is the overloaded server).
-  bool migrate_hot_items = true;
 };
 
 class Controller {
@@ -116,7 +110,6 @@ class Controller {
   /// dynamics op ends with a restore_replication pass.
   Status enable_replication(sden::SdenNetwork& net,
                             ReplicationOptions opts = {});
-  bool replication_enabled() const { return replication_enabled_; }
   /// Effective copies per item: 1 while replication is disabled.
   std::size_t replication_factor() const {
     return replication_enabled_ ? replication_.factor : 1;
@@ -157,10 +150,6 @@ class Controller {
   /// of copies created.
   Result<std::size_t> restore_replication(sden::SdenNetwork& net);
 
-  /// Copies created by the restore_replication pass of the last
-  /// dynamics op (diagnostics).
-  std::size_t last_replication_repairs() const { return last_repairs_; }
-
   // --- Range extension (Section V-B) ---
 
   /// Delegates the storage load of `overloaded` to the server with the
@@ -179,7 +168,11 @@ class Controller {
   /// *observed retrieval load* runs hot. A switch is hot when its
   /// EWMA (tracker windows rolled by the caller) exceeds hot_factor ×
   /// the participant mean. Extends the busiest extension-free server
-  /// of each hot switch (at most max_extensions) and returns the
+  /// of each hot switch (at most max_extensions) and moves half its
+  /// owned items (by digest parity) onto the delegate, so existing hot
+  /// keys — not just future placements — spread across the extension;
+  /// retract_range stays the exact inverse (it moves back everything
+  /// whose expected placement is the overloaded server). Returns the
   /// number of extensions performed. Call between retrieval windows,
   /// after loads.roll_window() — a control-plane op like any other
   /// dynamics call.
@@ -238,16 +231,6 @@ class Controller {
   const std::vector<topology::SwitchId>& last_affected_switches() const {
     return last_affected_;
   }
-
-  /// Warm-started C-regulation (Section IV-B maintenance): re-runs
-  /// Lloyd iterations seeded from the current positions until the CVT
-  /// energy moves by less than `energy_delta_tolerance` of itself,
-  /// then rebuilds the DT, reinstalls, and migrates items whose homes
-  /// moved. Positions shift globally, so this is a full reinstall by
-  /// design — call it between churn bursts, not per event. Returns the
-  /// number of Lloyd iterations executed.
-  Result<std::size_t> re_regulate(sden::SdenNetwork& net,
-                                  double energy_delta_tolerance);
 
  private:
   // The public dynamics/extension ops are thin observability wrappers
@@ -326,8 +309,7 @@ class Controller {
   void begin_event();
 
   /// Rebuilds the DT from scratch over the current APSP and space and
-  /// installs every switch: the tail of cold start, rollback and
-  /// re_regulate.
+  /// installs every switch: the tail of cold start and rollback.
   Status reinstall(sden::SdenNetwork& net);
 
   /// One churn event's description for the delta path. Remove events
@@ -413,7 +395,6 @@ class Controller {
   std::size_t last_migration_ = 0;
   ReplicationOptions replication_;
   bool replication_enabled_ = false;
-  std::size_t last_repairs_ = 0;
 };
 
 }  // namespace gred::core

@@ -23,9 +23,6 @@ struct RoutedRequest {
   double resp_ms = 0.0;
   topology::ServerId responder = topology::kNoServer;
   Error error;
-  std::size_t attempts = 1;
-  std::size_t fallbacks = 0;
-  bool recovered = false;
   bool cached = false;
 };
 
@@ -37,7 +34,6 @@ Result<DelayExperimentResult> RetrievalDelayExperiment::run(
   out.requests = requests.size();
 
   const auto& apsp_hops = system_->controller().apsp();
-  const auto& apsp_lat = system_->controller().apsp_latency();
 
   // --- Phase 1: route every request (parallel, per-slot results). ---
   // Retrievals are independent and mutate nothing but a relaxed server
@@ -49,39 +45,17 @@ Result<DelayExperimentResult> RetrievalDelayExperiment::run(
         for (std::size_t i = lo; i < hi; ++i) {
           const RetrievalRequest& req = requests[i];
           RoutedRequest& slot = routed[i];
-          OpReport report;
-          double client_backoff_ms = 0.0;
-          if (options_.use_fallback) {
-            auto outcome = system_->retrieve_with_fallback(
-                req.data_id, req.ingress, options_.retry);
-            if (!outcome.ok()) {
-              slot.outcome = RoutedRequest::Outcome::kError;
-              slot.error = outcome.error();
-              continue;
-            }
-            RetrievalOutcome& retrieval = outcome.value();
-            slot.attempts = retrieval.attempts;
-            slot.fallbacks = retrieval.fallbacks;
-            slot.recovered = retrieval.recovered;
-            if (!retrieval.found) {
-              slot.outcome = RoutedRequest::Outcome::kNotFound;
-              continue;
-            }
-            client_backoff_ms = retrieval.backoff_ms;
-            report = std::move(retrieval.report);
-          } else {
-            auto single = system_->retrieve(req.data_id, req.ingress);
-            if (!single.ok()) {
-              slot.outcome = RoutedRequest::Outcome::kError;
-              slot.error = single.error();
-              continue;
-            }
-            if (!single.value().route.found) {
-              slot.outcome = RoutedRequest::Outcome::kNotFound;
-              continue;
-            }
-            report = std::move(single).value();
+          auto single = system_->retrieve(req.data_id, req.ingress);
+          if (!single.ok()) {
+            slot.outcome = RoutedRequest::Outcome::kError;
+            slot.error = single.error();
+            continue;
           }
+          if (!single.value().route.found) {
+            slot.outcome = RoutedRequest::Outcome::kNotFound;
+            continue;
+          }
+          const OpReport report = std::move(single).value();
           // A cache hit is answered at the ingress: no network legs,
           // no server visit — phase 2 charges cache_service_ms only.
           if (report.served_from_cache) {
@@ -89,27 +63,19 @@ Result<DelayExperimentResult> RetrievalDelayExperiment::run(
             slot.outcome = RoutedRequest::Outcome::kOk;
             continue;
           }
-          // Request leg: cost of the walked route (plus any client
-          // backoff spent retrying); response leg: weighted shortest
-          // path back from the responder's switch.
+          // Request leg: hops of the walked route; response leg:
+          // shortest path back from the responder's switch.
           slot.responder = report.route.responder;
           const topology::SwitchId responder_sw =
               system_->network().server(slot.responder).info().attached_to;
-          if (options_.weights_are_latencies) {
-            slot.req_ms = report.selected_cost;
-            const double back = apsp_lat.dist(responder_sw, req.ingress);
-            slot.resp_ms = back == graph::kUnreachable ? 0.0 : back;
-          } else {
-            slot.req_ms = static_cast<double>(report.selected_hops) *
-                          options_.link_latency_ms;
-            const std::size_t back_hops =
-                apsp_hops.hop_count(responder_sw, req.ingress);
-            slot.resp_ms = back_hops == graph::kNoPath
-                               ? 0.0
-                               : static_cast<double>(back_hops) *
-                                     options_.link_latency_ms;
-          }
-          slot.req_ms += client_backoff_ms;
+          slot.req_ms = static_cast<double>(report.selected_hops) *
+                        options_.link_latency_ms;
+          const std::size_t back_hops =
+              apsp_hops.hop_count(responder_sw, req.ingress);
+          slot.resp_ms = back_hops == graph::kNoPath
+                             ? 0.0
+                             : static_cast<double>(back_hops) *
+                                   options_.link_latency_ms;
           slot.outcome = RoutedRequest::Outcome::kOk;
         }
       });
@@ -118,11 +84,6 @@ Result<DelayExperimentResult> RetrievalDelayExperiment::run(
   // first failing request; the parallel one must agree).
   for (const RoutedRequest& slot : routed) {
     if (slot.outcome == RoutedRequest::Outcome::kError) return slot.error;
-  }
-  for (const RoutedRequest& slot : routed) {
-    out.attempts += slot.attempts;
-    out.fallbacks += slot.fallbacks;
-    if (slot.recovered) ++out.recovered;
   }
 
   // --- Phase 2: serial event-queue replay in request order. ---

@@ -1,9 +1,7 @@
 // Response-delay experiments (the measurement behind Fig. 8): replay a
 // set of retrieval requests through the discrete-event engine with
-// per-link propagation latency, a per-request service time, and FIFO
-// queueing at servers. On latency-weighted topologies the propagation
-// term uses the actual link weights; on unit-weight topologies every
-// hop costs `link_latency_ms`.
+// per-hop propagation latency, a per-request service time, and FIFO
+// queueing at servers. Every hop costs `link_latency_ms`.
 //
 // The replay is two-phase so it parallelizes without losing
 // determinism: phase 1 routes every request through the data plane —
@@ -29,22 +27,13 @@ class ThreadPool;
 namespace gred::core {
 
 struct DelayModelOptions {
-  /// Per-hop propagation latency on unit-weight links; on weighted
-  /// topologies the link weights themselves are used (already in ms).
+  /// Per-hop propagation latency.
   double link_latency_ms = 0.05;
   /// Service time per retrieval at a server (FIFO queue).
   double service_time_ms = 0.20;
-  /// Treat link weights as latencies (true for Waxman latency mode).
-  bool weights_are_latencies = false;
   /// Pool for the parallel routing phase; nullptr = the global pool
   /// (GRED_THREADS). Results are thread-count invariant either way.
   ThreadPool* pool = nullptr;
-  /// Route retrievals through retrieve_with_fallback: classified
-  /// routing failures retry against the item's replica homes under
-  /// `retry`, and the simulated client backoff is charged to the
-  /// request leg. Off by default (single attempt, the paper's model).
-  bool use_fallback = false;
-  RetryPolicy retry;
   /// Service time charged to a retrieval answered by the ingress
   /// switch's hot-key cache (served_from_cache reports): no network
   /// legs, no server FIFO — the switch answers locally. Only relevant
@@ -59,9 +48,6 @@ struct DelayExperimentResult {
   std::size_t requests = 0;   ///< requests replayed
   std::size_t not_found = 0;  ///< retrievals that missed (excluded)
   double makespan_ms = 0.0;   ///< completion time of the last response
-  std::size_t attempts = 0;   ///< route attempts (= requests unless retrying)
-  std::size_t fallbacks = 0;  ///< attempts re-targeted at a replica home
-  std::size_t recovered = 0;  ///< requests that succeeded only via retry
   std::size_t cache_hits = 0;  ///< requests served from a hot-key cache
 };
 

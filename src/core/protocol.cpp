@@ -5,9 +5,16 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/switch_load.hpp"
+#include "sden/route_errors.hpp"
 
 namespace gred::core {
 namespace {
+
+/// retrieve_with_fallback's simulated client backoff: charged before
+/// the second attempt, multiplied per further attempt, capped (ms).
+constexpr double kBackoffMs = 1.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffCapMs = 8.0;
 
 sden::Packet make_packet(sden::PacketType type, const std::string& data_id,
                          std::string payload) {
@@ -164,6 +171,9 @@ Result<OpReport> GredProtocol::retrieve_nearest_replica(
   }
   // Const view: plain reads must not stamp switches.
   const sden::SdenNetwork& net = *net_;
+  if (ingress >= net.switch_count()) {
+    return sden::route_errors::bad_ingress().error();
+  }
   if (!net.switch_at(ingress).dt_participant()) {
     return Error(ErrorCode::kFailedPrecondition,
                  "retrieve_nearest_replica: ingress is not a DT "
@@ -209,14 +219,13 @@ Result<RetrievalOutcome> GredProtocol::retrieve_with_fallback(
       controller_->replica_homes(key);
 
   RetrievalOutcome out;
-  double backoff = policy.backoff_ms;
+  double backoff = kBackoffMs;
   Status last = Status::Ok();
   for (std::size_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
     if (attempt > 0) {
       // Simulated client backoff: charged to the outcome, never slept.
       out.backoff_ms += backoff;
-      backoff = std::min(backoff * policy.backoff_multiplier,
-                         policy.backoff_cap_ms);
+      backoff = std::min(backoff * kBackoffMultiplier, kBackoffCapMs);
     }
     const bool fallback = !homes.empty() && attempt % homes.size() != 0;
     sden::Packet pkt = make_packet(sden::PacketType::kRetrieval, data_id, {});

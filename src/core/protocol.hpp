@@ -18,16 +18,11 @@
 namespace gred::core {
 
 /// Client-side retry policy for retrieve_with_fallback. Backoff is
-/// simulated (accumulated in the outcome, never slept): the simulator
-/// has no wall-clock network, but the delay model charges it.
+/// simulated (accumulated in the outcome, never slept): 1 ms before the
+/// second attempt, doubling per further attempt, capped at 8 ms.
 struct RetryPolicy {
   /// Total route attempts, the first included (>= 1).
   std::size_t max_attempts = 3;
-  /// Backoff charged before the second attempt, in model milliseconds.
-  double backoff_ms = 1.0;
-  /// Multiplier per further attempt (capped below).
-  double backoff_multiplier = 2.0;
-  double backoff_cap_ms = 8.0;
 };
 
 /// Report of one placement or retrieval.

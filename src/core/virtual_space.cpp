@@ -131,7 +131,6 @@ Result<VirtualSpace> VirtualSpace::build(
     geometry::CvtOptions cvt;
     cvt.samples_per_iteration = options.cvt_samples;
     cvt.max_iterations = options.cvt_iterations;
-    cvt.energy_threshold = options.cvt_energy_threshold;
     cvt.domain = geometry::Rect{0.0, 0.0, 1.0, 1.0};
     cvt.density = options.cvt_density;
     cvt.density_bound = options.cvt_density_bound;
@@ -251,29 +250,6 @@ void VirtualSpace::remove_participant(topology::SwitchId sw) {
                        static_cast<std::ptrdiff_t>(idx));
   if (grid_.erase(idx)) return;
   rebuild_grid();
-}
-
-std::size_t VirtualSpace::refine_cvt(const VirtualSpaceOptions& options,
-                                     double energy_delta_tolerance) {
-  if (options.cvt_iterations == 0 || positions_.size() <= 1) return 0;
-  const obs::ScopedPhaseTimer cvt_timer("cvt_warm");
-  geometry::CvtOptions cvt;
-  cvt.samples_per_iteration = options.cvt_samples;
-  cvt.max_iterations = options.cvt_iterations;
-  cvt.energy_threshold = options.cvt_energy_threshold;
-  cvt.energy_delta_tolerance = energy_delta_tolerance;
-  cvt.domain = geometry::Rect{0.0, 0.0, 1.0, 1.0};
-  cvt.density = options.cvt_density;
-  cvt.density_bound = options.cvt_density_bound;
-  Rng rng(options.seed);
-  geometry::CvtResult refined = geometry::c_regulation(positions_, cvt, rng);
-  positions_ = std::move(refined.sites);
-  energy_history_.insert(energy_history_.end(),
-                         refined.energy_history.begin(),
-                         refined.energy_history.end());
-  separate_duplicates(positions_);
-  rebuild_grid();
-  return refined.iterations_run;
 }
 
 }  // namespace gred::core

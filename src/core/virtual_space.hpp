@@ -43,8 +43,6 @@ struct VirtualSpaceOptions {
   std::size_t cvt_iterations = 50;
   /// Sample points per C-regulation iteration (paper: 1000).
   std::size_t cvt_samples = 1000;
-  /// Early-stop CVT energy threshold (0 = run all T iterations).
-  double cvt_energy_threshold = 0.0;
   /// Margin kept between the embedded switches and the unit-square
   /// border after normalization.
   double margin = 0.05;
@@ -137,16 +135,6 @@ class VirtualSpace {
 
   /// Removes a participant (node leave). No-op when absent.
   void remove_participant(topology::SwitchId sw);
-
-  /// Warm-started C-regulation: re-runs Lloyd iterations seeded from
-  /// the CURRENT positions (which a dynamics event perturbed only
-  /// locally) and stops once the energy moved by less than
-  /// `energy_delta_tolerance` of itself between iterations. Returns
-  /// the number of iterations executed. Cold-starting after every
-  /// event would redo the full T iterations; the warm start typically
-  /// converges in a handful.
-  std::size_t refine_cvt(const VirtualSpaceOptions& options,
-                         double energy_delta_tolerance);
 
  private:
   /// Re-indexes positions_ into grid_; call after every mutation.

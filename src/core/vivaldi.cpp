@@ -5,6 +5,12 @@
 #include "linalg/mds.hpp"
 
 namespace gred::core {
+namespace {
+
+constexpr double kCe = 0.25;  ///< confidence adaptation gain
+constexpr double kCc = 0.25;  ///< coordinate adaptation gain
+
+}  // namespace
 
 Result<VivaldiResult> vivaldi_embedding(const linalg::Matrix& distances,
                                         const VivaldiOptions& options) {
@@ -55,8 +61,8 @@ Result<VivaldiResult> vivaldi_embedding(const linalg::Matrix& distances,
     // Confidence-weighted adaptive timestep.
     const double w = error[i] / (error[i] + error[j]);
     const double e_sample = std::fabs(dist - rtt) / rtt;
-    error[i] = e_sample * options.ce * w + error[i] * (1.0 - options.ce * w);
-    const double delta = options.cc * w;
+    error[i] = e_sample * kCe * w + error[i] * (1.0 - kCe * w);
+    const double delta = kCc * w;
     out.coordinates[i] =
         out.coordinates[i] + unit * (delta * (rtt - dist));
   }

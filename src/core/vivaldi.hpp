@@ -21,8 +21,6 @@ namespace gred::core {
 struct VivaldiOptions {
   /// Pairwise relaxation samples (each adjusts one node).
   std::size_t rounds = 20000;
-  double ce = 0.25;  ///< confidence adaptation gain
-  double cc = 0.25;  ///< coordinate adaptation gain
   std::uint64_t seed = 0x7672616c64ULL;
 };
 

@@ -248,11 +248,6 @@ Result<FaultPlan> FaultPlan::generate_disasters(
     return Error(ErrorCode::kInvalidArgument,
                  "generate_disasters: participants/positions size mismatch");
   }
-  if (options.region_shape == RegionShape::kDisc &&
-      options.region_radius <= 0.0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "generate_disasters: region_radius must be positive");
-  }
   if (options.region_shape == RegionShape::kBox && options.box_grid == 0) {
     return Error(ErrorCode::kInvalidArgument,
                  "generate_disasters: box_grid must be >= 1");
@@ -323,7 +318,7 @@ Result<FaultPlan> FaultPlan::generate_disasters(
             const double dx = positions[i].x - positions[a].x;
             const double dy = positions[i].y - positions[a].y;
             inside = dx * dx + dy * dy <=
-                     options.region_radius * options.region_radius;
+                     kRegionKillRadius * kRegionKillRadius;
           } else {
             inside = cell_of(positions[i], options.box_grid) ==
                      cell_of(positions[a], options.box_grid);
@@ -371,7 +366,7 @@ Result<FaultPlan> FaultPlan::generate_disasters(
         event.members = std::move(order);
         event.center = positions[a];
         event.radius = options.region_shape == RegionShape::kDisc
-                           ? options.region_radius
+                           ? kRegionKillRadius
                            : 0.0;
         event.repair_at = at + options.stale_window;
         placed = true;

@@ -88,9 +88,12 @@ struct FaultPlanOptions {
 
 /// Footprint of a region-kill disaster in the virtual space.
 enum class RegionShape : std::uint8_t {
-  kDisc,  ///< all switches within `region_radius` of a sampled anchor
+  kDisc,  ///< all switches within kRegionKillRadius of a sampled anchor
   kBox,   ///< all switches in the anchor's cell of a GxG grid
 };
+
+/// kDisc: kill radius in virtual-space units ([0,1]^2 space).
+inline constexpr double kRegionKillRadius = 0.15;
 
 /// Options of FaultPlan::generate_disasters — a schedule of correlated
 /// events (region kills and partitions) instead of independent point
@@ -101,8 +104,6 @@ struct DisasterPlanOptions {
   std::size_t region_kills = 1;
   std::size_t partitions = 0;
   RegionShape region_shape = RegionShape::kDisc;
-  /// kDisc: kill radius in virtual-space units ([0,1]^2 space).
-  double region_radius = 0.15;
   /// kBox: grid dimension; the kill wipes one whole G x G cell. Align
   /// with ReplicationOptions::region_grid to model "a labelled region
   /// dies" exactly.

@@ -288,16 +288,4 @@ std::size_t FaultSession::items_lost() const {
   return count;
 }
 
-std::size_t FaultSession::max_recovery_time() const {
-  std::size_t worst = 0;
-  for (const auto& [id, rec] : recovery_) {
-    if (rec.first_unavailable == RecoveryRecord::kNever) continue;
-    if (rec.restored_at == RecoveryRecord::kNever) continue;
-    if (rec.restored_at > rec.first_unavailable) {
-      worst = std::max(worst, rec.restored_at - rec.first_unavailable);
-    }
-  }
-  return worst;
-}
-
 }  // namespace gred::fault

@@ -91,10 +91,6 @@ class FaultSession {
   std::size_t items_ever_unavailable() const;
   /// Items with zero copies at the latest scan (destroyed outright).
   std::size_t items_lost() const;
-  /// Max event-clock span from first-unavailable to fully-restored
-  /// over recovered items (0 when nothing went unavailable and came
-  /// back) — the observed worst-case recovery time.
-  std::size_t max_recovery_time() const;
 
   const FaultPlan& plan() const { return plan_; }
   const sden::FaultState& state() const { return state_; }

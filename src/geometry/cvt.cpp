@@ -1,7 +1,6 @@
 #include "geometry/cvt.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/thread_pool.hpp"
 #include "geometry/site_grid.hpp"
@@ -134,23 +133,14 @@ CvtResult c_regulation(std::vector<Point2D> sites, const CvtOptions& options,
       if (counts[i] == 0) continue;  // empty cell this round: stay put
       const Point2D centroid =
           centroid_acc[i] / static_cast<double>(counts[i]);
-      const Point2D moved =
-          sites[i] + (centroid - sites[i]) * options.step;
+      // The full Lloyd step, kept as s + (c - s): c alone rounds
+      // differently in the last bit, which would move every output.
+      const Point2D moved = sites[i] + (centroid - sites[i]);
       sites[i] = options.domain.clamp(moved);
     }
 
     result.energy_history.push_back(energy);
     result.iterations_run = iter + 1;
-    if (options.energy_threshold > 0.0 &&
-        energy < options.energy_threshold) {
-      break;
-    }
-    if (options.energy_delta_tolerance > 0.0 && iter > 0) {
-      const double prev = result.energy_history[iter - 1];
-      if (std::abs(prev - energy) <= options.energy_delta_tolerance * energy) {
-        break;
-      }
-    }
   }
 
   result.sites = std::move(sites);

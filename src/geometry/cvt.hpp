@@ -26,19 +26,9 @@ struct CvtOptions {
   /// Sample points drawn per iteration (the paper uses 1000; "that can
   /// be more").
   std::size_t samples_per_iteration = 1000;
-  /// Maximum iterations T (the paper sweeps T in Fig. 11(c)).
+  /// Iterations T (the paper sweeps T in Fig. 11(c)). Each moves every
+  /// site the full Lloyd/MacQueen step onto its sample centroid.
   std::size_t max_iterations = 50;
-  /// Early stop when the discrete CVT energy estimate drops below this;
-  /// 0 disables the energy termination (pure iteration count).
-  double energy_threshold = 0.0;
-  /// Early stop when the energy moved by less than this fraction of
-  /// itself between consecutive iterations (|E_prev - E| <= tol * E);
-  /// 0 disables. Warm-started refinement after a dynamics event sets
-  /// this so a near-converged site set stops after a few iterations.
-  double energy_delta_tolerance = 0.0;
-  /// Fractional step toward the sample centroid per iteration; 1.0 is
-  /// the classic Lloyd/MacQueen full step.
-  double step = 1.0;
   /// Domain of the virtual space.
   Rect domain;
   /// Optional density rho(p) over the domain (default: uniform). Must

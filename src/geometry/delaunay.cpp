@@ -501,18 +501,4 @@ std::vector<std::size_t> DelaunayTriangulation::greedy_route(
   return path;
 }
 
-bool DelaunayTriangulation::is_valid_delaunay() const {
-  for (const Triangle& t : triangles_) {
-    const Point2D& a = points_[t.v[0]];
-    const Point2D& b = points_[t.v[1]];
-    const Point2D& c = points_[t.v[2]];
-    if (orient2d(a, b, c) != Orientation::kCounterClockwise) return false;
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      if (t.has_vertex(i)) continue;
-      if (in_circumcircle(a, b, c, points_[i])) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace gred::geometry

@@ -72,10 +72,6 @@ class DelaunayTriangulation {
   std::vector<std::size_t> greedy_route(std::size_t from,
                                         const Point2D& p) const;
 
-  /// Validity check for tests: every triangle's circumcircle is empty
-  /// of other sites and all triangles are counter-clockwise.
-  bool is_valid_delaunay() const;
-
   /// Incrementally inserts one site (node join, Section VI): only the
   /// faces whose circumdisk contains `p` are retriangulated, so the
   /// update cost is local. Returns the new site's index. Fails on

@@ -54,25 +54,4 @@ bool in_circumcircle(const Point2D& a, const Point2D& b, const Point2D& c,
   return det > kEps * scale * scale;
 }
 
-Point2D circumcenter(const Point2D& a, const Point2D& b, const Point2D& c) {
-  const double d =
-      2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y));
-  const double a2 = a.x * a.x + a.y * a.y;
-  const double b2 = b.x * b.x + b.y * b.y;
-  const double c2 = c.x * c.x + c.y * c.y;
-  const double ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d;
-  const double uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d;
-  return {ux, uy};
-}
-
-bool point_in_triangle(const Point2D& a, const Point2D& b, const Point2D& c,
-                       const Point2D& p) {
-  const double d1 = signed_area2(a, b, p);
-  const double d2 = signed_area2(b, c, p);
-  const double d3 = signed_area2(c, a, p);
-  const bool has_neg = (d1 < 0) || (d2 < 0) || (d3 < 0);
-  const bool has_pos = (d1 > 0) || (d2 > 0) || (d3 > 0);
-  return !(has_neg && has_pos);
-}
-
 }  // namespace gred::geometry

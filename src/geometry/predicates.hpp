@@ -22,12 +22,4 @@ double signed_area2(const Point2D& a, const Point2D& b, const Point2D& c);
 bool in_circumcircle(const Point2D& a, const Point2D& b, const Point2D& c,
                      const Point2D& p);
 
-/// Circumcenter of triangle (a, b, c). Precondition: not collinear.
-Point2D circumcenter(const Point2D& a, const Point2D& b, const Point2D& c);
-
-/// True iff p is inside or on the boundary of triangle (a,b,c) given in
-/// counter-clockwise order.
-bool point_in_triangle(const Point2D& a, const Point2D& b, const Point2D& c,
-                       const Point2D& p);
-
 }  // namespace gred::geometry

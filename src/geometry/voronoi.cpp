@@ -80,14 +80,4 @@ std::vector<double> voronoi_cell_areas(const std::vector<Point2D>& sites,
   return areas;
 }
 
-std::vector<Point2D> voronoi_cell_centroids(const std::vector<Point2D>& sites,
-                                            const Rect& domain) {
-  std::vector<Point2D> centroids(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const auto cell = voronoi_cell(sites, i, domain);
-    centroids[i] = cell.size() >= 3 ? polygon_centroid(cell) : sites[i];
-  }
-  return centroids;
-}
-
 }  // namespace gred::geometry

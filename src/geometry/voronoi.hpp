@@ -1,8 +1,7 @@
-// Voronoi-cell computations over a rectangular domain. Used for two
-// purposes: (1) exact cell areas — the load of a GRED switch under a
-// uniform hash is proportional to its Voronoi cell area in the unit
-// square, so tests and ablations can reason about balance analytically;
-// (2) centroid queries for validating the C-regulation output.
+// Voronoi-cell computations over a rectangular domain: exact cell
+// areas — the load of a GRED switch under a uniform hash is
+// proportional to its Voronoi cell area in the unit square, so tests
+// and ablations can reason about balance analytically.
 #pragma once
 
 #include <cstddef>
@@ -42,9 +41,5 @@ std::vector<Point2D> voronoi_cell(const std::vector<Point2D>& sites,
 /// domain.area() (up to floating-point error).
 std::vector<double> voronoi_cell_areas(const std::vector<Point2D>& sites,
                                        const Rect& domain);
-
-/// Centroids of all Voronoi cells clipped to `domain`.
-std::vector<Point2D> voronoi_cell_centroids(const std::vector<Point2D>& sites,
-                                            const Rect& domain);
 
 }  // namespace gred::geometry

@@ -11,8 +11,7 @@ namespace gred::graph {
 
 SsspResult bfs(const Graph& g, NodeId source) {
   const std::size_t n = g.node_count();
-  SsspResult r{std::vector<double>(n, kUnreachable),
-               std::vector<NodeId>(n, kNoNode)};
+  SsspResult r{std::vector<double>(n, kUnreachable)};
   if (source >= n) return r;
   std::deque<NodeId> queue{source};
   r.dist[source] = 0.0;
@@ -22,7 +21,6 @@ SsspResult bfs(const Graph& g, NodeId source) {
     for (const EdgeTo& e : g.neighbors(u)) {
       if (r.dist[e.to] != kUnreachable) continue;
       r.dist[e.to] = r.dist[u] + 1.0;
-      r.parent[e.to] = u;
       queue.push_back(e.to);
     }
   }
@@ -31,8 +29,7 @@ SsspResult bfs(const Graph& g, NodeId source) {
 
 SsspResult dijkstra(const Graph& g, NodeId source) {
   const std::size_t n = g.node_count();
-  SsspResult r{std::vector<double>(n, kUnreachable),
-               std::vector<NodeId>(n, kNoNode)};
+  SsspResult r{std::vector<double>(n, kUnreachable)};
   if (source >= n) return r;
 
   using Item = std::pair<double, NodeId>;  // (dist, node)
@@ -47,24 +44,11 @@ SsspResult dijkstra(const Graph& g, NodeId source) {
       const double nd = d + e.weight;
       if (nd < r.dist[e.to]) {
         r.dist[e.to] = nd;
-        r.parent[e.to] = u;
         heap.emplace(nd, e.to);
       }
     }
   }
   return r;
-}
-
-std::vector<NodeId> reconstruct_path(const SsspResult& sssp, NodeId target) {
-  std::vector<NodeId> path;
-  if (target >= sssp.dist.size() || sssp.dist[target] == kUnreachable) {
-    return path;
-  }
-  for (NodeId v = target; v != kNoNode; v = sssp.parent[v]) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 // ---------------------------------------------------------------- matrix

@@ -34,11 +34,9 @@ inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 /// Hop count returned when no path exists.
 inline constexpr std::size_t kNoPath = static_cast<std::size_t>(-1);
 
-/// Single-source result: dist[v] (kUnreachable when disconnected) and
-/// parent[v] on a shortest-path tree (kNoNode for source/unreachable).
+/// Single-source result: dist[v] (kUnreachable when disconnected).
 struct SsspResult {
   std::vector<double> dist;
-  std::vector<NodeId> parent;
 };
 
 /// Unweighted BFS distances (hop counts).
@@ -46,10 +44,6 @@ SsspResult bfs(const Graph& g, NodeId source);
 
 /// Weighted Dijkstra (binary heap). Precondition: positive weights.
 SsspResult dijkstra(const Graph& g, NodeId source);
-
-/// Reconstructs the path source -> target from a parent array; empty
-/// when target is unreachable. The path includes both endpoints.
-std::vector<NodeId> reconstruct_path(const SsspResult& sssp, NodeId target);
 
 /// Square distance matrix that can grow by one node in place. Rows are
 /// allocated with slack (stride >= n) so a switch join extends the

@@ -8,6 +8,11 @@
 namespace gred::linalg {
 namespace {
 
+/// The Jacobi sweep loop's bound, and its stop: the off-diagonal norm
+/// below kTolerance times the Frobenius norm of the input.
+constexpr std::size_t kMaxSweeps = 64;
+constexpr double kTolerance = 1e-12;
+
 /// Sum of squares of the strictly-off-diagonal elements.
 double off_diagonal_sq(const Matrix& a) {
   double acc = 0.0;
@@ -21,8 +26,7 @@ double off_diagonal_sq(const Matrix& a) {
 
 }  // namespace
 
-EigenDecomposition symmetric_eigen(const Matrix& a,
-                                   const JacobiOptions& options) {
+EigenDecomposition symmetric_eigen(const Matrix& a) {
   if (!a.is_symmetric(1e-6)) {
     throw std::invalid_argument("symmetric_eigen: matrix is not symmetric");
   }
@@ -31,11 +35,10 @@ EigenDecomposition symmetric_eigen(const Matrix& a,
   Matrix v = Matrix::identity(n);    // accumulated rotations
 
   const double stop =
-      options.tolerance * options.tolerance * a.frobenius_norm() *
-          a.frobenius_norm() +
+      kTolerance * kTolerance * a.frobenius_norm() * a.frobenius_norm() +
       1e-300;
 
-  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     if (off_diagonal_sq(d) <= stop) break;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {

@@ -20,16 +20,10 @@ struct EigenDecomposition {
   Matrix vectors;  ///< n x n; column j is the eigenvector for values[j].
 };
 
-/// Options for the Jacobi sweep loop.
-struct JacobiOptions {
-  std::size_t max_sweeps = 64;
-  double tolerance = 1e-12;  ///< stop when off-diagonal norm is below this
-                             ///< times the Frobenius norm of the input
-};
-
 /// Computes all eigenpairs of a symmetric matrix. Precondition:
-/// a.is_symmetric(); asserts/throws otherwise.
-EigenDecomposition symmetric_eigen(const Matrix& a,
-                                   const JacobiOptions& options = {});
+/// a.is_symmetric(); asserts/throws otherwise. Sweeps stop once the
+/// off-diagonal norm falls below 1e-12 times the input's Frobenius
+/// norm, or after 64 sweeps.
+EigenDecomposition symmetric_eigen(const Matrix& a);
 
 }  // namespace gred::linalg

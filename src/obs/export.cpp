@@ -45,19 +45,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Prometheus metric names allow [a-zA-Z0-9_:]; dots become
-/// underscores and everything gets the gred_ namespace prefix.
-std::string prom_name(const std::string& name) {
-  std::string out = "gred_";
-  out.reserve(out.size() + name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
 void append_histogram_json(std::string& out, const Histogram::Snapshot& h) {
   out += "{\"count\": ";
   out += num(h.count);
@@ -216,72 +203,6 @@ std::string to_json(const ExportSources& sources,
     append_events_json(out, *sources.events);
   }
   out += "\n}\n";
-  return out;
-}
-
-std::string to_prometheus(const ExportSources& sources) {
-  std::string out;
-  if (sources.registry != nullptr) {
-    const Registry::Snapshot snap = sources.registry->snapshot();
-    auto line = [&out](const std::string& name, const std::string& value) {
-      out += name;
-      out += ' ';
-      out += value;
-      out += '\n';
-    };
-    for (const auto& [name, v] : snap.counters) {
-      const std::string p = prom_name(name);
-      out += "# TYPE ";
-      out += p;
-      out += " counter\n";
-      line(p, num(v));
-    }
-    for (const auto& [name, v] : snap.gauges) {
-      const std::string p = prom_name(name);
-      out += "# TYPE ";
-      out += p;
-      out += " gauge\n";
-      line(p, num(v));
-    }
-    for (const auto& [name, h] : snap.histograms) {
-      const std::string p = prom_name(name);
-      out += "# TYPE ";
-      out += p;
-      out += " histogram\n";
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < Histogram::kBins; ++i) {
-        if (h.bins[i] == 0) continue;  // sparse: emit non-empty buckets
-        cumulative += h.bins[i];
-        out += p;
-        out += "_bucket{le=\"";
-        out += num(Histogram::Snapshot::bin_upper(i));
-        out += "\"} ";
-        out += num(cumulative);
-        out += '\n';
-      }
-      out += p;
-      out += "_bucket{le=\"+Inf\"} ";
-      out += num(h.count);
-      out += '\n';
-      line(p + "_sum", num(h.sum));
-      line(p + "_count", num(h.count));
-    }
-  }
-  if (sources.trace != nullptr) {
-    out += "# TYPE gred_route_trace_recorded_total counter\n";
-    out += "gred_route_trace_recorded_total ";
-    out += num(sources.trace->recorded());
-    out += "\n# TYPE gred_route_trace_dropped_total counter\n";
-    out += "gred_route_trace_dropped_total ";
-    out += num(sources.trace->dropped());
-    out += '\n';
-  }
-  if (sources.events != nullptr) {
-    out += "# TYPE gred_dynamics_events_total counter\n";
-    out += "gred_dynamics_events_total ";
-    out += num(static_cast<std::uint64_t>(sources.events->size()));
-    out += '\n';
-  }
   return out;
 }
 

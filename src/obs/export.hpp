@@ -1,8 +1,6 @@
 // Serializes the observability state — metrics registry, route-trace
 // ring, dynamics event log — as JSON (the BENCH_*.json house style:
-// flat keys, machine-diffable) and as Prometheus text exposition
-// (`gred_` prefix, counters/gauges/histograms with le-labelled
-// cumulative buckets). Schemas are documented in README.md
+// flat keys, machine-diffable). The schema is documented in README.md
 // ("Observability output") and DESIGN.md §10.
 #pragma once
 
@@ -32,10 +30,6 @@ ExportSources default_sources();
 /// (newest kept); 0 embeds none (summary only).
 std::string to_json(const ExportSources& sources,
                     std::size_t max_trace_samples = 64);
-
-/// Prometheus text exposition of the metrics (plus trace/event-log
-/// summary gauges when those sources are present).
-std::string to_prometheus(const ExportSources& sources);
 
 /// Writes `text` to `path` (kUnavailable on I/O failure).
 Status write_text_file(const std::string& path, const std::string& text);

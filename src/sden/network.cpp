@@ -663,15 +663,6 @@ bool SdenNetwork::erase_item(ServerId sid, const std::string& id) {
   return servers_[sid].erase(id);
 }
 
-void SdenNetwork::clear_storage() {
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    servers_[i] = ServerNode(servers_[i].info());
-  }
-  // Every cached retrieval answer points at an item that no longer
-  // exists; the fresh-trial reset must not serve ghosts.
-  if (hot_cache_) hot_cache_->invalidate_all();
-}
-
 HotKeyCache& SdenNetwork::enable_hot_key_cache(std::size_t ways) {
   if (!hot_cache_ || hot_cache_->ways() != ways) {
     hot_cache_ = std::make_unique<HotKeyCache>(switches_.size(), ways);

@@ -150,9 +150,6 @@ class SdenNetwork {
   /// Flow-table entries per switch (Fig. 9(d)).
   std::vector<std::size_t> table_entry_counts() const;
 
-  /// Drops every stored item and resets load counters (fresh trial).
-  void clear_storage();
-
   /// Adds a new switch with physical links to `links` (dynamics,
   /// Section VI). Returns the new switch id.
   Result<SwitchId> add_switch(const std::vector<SwitchId>& links);

@@ -11,7 +11,6 @@ Status ServerNode::store(const std::string& id, std::string payload) {
                   "server " + info_.name + " is at capacity");
   }
   items_.upsert(id, std::move(payload));
-  ++placements_received_;
   return Status::Ok();
 }
 

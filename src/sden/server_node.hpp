@@ -1,6 +1,6 @@
-// An edge server in the simulator: bounded key-value storage plus the
-// load counters the evaluation reads (number of data items received —
-// the paper's per-server load for the max/avg metric).
+// An edge server in the simulator: bounded key-value storage (its item
+// count is the paper's per-server load for the max/avg metric) plus a
+// retrieval counter.
 #pragma once
 
 #include <atomic>
@@ -24,18 +24,15 @@ class ServerNode {
   ServerNode(const ServerNode& o)
       : info_(o.info_),
         items_(o.items_),
-        placements_received_(o.placements_received_),
         retrievals_served_(o.retrievals_served_.load()) {}
   ServerNode(ServerNode&& o) noexcept
       : info_(std::move(o.info_)),
         items_(std::move(o.items_)),
-        placements_received_(o.placements_received_),
         retrievals_served_(o.retrievals_served_.load()) {}
   ServerNode& operator=(const ServerNode& o) {
     if (this != &o) {
       info_ = o.info_;
       items_ = o.items_;
-      placements_received_ = o.placements_received_;
       retrievals_served_.store(o.retrievals_served_.load());
     }
     return *this;
@@ -43,7 +40,6 @@ class ServerNode {
   ServerNode& operator=(ServerNode&& o) noexcept {
     info_ = std::move(o.info_);
     items_ = std::move(o.items_);
-    placements_received_ = o.placements_received_;
     retrievals_served_.store(o.retrievals_served_.load());
     return *this;
   }
@@ -74,8 +70,6 @@ class ServerNode {
 
   /// Currently stored items — the paper's load metric.
   std::size_t item_count() const { return items_.size(); }
-  /// Cumulative placements ever received (diagnostics).
-  std::size_t placements_received() const { return placements_received_; }
   /// Cumulative retrievals served (diagnostics).
   std::size_t retrievals_served() const {
     // relaxed: standalone diagnostic tally (see note_retrieval).
@@ -103,7 +97,6 @@ class ServerNode {
  private:
   topology::EdgeServer info_;
   ItemStore items_;
-  std::size_t placements_received_ = 0;
   std::atomic<std::size_t> retrievals_served_{0};
 };
 

@@ -87,8 +87,6 @@ class ShardedDataPlane {
   ShardedDataPlane& operator=(const ShardedDataPlane&) = delete;
 
   std::size_t shard_count() const { return shards_.size(); }
-  /// Owning shard of each switch (the Morton-partition map).
-  const std::vector<std::uint32_t>& owners() const { return owner_; }
 
   /// Routes `count` packets, writing results[i] for pkts[i] injected at
   /// ingresses[i] — each bit-identical to SdenNetwork::route on the

@@ -58,7 +58,6 @@ class EdgeNetwork {
   void truncate(std::size_t switch_count, std::size_t server_count);
 
   const EdgeServer& server(ServerId id) const { return servers_[id]; }
-  EdgeServer& mutable_server(ServerId id) { return servers_[id]; }
 
   /// Global ids of the servers attached to `sw`, ordered by local index.
   const std::vector<ServerId>& servers_at(SwitchId sw) const {

@@ -7,11 +7,17 @@
 namespace gred::topology {
 namespace {
 
+constexpr double kBeta = 0.2;  ///< BRITE default
+/// Latency-weight mode: link ms per unit of placement distance, and
+/// the floor of a link's latency.
+constexpr double kLatencyMsPerUnit = 0.01;
+constexpr double kMinLatencyMs = 0.05;
+
 /// Waxman attachment weight between placed nodes.
 double waxman_weight(const geometry::Point2D& a, const geometry::Point2D& b,
                      const WaxmanOptions& options, double max_dist) {
   const double d = geometry::distance(a, b);
-  return options.alpha * std::exp(-d / (options.beta * max_dist));
+  return options.alpha * std::exp(-d / (kBeta * max_dist));
 }
 
 /// Picks an index from `weights` with probability proportional to the
@@ -59,10 +65,10 @@ Result<WaxmanTopology> generate_waxman(const WaxmanOptions& options,
   const double max_dist = options.plane_size * std::sqrt(2.0);
   auto link_weight = [&](std::size_t u, std::size_t v) {
     if (!options.latency_weights) return 1.0;
-    return std::max(options.min_latency_ms,
+    return std::max(kMinLatencyMs,
                     geometry::distance(topo.placements[u],
                                        topo.placements[v]) *
-                        options.latency_ms_per_unit);
+                        kLatencyMsPerUnit);
   };
 
   // Incremental attachment: node i connects to min(i, min_degree)

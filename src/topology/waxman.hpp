@@ -7,7 +7,8 @@
 //
 //   P(u, v) = alpha * exp( -d(u, v) / (beta * L) )
 //
-// where d is Euclidean distance and L the maximum possible distance.
+// where d is Euclidean distance, L the maximum possible distance, and
+// beta BRITE's default 0.2.
 // A final patch-up pass adds Waxman-weighted edges until every node has
 // degree >= min_degree (matching the paper's "minimal degree of
 // switches for interconnection" knob, swept 3..10 in Fig. 9(b)).
@@ -25,16 +26,13 @@ struct WaxmanOptions {
   /// Links added per new node; also the enforced minimum degree.
   std::size_t min_degree = 3;
   double alpha = 0.15;  ///< BRITE default
-  double beta = 0.2;    ///< BRITE default
   double plane_size = 1000.0;  ///< nodes placed in [0, plane_size]^2
 
   /// When true, link weights are propagation latencies derived from
-  /// the geographic placements (ms = Euclidean distance *
-  /// latency_ms_per_unit, floored at min_latency_ms) instead of unit
-  /// hop costs. Enables the latency-aware routing metrics.
+  /// the geographic placements (ms = Euclidean distance * 0.01,
+  /// floored at 0.05 ms) instead of unit hop costs. Enables the
+  /// latency-aware routing metrics.
   bool latency_weights = false;
-  double latency_ms_per_unit = 0.01;
-  double min_latency_ms = 0.05;
 };
 
 struct WaxmanTopology {

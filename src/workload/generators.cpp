@@ -1,9 +1,5 @@
 #include "workload/generators.hpp"
 
-#include <cmath>
-
-#include "check/check.hpp"
-
 namespace gred::workload {
 
 std::vector<std::string> identifier_universe(const std::string& prefix,
@@ -14,56 +10,6 @@ std::vector<std::string> identifier_universe(const std::string& prefix,
     ids.push_back(prefix + "/" + std::to_string(k));
   }
   return ids;
-}
-
-std::vector<Op> generate_trace(std::size_t ops, const TraceOptions& options,
-                               Rng& rng) {
-  // Hard validation, not assert: Release-mode zeros reach
-  // Rng::next_below(0) and an empty ZipfSampler universe (both UB).
-  if (options.switches == 0 || options.universe == 0) {
-    check::invariant_failure(__FILE__, __LINE__,
-                             "switches >= 1 && universe >= 1",
-                             "generate_trace requires switches and ids");
-  }
-  const std::vector<std::string> ids =
-      identifier_universe(options.prefix, options.universe);
-  const ZipfSampler popularity(options.universe, options.zipf_exponent);
-
-  std::vector<Op> trace;
-  trace.reserve(ops);
-  std::vector<bool> placed(options.universe, false);
-  std::size_t next_place = 0;
-  double now = 0.0;
-
-  for (std::size_t i = 0; i < ops; ++i) {
-    // Exponential inter-arrival -> Poisson process.
-    now += -options.mean_interarrival_ms *
-           std::log(1.0 - rng.next_double());
-
-    Op op;
-    op.at_ms = now;
-    op.access_switch = rng.next_below(options.switches);
-
-    const bool place = i == 0 || rng.bernoulli(options.place_fraction);
-    if (place) {
-      op.kind = Op::Kind::kPlace;
-      op.data_id = ids[next_place % options.universe];
-      placed[next_place % options.universe] = true;
-      ++next_place;
-    } else {
-      op.kind = Op::Kind::kRetrieve;
-      // Resample until we hit an id that has been placed; with a small
-      // placed set fall back to a placed id directly.
-      std::size_t k = popularity.sample(rng);
-      for (int attempt = 0; attempt < 16 && !placed[k]; ++attempt) {
-        k = popularity.sample(rng);
-      }
-      if (!placed[k]) k = (next_place - 1) % options.universe;
-      op.data_id = ids[k];
-    }
-    trace.push_back(std::move(op));
-  }
-  return trace;
 }
 
 }  // namespace gred::workload

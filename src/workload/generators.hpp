@@ -1,43 +1,15 @@
-// Workload generators: reproducible streams of data identifiers and
-// access patterns for tests, benches, and examples.
+// Workload generators: reproducible data identifiers for tests, benches,
+// and examples.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "workload/zipf.hpp"
-
 namespace gred::workload {
-
-/// One operation of a generated trace.
-struct Op {
-  enum class Kind { kPlace, kRetrieve };
-  Kind kind = Kind::kPlace;
-  std::string data_id;
-  std::size_t access_switch = 0;  ///< ingress, in [0, switches)
-  double at_ms = 0.0;             ///< injection time
-};
 
 /// Deterministic identifier universe: "<prefix>/<k>".
 std::vector<std::string> identifier_universe(const std::string& prefix,
                                              std::size_t count);
-
-struct TraceOptions {
-  std::size_t switches = 1;        ///< ingress switches available
-  std::size_t universe = 1000;     ///< distinct data identifiers
-  std::string prefix = "obj";
-  double zipf_exponent = 0.0;      ///< 0 = uniform popularity
-  double place_fraction = 0.1;     ///< fraction of ops that are placements
-  double mean_interarrival_ms = 1.0;
-};
-
-/// Generates `ops` operations. Placements write ids round-robin so
-/// every retrieved id has been placed earlier in the trace; retrievals
-/// sample ids by popularity. Arrival times are exponential
-/// (Poisson process).
-std::vector<Op> generate_trace(std::size_t ops, const TraceOptions& options,
-                               Rng& rng);
 
 }  // namespace gred::workload

@@ -33,6 +33,15 @@
 
 namespace gred::workload {
 
+/// One operation of a generated trace.
+struct Op {
+  enum class Kind { kPlace, kRetrieve };
+  Kind kind = Kind::kPlace;
+  std::string data_id;
+  std::size_t access_switch = 0;  ///< ingress, in [0, switches)
+  double at_ms = 0.0;             ///< injection time
+};
+
 struct HotspotOptions {
   std::size_t universe = 1000;      ///< distinct data identifiers
   std::string prefix = "hot";

@@ -344,23 +344,6 @@ TEST(TableTest, ShortRowsArePadded) {
   EXPECT_NE(t.to_string().find("x"), std::string::npos);
 }
 
-TEST(TableTest, CsvRendering) {
-  Table t({"a", "b"});
-  t.add_row({"1", "two,with comma"});
-  t.add_row({"quote\"y", "plain"});
-  const std::string csv = t.to_csv();
-  EXPECT_EQ(csv,
-            "a,b\n"
-            "1,\"two,with comma\"\n"
-            "\"quote\"\"y\",plain\n");
-}
-
-TEST(TableTest, CsvPadsShortRows) {
-  Table t({"a", "b", "c"});
-  t.add_row({"x"});
-  EXPECT_EQ(t.to_csv(), "a,b,c\nx,,\n");
-}
-
 TEST(TableTest, FmtPrecision) {
   EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(Table::fmt(2.0, 0), "2");
@@ -385,18 +368,6 @@ TEST(StringsTest, Trim) {
   EXPECT_EQ(trim("x"), "x");
   EXPECT_EQ(trim("   "), "");
   EXPECT_EQ(trim("\t\na b\r "), "a b");
-}
-
-TEST(StringsTest, StartsWith) {
-  EXPECT_TRUE(starts_with("hello", "he"));
-  EXPECT_TRUE(starts_with("hello", ""));
-  EXPECT_FALSE(starts_with("he", "hello"));
-}
-
-TEST(StringsTest, HumanBytes) {
-  EXPECT_EQ(human_bytes(512), "512 B");
-  EXPECT_EQ(human_bytes(1536), "1.5 KiB");
-  EXPECT_EQ(human_bytes(3 * 1024 * 1024), "3.0 MiB");
 }
 
 }  // namespace

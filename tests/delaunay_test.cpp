@@ -7,12 +7,21 @@
 #include <algorithm>
 #include <set>
 
+#include "check/invariants.hpp"
 #include "common/rng.hpp"
 #include "geometry/convex_hull.hpp"
 #include "geometry/delaunay.hpp"
 
 namespace gred::geometry {
 namespace {
+
+// The deep validator: empty circumcircles and CCW triangles, distinct
+// sites, and a well-formed adjacency.
+::testing::AssertionResult valid_delaunay(const DelaunayTriangulation& dt) {
+  const check::CheckReport report = check::validate_delaunay(dt);
+  if (report.ok()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << report.to_string();
+}
 
 std::vector<Point2D> random_points(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -51,7 +60,7 @@ TEST(DelaunayTest, TriangleIsItsOwnDT) {
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.value().triangles().size(), 1u);
   EXPECT_EQ(d.value().edge_count(), 3u);
-  EXPECT_TRUE(d.value().is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(d.value()));
 }
 
 TEST(DelaunayTest, SquareHasTwoTriangles) {
@@ -60,7 +69,7 @@ TEST(DelaunayTest, SquareHasTwoTriangles) {
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.value().triangles().size(), 2u);
   EXPECT_EQ(d.value().edge_count(), 5u);
-  EXPECT_TRUE(d.value().is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(d.value()));
 }
 
 TEST(DelaunayTest, DuplicatePointsRejected) {
@@ -89,7 +98,7 @@ TEST(DelaunayTest, KnownFlipCase) {
   auto d = DelaunayTriangulation::build(
       {{0.0, 0.0}, {10.0, 0.0}, {10.5, 1.0}, {0.5, 1.0}});
   ASSERT_TRUE(d.ok());
-  EXPECT_TRUE(d.value().is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(d.value()));
   EXPECT_EQ(d.value().triangles().size(), 2u);
 }
 
@@ -154,7 +163,7 @@ class DelaunayPropertyTest
 };
 
 TEST_P(DelaunayPropertyTest, EmptyCircumcircles) {
-  EXPECT_TRUE(dt_.is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(dt_));
 }
 
 TEST_P(DelaunayPropertyTest, EulerFormula) {
@@ -240,7 +249,7 @@ TEST(DelaunayStressTest, TwoTightClusters) {
   }
   auto d = DelaunayTriangulation::build(pts);
   ASSERT_TRUE(d.ok());
-  EXPECT_TRUE(d.value().is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(d.value()));
   // Greedy still delivers across the gap.
   for (int trial = 0; trial < 100; ++trial) {
     const Point2D target{rng.next_double(), rng.next_double()};
@@ -274,7 +283,7 @@ TEST(DelaunayInsertTest, MatchesFromScratchBuild) {
           << "after inserting point " << n << ", site " << i;
     }
   }
-  EXPECT_TRUE(dt.is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(dt));
 }
 
 TEST(DelaunayInsertTest, DuplicateRejected) {
@@ -300,9 +309,9 @@ TEST(DelaunayInsertTest, GrowsFromDegenerateStates) {
   EXPECT_TRUE(dt.are_neighbors(1, 2));
   ASSERT_TRUE(dt.insert({1.0, 1.0}).ok());   // first real triangle(s)
   EXPECT_FALSE(dt.triangles().empty());
-  EXPECT_TRUE(dt.is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(dt));
   ASSERT_TRUE(dt.insert({0.5, -2.0}).ok());  // below the chain
-  EXPECT_TRUE(dt.is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(dt));
   EXPECT_EQ(dt.size(), 5u);
 }
 
@@ -475,7 +484,7 @@ TEST(DelaunayRepairTest, RandomInsertRemoveSequenceStaysExact) {
     }
     ASSERT_FALSE(::testing::Test::HasFailure());
   }
-  EXPECT_TRUE(dt.is_valid_delaunay());
+  EXPECT_TRUE(valid_delaunay(dt));
 }
 
 TEST(DelaunayStressTest, NearCollinearBand) {

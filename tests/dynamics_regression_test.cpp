@@ -11,17 +11,22 @@
 //   5. A joining switch must land among its neighbours, not on the
 //      unit square's boundary (which made every later leave a hull
 //      removal).
+//   6. With replication on, a leave whose migration already moved
+//      items and whose replication repair then fails must undo those
+//      moves as well.
 // Each test fails on the pre-fix code. The planned-move primitive's
 // edges (all-or-nothing pullback, capacity-bounded hot-item spread)
 // close the file.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/controller.hpp"
 #include "core/protocol.hpp"
+#include "core/snapshot.hpp"
 #include "obs/switch_load.hpp"
 #include "topology/presets.hpp"
 #include "topology/waxman.hpp"
@@ -155,6 +160,105 @@ TEST(RemoveSwitchAtomicityTest, FailedReplacementRollsBackAndKeepsItems) {
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().route.found) << id;
     EXPECT_EQ(r.value().route.payload, "v-" + id);
+  }
+}
+
+// --- Bug 6: rollback after a migration that already succeeded -------
+
+std::vector<std::map<std::string, std::string>> stored_items(
+    const SdenNetwork& net) {
+  std::vector<std::map<std::string, std::string>> out(net.server_count());
+  for (ServerId s = 0; s < net.server_count(); ++s) {
+    for (const auto& [id, payload] : net.server(s).items()) {
+      out[s][id] = payload;
+    }
+  }
+  return out;
+}
+
+TEST(RemoveSwitchAtomicityTest, ReplicationRepairFailureUndoesMigration) {
+  // Switch kLeaving leaves a 3x3 grid with one server per switch
+  // (server id == switch id) at replication factor 2. Three items have
+  // their two copies on kLeaving and on `full`, the one capped server,
+  // which they fill; the leave's migration moves their kLeaving copies
+  // to unbounded servers. Item `lost` lacks its copy on `full` (its
+  // placement found it full), so the replication repair that follows
+  // the migration fails. Positions depend on the topology only, so an
+  // unbounded probe deployment picks `full` and the ids.
+  constexpr SwitchId kLeaving = 0;
+  constexpr std::size_t kCap = 3;
+  const ReplicationOptions repl{.factor = 2};
+  SdenNetwork probe = make_net(topology::grid(3, 3), 1);
+  Controller probe_ctrl;
+  ASSERT_TRUE(probe_ctrl.initialize(probe).ok());
+  ASSERT_TRUE(probe_ctrl.enable_replication(probe, repl).ok());
+  auto homes_of = [&](const std::string& id) {
+    return probe_ctrl.replica_homes(crypto::DataKey(id));
+  };
+  SwitchId full = kLeaving;
+  std::vector<std::string> fillers;
+  std::string lost;
+  for (int i = 0; i < 20000 && (fillers.size() < kCap || lost.empty());
+       ++i) {
+    const std::string id = "repair-" + std::to_string(i);
+    const std::vector<SwitchId> homes = homes_of(id);
+    ASSERT_EQ(homes.size(), 2u);
+    if (full == kLeaving && homes[0] == kLeaving) full = homes[1];
+    if (full == kLeaving) continue;
+    const bool pair = (homes[0] == kLeaving && homes[1] == full) ||
+                      (homes[0] == full && homes[1] == kLeaving);
+    if (pair && fillers.size() < kCap) {
+      fillers.push_back(id);
+    } else if (lost.empty() && homes[1] == full && homes[0] != kLeaving) {
+      lost = id;
+    }
+  }
+  ASSERT_EQ(fillers.size(), kCap);
+  ASSERT_FALSE(lost.empty());
+
+  topology::EdgeNetwork desc(topology::grid(3, 3));
+  for (SwitchId sw = 0; sw < desc.switches().node_count(); ++sw) {
+    ASSERT_TRUE(desc.attach_server(sw, sw == full ? kCap : 0).ok());
+  }
+  SdenNetwork net(desc);
+  Controller ctrl;
+  ASSERT_TRUE(ctrl.initialize(net).ok());
+  ASSERT_TRUE(ctrl.enable_replication(net, repl).ok());
+  ASSERT_EQ(ctrl.space().positions(), probe_ctrl.space().positions());
+  GredProtocol proto(net, ctrl);
+  for (const std::string& id : fillers) {
+    ASSERT_TRUE(proto.place(id, "v-" + id, 4).ok()) << id;
+  }
+  ASSERT_TRUE(net.server(full).at_capacity());
+  // The primary copy lands; the replica copy finds `full` full.
+  const auto placed = proto.place(lost, "v-" + lost, 4);
+  ASSERT_FALSE(placed.ok());
+  ASSERT_EQ(placed.error().code, ErrorCode::kUnavailable);
+
+  const auto items_before = stored_items(net);
+  const auto snap = capture_snapshot(ctrl, net);
+  ASSERT_TRUE(snap.ok());
+
+  const Status removed = ctrl.remove_switch(net, kLeaving);
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.error().code, ErrorCode::kUnavailable);
+  // The migration had moved the fillers' kLeaving copies before the
+  // repair failed (the count of the last migration that applied).
+  EXPECT_EQ(ctrl.last_migration_count(), kCap);
+
+  // Every server holds exactly its pre-op items and payloads.
+  EXPECT_EQ(stored_items(net), items_before);
+  // The flow tables are those of a cold restore of the pre-op state.
+  SdenNetwork cold(net.description());
+  Controller cold_ctrl;
+  ASSERT_TRUE(restore_snapshot(cold_ctrl, cold, snap.value()).ok());
+  ASSERT_EQ(net.switch_count(), cold.switch_count());
+  for (SwitchId sw = 0; sw < net.switch_count(); ++sw) {
+    const sden::Switch& got = net.const_switch_at(sw);
+    const sden::Switch& want = cold.const_switch_at(sw);
+    EXPECT_EQ(got.position().x, want.position().x) << sw;
+    EXPECT_EQ(got.position().y, want.position().y) << sw;
+    EXPECT_EQ(got.table().to_string(), want.table().to_string()) << sw;
   }
 }
 

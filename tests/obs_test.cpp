@@ -1,5 +1,5 @@
 // gred::obs — metrics registry, route-trace ring, dynamics event log,
-// phase timers, and the JSON / Prometheus exporters.
+// phase timers, and the JSON exporter.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -285,7 +285,7 @@ TEST_F(ObsSystemTest, EventLogRecordsPatchedCounts) {
   }
 }
 
-TEST_F(ObsSystemTest, JsonAndPrometheusExportCarryAllSections) {
+TEST_F(ObsSystemTest, JsonExportCarriesAllSections) {
   sden::SdenNetwork net = make_net();
   core::Controller ctrl;
   ASSERT_TRUE(ctrl.initialize(net).ok());
@@ -300,14 +300,6 @@ TEST_F(ObsSystemTest, JsonAndPrometheusExportCarryAllSections) {
   EXPECT_NE(json.find("\"samples\""), std::string::npos);
   EXPECT_NE(json.find("\"events\""), std::string::npos);
   EXPECT_NE(json.find("\"add_link\""), std::string::npos);
-
-  const std::string prom = to_prometheus(default_sources());
-  EXPECT_NE(prom.find("# TYPE"), std::string::npos);
-  EXPECT_NE(prom.find("gred_sden_packets_routed"), std::string::npos);
-  EXPECT_NE(prom.find("gred_control_phase_apsp_ms_bucket"),
-            std::string::npos);
-  EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_NE(prom.find("gred_dynamics_events_total"), std::string::npos);
 
   // Null sources drop their sections instead of crashing.
   ExportSources none;

@@ -219,6 +219,21 @@ TEST(ReplicationTest, NearestReplicaFoundFromEveryIngress) {
   }
 }
 
+// A bad ingress is a classified routing error, as it is for retrieve:
+// the nearest-copy choice must not read the switch before checking it.
+TEST(ReplicationTest, NearestReplicaRejectsOutOfRangeIngress) {
+  GredSystem sys = make_system(topology::grid(5, 5), 2);
+  ASSERT_TRUE(sys.place_replicated("x", "v", 2, 0).ok());
+  const SwitchId bad = 1000000;
+  auto single = sys.retrieve("x#0", bad);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.error().code, ErrorCode::kOutOfRange);
+  auto nearest = sys.retrieve_nearest_replica("x", 2, bad);
+  ASSERT_FALSE(nearest.ok());
+  EXPECT_EQ(nearest.error().code, ErrorCode::kOutOfRange);
+  EXPECT_EQ(nearest.error().to_string(), single.error().to_string());
+}
+
 TEST(ReplicationTest, MoreReplicasNeverHurtMeanDistance) {
   // With more copies, the mean retrieval hop count must not grow.
   GredSystem sys1 = make_system(topology::grid(6, 6), 2);

@@ -343,7 +343,6 @@ TEST(ServerNodeTest, Counters) {
   (void)node.store("a", "1");
   (void)node.store("b", "2");
   node.note_retrieval();
-  EXPECT_EQ(node.placements_received(), 2u);
   EXPECT_EQ(node.retrievals_served(), 1u);
 }
 
@@ -506,8 +505,6 @@ TEST(SdenNetworkTest, LoadsAndTableCounts) {
   const auto tables = net.table_entry_counts();
   EXPECT_EQ(tables[0], 2u);
   EXPECT_EQ(tables[1], 4u);  // 2 neighbors + 2 relays
-  net.clear_storage();
-  for (std::size_t l : net.server_loads()) EXPECT_EQ(l, 0u);
 }
 
 TEST(SdenNetworkTest, RangeExtensionHandoffWalk) {

@@ -1,14 +1,9 @@
-// Workload substrate: Zipf sampling, trace generation, arrival
-// processes.
+// Workload substrate: Zipf sampling and identifier generation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <set>
 
 #include "common/rng.hpp"
-#include "workload/arrivals.hpp"
 #include "workload/generators.hpp"
 #include "workload/zipf.hpp"
 
@@ -74,68 +69,11 @@ TEST(ZipfTest, HigherExponentMoreSkew) {
   EXPECT_LT(steep.probability(99), mild.probability(99));
 }
 
-// ---------- trace generation ----------
+// ---------- identifiers ----------
 
 TEST(TraceTest, IdentifierUniverse) {
   const auto ids = identifier_universe("x", 3);
   EXPECT_EQ(ids, (std::vector<std::string>{"x/0", "x/1", "x/2"}));
-}
-
-TEST(TraceTest, StructureInvariants) {
-  Rng rng(8);
-  TraceOptions opt;
-  opt.switches = 5;
-  opt.universe = 30;
-  opt.zipf_exponent = 1.0;
-  opt.place_fraction = 0.3;
-  const auto trace = generate_trace(500, opt, rng);
-  ASSERT_EQ(trace.size(), 500u);
-
-  EXPECT_EQ(trace.front().kind, Op::Kind::kPlace);
-  std::set<std::string> placed;
-  double prev_time = -1.0;
-  for (const Op& op : trace) {
-    EXPECT_LT(op.access_switch, 5u);
-    EXPECT_GT(op.at_ms, prev_time);
-    prev_time = op.at_ms;
-    if (op.kind == Op::Kind::kPlace) {
-      placed.insert(op.data_id);
-    } else {
-      // Every retrieval targets an already-placed identifier.
-      EXPECT_TRUE(placed.count(op.data_id)) << op.data_id;
-    }
-  }
-}
-
-TEST(TraceTest, PlaceFractionRoughlyHonored) {
-  Rng rng(9);
-  TraceOptions opt;
-  opt.universe = 1000;
-  opt.place_fraction = 0.25;
-  const auto trace = generate_trace(4000, opt, rng);
-  std::size_t places = 0;
-  for (const Op& op : trace) places += (op.kind == Op::Kind::kPlace);
-  EXPECT_NEAR(static_cast<double>(places) / trace.size(), 0.25, 0.03);
-}
-
-TEST(TraceTest, ZipfSkewShowsInRetrievals) {
-  Rng rng(10);
-  TraceOptions opt;
-  opt.universe = 100;
-  opt.zipf_exponent = 1.5;
-  opt.place_fraction = 0.05;
-  const auto trace = generate_trace(5000, opt, rng);
-  std::map<std::string, int> hits;
-  for (const Op& op : trace) {
-    if (op.kind == Op::Kind::kRetrieve) ++hits[op.data_id];
-  }
-  // The hottest object dominates.
-  int max_hits = 0, total = 0;
-  for (const auto& [id, c] : hits) {
-    max_hits = std::max(max_hits, c);
-    total += c;
-  }
-  EXPECT_GT(static_cast<double>(max_hits) / total, 0.15);
 }
 
 // Property sweep across (n, s) and seeds, including the degenerate
@@ -179,73 +117,6 @@ TEST(WorkloadGuardDeathTest, ZipfEmptyUniverseAborts) {
 TEST(WorkloadGuardDeathTest, ZipfBadExponentAborts) {
   EXPECT_DEATH(ZipfSampler(5, -1.0), "invariant violated");
   EXPECT_DEATH(ZipfSampler(5, std::nan("")), "invariant violated");
-}
-
-TEST(WorkloadGuardDeathTest, PoissonNonPositiveRateAborts) {
-  Rng rng(1);
-  EXPECT_DEATH(poisson_arrivals(3, 0.0, rng), "invariant violated");
-  EXPECT_DEATH(poisson_arrivals(3, -2.0, rng), "invariant violated");
-  EXPECT_DEATH(
-      poisson_arrivals(3, std::numeric_limits<double>::infinity(), rng),
-      "invariant violated");
-}
-
-TEST(WorkloadGuardDeathTest, UniformNegativeSpacingAborts) {
-  EXPECT_DEATH(uniform_arrivals(3, -1.0), "invariant violated");
-  EXPECT_DEATH(uniform_arrivals(3, std::nan("")), "invariant violated");
-}
-
-TEST(WorkloadGuardDeathTest, BurstyBadGapAborts) {
-  EXPECT_DEATH(bursty_arrivals(2, 2, -0.5), "invariant violated");
-}
-
-TEST(WorkloadGuardDeathTest, BurstyCountOverflowAborts) {
-  // batches * per_batch wraps std::size_t; the reserve must never see
-  // the wrapped value.
-  EXPECT_DEATH(
-      bursty_arrivals(std::numeric_limits<std::size_t>::max() / 2, 3, 1.0),
-      "invariant violated");
-}
-
-TEST(WorkloadGuardDeathTest, TraceZeroSwitchesAborts) {
-  Rng rng(2);
-  TraceOptions opt;
-  opt.switches = 0;
-  EXPECT_DEATH(generate_trace(10, opt, rng), "invariant violated");
-}
-
-TEST(WorkloadGuardDeathTest, TraceZeroUniverseAborts) {
-  Rng rng(3);
-  TraceOptions opt;
-  opt.universe = 0;
-  EXPECT_DEATH(generate_trace(10, opt, rng), "invariant violated");
-}
-
-// ---------- arrivals ----------
-
-TEST(ArrivalsTest, PoissonMeanRate) {
-  Rng rng(11);
-  const auto times = poisson_arrivals(20000, 2.0, rng);
-  ASSERT_EQ(times.size(), 20000u);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    EXPECT_GT(times[i], times[i - 1]);
-  }
-  // Mean inter-arrival = 1/rate = 0.5 ms.
-  EXPECT_NEAR(times.back() / 20000.0, 0.5, 0.02);
-}
-
-TEST(ArrivalsTest, Uniform) {
-  const auto times = uniform_arrivals(4, 2.5);
-  EXPECT_EQ(times, (std::vector<double>{0.0, 2.5, 5.0, 7.5}));
-}
-
-TEST(ArrivalsTest, Bursty) {
-  const auto times = bursty_arrivals(2, 3, 10.0);
-  ASSERT_EQ(times.size(), 6u);
-  EXPECT_DOUBLE_EQ(times[0], 0.0);
-  EXPECT_DOUBLE_EQ(times[2], 0.0);
-  EXPECT_DOUBLE_EQ(times[3], 10.0);
-  EXPECT_DOUBLE_EQ(times[5], 10.0);
 }
 
 }  // namespace

@@ -38,6 +38,15 @@ Concurrency rules (DESIGN.md §13):
                  `tsa:` comment explaining what the analysis cannot
                  see.
 
+Repository-wide rule:
+
+  unset-option   a data member of a src/ struct named *Options or
+                 RetryPolicy that no file under src/, bench/,
+                 examples/, perfbench/, fuzz/ or tests/ assigns by name
+                 (`.field =`, designated initializers included). A knob
+                 nothing sets is a constant: name it as one, and delete
+                 the code only another value would reach.
+
 Usage: lint.py <repo-root> [--list-rules] [--self-test]
   --self-test lints tools/tests/fixtures/lint/ and verifies each
   fixture produces exactly the findings its EXPECT comments declare.
@@ -84,8 +93,22 @@ COUT_EXEMPT = ("src/common/log", "src/check/", "src/common/table")
 # The macro definitions themselves.
 ANNOTATION_HEADER = "src/common/thread_annotations.hpp"
 
+# unset-option: the structs it checks, what counts as assigning a
+# field, and the statements of a struct body that declare no field.
+RE_OPTION_STRUCT = re.compile(r"\bstruct\s+(\w*Options|RetryPolicy)\s*\{")
+RE_ASSIGNED = re.compile(r"\.(\w+)\s*=(?!=)")
+RE_NOT_FIELD = re.compile(
+    r"^(using|static|friend|typedef|enum|struct|class|union|template)\b"
+    r"|\boperator\b")
+RE_ACCESS = re.compile(r"^(public|protected|private)\s*:\s*")
+RE_FUNCTION_HEAD = re.compile(r"\)[\s\w]*$")
+RE_DECLARED_NAME = re.compile(r"[\s*&>](\w+)\s*(\[[^\]]*\])?$")
+ASSIGNER_DIRS = ("src", "bench", "examples", "perfbench", "fuzz", "tests")
+LINTED_DIRS = ("src", "fuzz", "tests", "bench", "examples")
+CXX_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+
 RULES = ("rand cout pragma-once catch-value memory-order sleep "
-         "volatile-sync mutable-global cold-doc tsa-doc")
+         "volatile-sync mutable-global cold-doc tsa-doc unset-option")
 
 
 def strip_noise(line: str) -> str:
@@ -110,29 +133,16 @@ def has_justification(lines, idx, window, pattern) -> bool:
     return False
 
 
-def lint_file(path: Path, rel: str, findings: list) -> None:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (UnicodeDecodeError, OSError) as exc:
-        findings.append((rel, 1, "io", f"unreadable source file: {exc}"))
-        return
-
-    lines = text.splitlines()
+def code_lines(lines):
+    """Yields (line number, code) with string literals and // and /* */
+    comments removed; a line wholly inside a block comment yields ''."""
     in_block_comment = False
-
-    is_header = rel.endswith((".hpp", ".h"))
-    if is_header and "#pragma once" not in text:
-        findings.append((rel, 1, "pragma-once", "header lacks #pragma once"))
-
-    lib_code = rel.startswith("src/") and not rel.startswith(COUT_EXEMPT)
-    src_code = rel.startswith("src/")
-
-    for ln, raw in enumerate(lines, start=1):
-        line = raw
+    for ln, line in enumerate(lines, start=1):
         # Cheap block-comment tracking (no nesting, like C++).
         if in_block_comment:
             end = line.find("*/")
             if end < 0:
+                yield ln, ""
                 continue
             line = line[end + 2:]
             in_block_comment = False
@@ -146,8 +156,20 @@ def lint_file(path: Path, rel: str, findings: list) -> None:
                 in_block_comment = True
                 break
             line = line[:start] + line[end + 2:]
+        yield ln, strip_noise(line)
 
-        code = strip_noise(line)
+
+def lint_file(rel: str, text: str, findings: list) -> None:
+    lines = text.splitlines()
+
+    is_header = rel.endswith((".hpp", ".h"))
+    if is_header and "#pragma once" not in text:
+        findings.append((rel, 1, "pragma-once", "header lacks #pragma once"))
+
+    lib_code = rel.startswith("src/") and not rel.startswith(COUT_EXEMPT)
+    src_code = rel.startswith("src/")
+
+    for ln, code in code_lines(lines):
         if not code.strip():
             continue
 
@@ -198,6 +220,63 @@ def lint_file(path: Path, rel: str, findings: list) -> None:
                                  "a `tsa:` justification comment"))
 
 
+def option_fields(code):
+    """(struct, field, line) for each data member of every *Options /
+    RetryPolicy struct in `code`, a list of (line number, code) pairs.
+    Member functions, nested types and aliases are not fields."""
+    chars = [(c, ln) for ln, text in code for c in text + "\n"]
+    fields = []
+    text = "".join(c for c, _ in chars)
+    for m in RE_OPTION_STRUCT.finditer(text):
+        struct = m.group(1)
+        depth = 1
+        stmt, stmt_line = "", 0
+        for c, ln in chars[m.end():]:
+            if c == "{":
+                depth += 1
+                continue
+            if c == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+                if depth == 1 and RE_FUNCTION_HEAD.search(stmt.strip()):
+                    stmt = ""  # end of an inline member function body
+                continue
+            if depth > 1:
+                continue
+            if c != ";":
+                if not stmt.strip():
+                    stmt_line = ln
+                stmt += c
+                continue
+            decl = RE_ACCESS.sub("", " ".join(stmt.split()))
+            stmt = ""
+            if RE_NOT_FIELD.search(decl):
+                continue
+            decl = re.split(r"(?<![=!<>])=(?!=)", decl, maxsplit=1)[0]
+            name = RE_DECLARED_NAME.search(" " + decl.strip())
+            if name and not RE_FUNCTION_HEAD.search(decl.strip()):
+                fields.append((struct, name.group(1), stmt_line))
+    return fields
+
+
+def unset_options(struct_files, assigner_files, findings: list) -> None:
+    """unset-option over `struct_files` ((rel, code) pairs, src/ only):
+    flags every option field no file of `assigner_files` (code lists)
+    assigns by name."""
+    assigned = set()
+    for code in assigner_files:
+        assigned.update(RE_ASSIGNED.findall("\n".join(t for _, t in code)))
+    for rel, code in struct_files:
+        if not rel.startswith("src/"):
+            continue
+        for struct, field, ln in option_fields(code):
+            if field not in assigned:
+                findings.append((rel, ln, "unset-option",
+                                 f"{struct}::{field} is assigned by no "
+                                 "file: make it a named constant"))
+
+
 RE_EXPECT = re.compile(r"EXPECT-LINT:\s*([\w-]+)")
 
 
@@ -218,8 +297,12 @@ def self_test(root: Path) -> int:
         expected = sorted(RE_EXPECT.findall(text))
         findings = []
         # Fixtures are linted as if they lived in src/ so the
-        # src-only rules apply.
-        lint_file(path, "src/" + path.name, findings)
+        # src-only rules apply; unset-option counts the fixture's own
+        # assignments only.
+        rel = "src/" + path.name
+        lint_file(rel, text, findings)
+        code = list(code_lines(text.splitlines()))
+        unset_options([(rel, code)], [code], findings)
         got = sorted(rule for _, _, rule, _ in findings)
         if got == expected:
             print(f"  PASS {path.name}: {expected or ['clean']}")
@@ -249,15 +332,28 @@ def main(argv):
 
     findings = []
     scanned = 0
-    for sub in ("src", "fuzz", "tests", "bench", "examples"):
+    struct_files, assigner_files = [], []
+    for sub in ASSIGNER_DIRS:
         base = root / sub
         if not base.is_dir():
             continue
         for path in sorted(base.rglob("*")):
-            if path.suffix not in (".cpp", ".hpp", ".h", ".cc"):
+            if path.suffix not in CXX_SUFFIXES:
                 continue
-            scanned += 1
-            lint_file(path, path.relative_to(root).as_posix(), findings)
+            rel = path.relative_to(root).as_posix()
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (UnicodeDecodeError, OSError) as exc:
+                findings.append((rel, 1, "io",
+                                 f"unreadable source file: {exc}"))
+                continue
+            if sub in LINTED_DIRS:
+                scanned += 1
+                lint_file(rel, text, findings)
+            code = list(code_lines(text.splitlines()))
+            assigner_files.append(code)
+            struct_files.append((rel, code))
+    unset_options(struct_files, assigner_files, findings)
 
     for rel, ln, rule, msg in findings:
         print(f"{rel}:{ln}: [{rule}] {msg}")
