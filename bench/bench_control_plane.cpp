@@ -3,8 +3,9 @@
 // runs them), the C-regulation loop, and the nearest-site lookup — at
 // threads=1 vs the configured pool (GRED_THREADS, default: all cores),
 // plus the churn sweep: per-event cost of the delta path (delta-APSP +
-// localized DT repair + plan patching) vs a cold restore of the same
-// state (full APSP + DT build + install) at n in {256, 1024, 4096}.
+// localized DT repair + flow-table install of the affected switches)
+// vs a cold restore of the same state (full APSP + DT build + install)
+// at n in {256, 1024, 4096}.
 // Emits BENCH_control_plane.json so CI can track the speedups. Every
 // parallel or delta-path run is checked bit-identical to its serial or
 // cold counterpart before any number is reported. `--smoke` shrinks
@@ -33,8 +34,8 @@
 using namespace gred;
 
 // Global allocation counter for the churn section's steady-state
-// assertion (same hook as bench_data_plane): routing through a patched
-// plan must stay alloc-free.
+// assertion (same hook as bench_data_plane): routing through a plan
+// synced after the churn must stay alloc-free.
 static std::atomic<std::size_t> g_allocs{0};
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -168,11 +169,11 @@ struct ChurnReport {
 /// join/leave, link add/remove, and range extend/retract events, each
 /// timed end-to-end. Identity is asserted before any number is
 /// reported: at every n after every event, a 4-shard plane whose plans
-/// sync (patch) from that event's stamps routes every packet as route()
-/// does; at n <= 256 after every event, against a cold restore (APSP
-/// tables, flow tables, and routed packets); at every n after the churn,
+/// sync after that event routes every packet as route() does; at
+/// n <= 256 after every event, against a cold restore (APSP tables,
+/// flow tables, and routed packets); at every n after the churn,
 /// against a cold restore (APSP, DT adjacency, flow tables), and the
-/// event-by-event patched sharded plans against freshly compiled ones.
+/// event-by-event synced sharded plans against a fresh plane's.
 ChurnReport run_churn(std::size_t n, bool smoke) {
   ChurnReport rep;
   rep.n = n;
@@ -207,7 +208,7 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   }
 
   // 4-shard data plane replayed after every event; each round syncs its
-  // plans from the network's stamps.
+  // plans with the network.
   shard::ShardedDataPlane sdp(net, 4);
   std::vector<sden::RouteResult> sharded(pkts.size());
 
@@ -284,10 +285,9 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     if (patched > 0 && patched < net.switch_count()) {
       ++rep.local_events;
     }
-    // The replay syncs the sharded plans from this event's stamps (a
-    // patch unless the event stamped every switch), so patches build up
-    // across the churn; every packet must route as through the
-    // network's own plan.
+    // The replay syncs the sharded plans after this event (a new
+    // partition and a compile of every shard plan); every packet must
+    // route as through the network's own plan.
     sdp.replay(pkts.data(), ingresses.data(), pkts.size(), sharded.data());
     for (std::size_t i = 0; i < pkts.size(); ++i) {
       pkt_scratch = pkts[i];
@@ -320,7 +320,7 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   // Retract every extension still active: delivery at a switch with a
   // rewrite takes the live-pipeline fallback (which may allocate), so
   // the steady-state alloc assertion below needs a rewrite-free
-  // network. Each retraction is itself a patchable event.
+  // network. Each retraction is itself a delta-path event.
   for (sden::SwitchId s = 0; s < net.switch_count(); ++s) {
     std::vector<topology::ServerId> extended;
     for (const sden::RewriteEntry& rw : net.const_switch_at(s).table()
@@ -362,23 +362,23 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   }
   rep.full_rebuild_ms = full_ms / kColdRuns;
 
-  // The sharded plans, patched event by event (the cleanup retractions
-  // at this replay), vs a freshly compiled plane, every packet
+  // The sharded plans, synced event by event (the cleanup retractions
+  // at this replay), vs a freshly constructed plane, every packet
   // bit-identical.
   {
     shard::ShardedDataPlane fresh_plane(net, 4);
-    std::vector<sden::RouteResult> patched(pkts.size());
-    std::vector<sden::RouteResult> recompiled(pkts.size());
-    sdp.replay(pkts.data(), ingresses.data(), pkts.size(), patched.data());
+    std::vector<sden::RouteResult> synced(pkts.size());
+    std::vector<sden::RouteResult> fresh(pkts.size());
+    sdp.replay(pkts.data(), ingresses.data(), pkts.size(), synced.data());
     fresh_plane.replay(pkts.data(), ingresses.data(), pkts.size(),
-                       recompiled.data());
+                       fresh.data());
     for (std::size_t i = 0; i < pkts.size(); ++i) {
-      require(results_equal(patched[i], recompiled[i]),
-              "patched sharded plan diverged from recompiled");
+      require(results_equal(synced[i], fresh[i]),
+              "synced sharded plan diverged from a fresh plane");
     }
   }
 
-  // Steady-state routing through the (possibly patched) plan stays
+  // Steady-state routing through the synced plan stays
   // alloc-free. Packets injected at a switch that left the DT (now an
   // inert transit) error out — legal, but the error Status allocates
   // its message — so the measured loop injects at live participants.
@@ -391,7 +391,7 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     }
   }
   // Doubles as the warm pass: every post-churn retrieval through the
-  // patched plan must succeed and find its item before the alloc
+  // synced plan must succeed and find its item before the alloc
   // assertion means anything.
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     pkt_scratch = pkts[i];

@@ -356,36 +356,34 @@ BENCHMARK(BM_DtSiteInsertRemove)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_PlanPatchSwitch(benchmark::State& state) {
-  // Per-switch route-plan patch: prepare (cold, allocating) + commit
-  // (hot, index writes only) of one switch region against a compiled
-  // 100-switch plan — the plan-maintenance unit of churn.
-  const std::size_t n = 100;
+void BM_PlanCompile(benchmark::State& state) {
+  // Whole-network route-plan compile (compile_plan_subset over every
+  // switch) of an n-switch Waxman GredSystem: what the first route
+  // after each dynamics event pays, since every change recompiles the
+  // plan whole.
+  const auto n = static_cast<std::size_t>(state.range(0));
   const topology::EdgeNetwork net =
       bench::network({.switches = n, .servers_per_switch = 4,
-                      .topology_seed = 960});
+                      .topology_seed = 960 + n});
   auto sys = core::GredSystem::create(net, bench::gred_options(50));
   if (!sys.ok()) {
     state.SkipWithError("system creation failed");
     return;
   }
-  auto& network = sys.value().network();
+  const sden::SdenNetwork& network = sys.value().network();
   std::vector<std::uint32_t> owned(n);
   for (std::size_t i = 0; i < n; ++i) owned[i] = static_cast<std::uint32_t>(i);
   sden::RoutePlan plan;
-  network.compile_plan_subset(plan, owned.data(), owned.size());
-  sden::PlanPatch patch;
-  Rng rng(9);
   for (auto _ : state) {
-    const auto t = static_cast<std::uint32_t>(rng.next_below(n));
-    if (!network.prepare_plan_patch(plan, &t, 1, patch)) {
-      network.compile_plan_subset(plan, owned.data(), owned.size());
-      continue;
-    }
-    network.commit_plan_patch(plan, patch);
+    network.compile_plan_subset(plan, owned.data(), owned.size());
+    benchmark::DoNotOptimize(plan.hot.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_PlanPatchSwitch);
+BENCHMARK(BM_PlanCompile)
+    ->Arg(128)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ChordLookup(benchmark::State& state) {
   const topology::EdgeNetwork net =

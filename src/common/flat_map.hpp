@@ -66,38 +66,6 @@ class FlatMap {
     ++size_;
   }
 
-  /// Grows the slot array (once, here) so that `n` total entries fit
-  /// without insert_or_assign ever rehashing — the cold half of a
-  /// two-phase update whose hot half uses insert_assume_capacity.
-  void reserve(std::size_t n) {
-    std::size_t cap = slots_.empty() ? 16 : capacity();
-    while (n + 1 > (cap * 7) / 8) cap *= 2;
-    if (cap == capacity()) return;
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-    size_ = 0;
-    for (const Slot& s : old) {
-      if (s.used) insert_or_assign(s.key, s.value);
-    }
-  }
-
-  /// insert_or_assign without the growth check: allocation-free, for
-  /// hot-path commits that ran reserve() beforehand. The caller must
-  /// have reserved capacity for every insert it performs.
-  void insert_assume_capacity(const Key& key, const Value& value) {
-    std::size_t i = flat_hash(key) & mask_;
-    while (slots_[i].used) {
-      if (slots_[i].key == key) {
-        slots_[i].value = value;
-        return;
-      }
-      i = (i + 1) & mask_;
-    }
-    slots_[i] = {key, value, true};
-    ++size_;
-  }
-
   /// Pointer to the mapped value, or nullptr when absent.
   const Value* find(const Key& key) const {
     if (slots_.empty()) return nullptr;

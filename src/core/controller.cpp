@@ -371,7 +371,7 @@ Status Controller::extend_range_impl(sden::SdenNetwork& net,
     return Status(ErrorCode::kOutOfRange, "extend_range: unknown server");
   }
   const SwitchId sw = net.server(overloaded).info().attached_to;
-  // Read-only: a rejected extension must not stamp the switch.
+  // Read-only: a rejected extension must not count as a change.
   if (std::as_const(net).switch_at(sw).table().match_rewrite(overloaded)
           .has_value()) {
     // Re-extending would upsert the rewrite toward a possibly
@@ -406,8 +406,8 @@ Status Controller::extend_range_impl(sden::SdenNetwork& net,
   rewrite.replacement = best;
   rewrite.via_switch = best_via;
   net.switch_at(sw).table().add_rewrite(rewrite);
-  // A rewrite touches exactly one switch's region (its deliver-fallback
-  // flag), so the event is patchable without any recompute.
+  // A rewrite touches exactly one switch's flow table (its plan region
+  // gains the deliver-fallback flag), so the event needs no recompute.
   last_affected_.assign(1, sw);
   return Status::Ok();
 }
@@ -418,7 +418,7 @@ Status Controller::retract_range_impl(sden::SdenNetwork& net,
     return Status(ErrorCode::kOutOfRange, "retract_range: unknown server");
   }
   const SwitchId sw = net.server(overloaded).info().attached_to;
-  // Read-only: a rejected retraction must not stamp the switch.
+  // Read-only: a rejected retraction must not count as a change.
   const auto rewrite =
       std::as_const(net).switch_at(sw).table().match_rewrite(overloaded);
   if (!rewrite.has_value()) {
@@ -907,7 +907,7 @@ Status Controller::rebuild_and_install_incremental(sden::SdenNetwork& net,
 
   // A joining or leaving switch is always installed, even as a
   // server-less transit. (Link endpoints whose tables did not change
-  // need no install: the network stamps them for the plan.)
+  // need no install: the link change alone makes the plan recompile.)
   if (delta.kind == GraphDelta::Kind::kSwitchAdd ||
       delta.kind == GraphDelta::Kind::kSwitchRemove) {
     touched.push_back(delta.u);

@@ -220,9 +220,9 @@ class Controller {
   //
   // Every dynamics op runs on the delta path: delta-APSP, DT repair
   // and per-switch flow-table patching. A step that fails fails the op,
-  // which rolls back. The controller never touches a route plan: the
-  // switches it installs are stamped by the network, whose next sync
-  // patches exactly those (SdenNetwork::sync_plan).
+  // which rolls back. The controller never touches a route plan: every
+  // install counts as a network change, and the next sync recompiles
+  // the plan whole (SdenNetwork::sync_plan).
 
   /// Switches whose installable state the last dynamics op patched,
   /// sorted ascending (diagnostics, and the event log's `patched`

@@ -169,7 +169,7 @@ Result<OpReport> GredProtocol::retrieve_nearest_replica(
     return Error(ErrorCode::kInvalidArgument,
                  "retrieve_nearest_replica: copies must be >= 1");
   }
-  // Const view: plain reads must not stamp switches.
+  // Const view: plain reads must not count as network changes.
   const sden::SdenNetwork& net = *net_;
   if (ingress >= net.switch_count()) {
     return sden::route_errors::bad_ingress().error();

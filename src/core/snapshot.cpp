@@ -12,7 +12,8 @@ namespace {
 constexpr const char* kMagic = "gred-snapshot v1";
 }  // namespace
 
-Result<Snapshot> capture_snapshot(const Controller& controller) {
+Result<Snapshot> capture_snapshot(const Controller& controller,
+                                  const sden::SdenNetwork& net) {
   if (!controller.initialized()) {
     return Error(ErrorCode::kFailedPrecondition,
                  "capture_snapshot: controller not initialized");
@@ -20,16 +21,9 @@ Result<Snapshot> capture_snapshot(const Controller& controller) {
   Snapshot s;
   s.participants = controller.space().participants();
   s.positions = controller.space().positions();
-  return s;
-}
-
-Result<Snapshot> capture_snapshot(const Controller& controller,
-                                  const sden::SdenNetwork& net) {
-  auto s = capture_snapshot(controller);
-  if (!s.ok()) return s;
   for (topology::SwitchId sw = 0; sw < net.switch_count(); ++sw) {
     for (const sden::RewriteEntry& rw : net.switch_at(sw).table().rewrites()) {
-      s.value().rewrites.emplace_back(sw, rw);
+      s.rewrites.emplace_back(sw, rw);
     }
   }
   return s;
@@ -140,8 +134,8 @@ Status restore_snapshot(Controller& controller, sden::SdenNetwork& net,
     }
     table.add_rewrite(rw);
   }
-  // The reinstall stamped every switch, which also dropped every
-  // pre-restore cached retrieval answer.
+  // The reinstall counted as a network change, which also dropped
+  // every pre-restore cached retrieval answer.
   return Status::Ok();
 }
 

@@ -36,14 +36,9 @@ struct Snapshot {
   std::vector<std::pair<topology::SwitchId, sden::RewriteEntry>> rewrites;
 };
 
-/// Captures the current layout of an initialized controller. This
-/// overload sees no data plane, so `rewrites` is left empty — use the
-/// two-argument overload to snapshot a network that may have active
-/// range extensions.
-Result<Snapshot> capture_snapshot(const Controller& controller);
-
-/// Captures the layout plus the network's installed range-extension
-/// rewrites, so a restore reproduces the full forwarding state.
+/// Captures the layout of an initialized controller plus the
+/// network's installed range-extension rewrites, so a restore
+/// reproduces the full forwarding state.
 Result<Snapshot> capture_snapshot(const Controller& controller,
                                   const sden::SdenNetwork& net);
 

@@ -222,21 +222,11 @@ void VirtualSpace::add_participant(topology::SwitchId sw,
   participants_.push_back(sw);
   positions_.push_back(p);
   mds_positions_.push_back(p);
-
-  // Fast path: a join at a fresh position extends the grid in place.
-  // Grid answers are layout-independent, so this is exactly the state
-  // a full rebuild would produce. A position collision (the join
-  // nudges other sites) or a refused insert (bounding-box growth,
-  // density drift) falls back to the rebuild.
-  bool collided = false;
-  for (std::size_t i = 0; i + 1 < positions_.size(); ++i) {
-    if (positions_[i] == p) {
-      collided = true;
-      break;
-    }
+  // Only a position collision needs the (quadratic) separation pass.
+  if (std::find(positions_.begin(), positions_.end() - 1, p) !=
+      positions_.end() - 1) {
+    separate_duplicates(positions_);
   }
-  if (!collided && grid_.insert(p)) return;
-  separate_duplicates(positions_);
   rebuild_grid();
 }
 
@@ -248,7 +238,6 @@ void VirtualSpace::remove_participant(topology::SwitchId sw) {
   positions_.erase(positions_.begin() + static_cast<std::ptrdiff_t>(idx));
   mds_positions_.erase(mds_positions_.begin() +
                        static_cast<std::ptrdiff_t>(idx));
-  if (grid_.erase(idx)) return;
   rebuild_grid();
 }
 

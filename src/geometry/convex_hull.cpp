@@ -52,26 +52,4 @@ double polygon_area(const std::vector<Point2D>& polygon) {
   return 0.5 * acc;
 }
 
-Point2D polygon_centroid(const std::vector<Point2D>& polygon) {
-  double a = 0.0;
-  double cx = 0.0;
-  double cy = 0.0;
-  const std::size_t n = polygon.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Point2D& p = polygon[i];
-    const Point2D& q = polygon[(i + 1) % n];
-    const double w = cross(p, q);
-    a += w;
-    cx += (p.x + q.x) * w;
-    cy += (p.y + q.y) * w;
-  }
-  if (a == 0.0) {
-    // Degenerate polygon: fall back to the vertex average.
-    Point2D mean;
-    for (const Point2D& p : polygon) mean = mean + p;
-    return polygon.empty() ? mean : mean / static_cast<double>(n);
-  }
-  return {cx / (3.0 * a), cy / (3.0 * a)};
-}
-
 }  // namespace gred::geometry

@@ -17,7 +17,4 @@ std::vector<Point2D> convex_hull(std::vector<Point2D> points);
 /// Area of a simple polygon given in counter-clockwise order.
 double polygon_area(const std::vector<Point2D>& polygon);
 
-/// Centroid of a simple polygon (counter-clockwise, nonzero area).
-Point2D polygon_centroid(const std::vector<Point2D>& polygon);
-
 }  // namespace gred::geometry

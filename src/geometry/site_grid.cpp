@@ -29,7 +29,7 @@ bool rank_before(const Point2D& p, const std::vector<Point2D>& sites,
 }  // namespace
 
 SiteGrid::SiteGrid(std::vector<Point2D> sites, const Rect& domain)
-    : sites_(std::move(sites)), built_n_(sites_.size()) {
+    : sites_(std::move(sites)) {
   if (sites_.empty()) return;
 
   double max_x = domain.max_x;
@@ -65,54 +65,6 @@ SiteGrid::SiteGrid(std::vector<Point2D> sites, const Rect& domain)
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     cell_items_[counts[cell_of[i]]++] = i;
   }
-}
-
-bool SiteGrid::insert(const Point2D& p) {
-  if (sites_.empty()) return false;  // never indexed: build from scratch
-  // Outside the covered bounding box the clamped-cell search order is
-  // still correct, but the box should track the sites, so rebuild.
-  if (p.x < min_x_ || p.y < min_y_ ||
-      p.x > min_x_ + static_cast<double>(nx_) * cell_w_ ||
-      p.y > min_y_ + static_cast<double>(ny_) * cell_h_) {
-    return false;
-  }
-  if (sites_.size() + 1 > 2 * built_n_) return false;  // cells too coarse
-
-  const std::size_t idx = sites_.size();
-  sites_.push_back(p);
-  const std::size_t cell = cell_y(p.y) * nx_ + cell_x(p.x);
-  // The new index is the maximum, so appending at the end of the
-  // cell's run keeps the run ascending.
-  cell_items_.insert(
-      cell_items_.begin() + static_cast<std::ptrdiff_t>(cell_start_[cell + 1]),
-      idx);
-  for (std::size_t c = cell + 1; c < cell_start_.size(); ++c) {
-    ++cell_start_[c];
-  }
-  return true;
-}
-
-bool SiteGrid::erase(std::size_t idx) {
-  if (idx >= sites_.size()) return false;
-  if (2 * (sites_.size() - 1) < built_n_) return false;  // cells too fine
-
-  const std::size_t cell = cell_y(sites_[idx].y) * nx_ + cell_x(sites_[idx].x);
-  const auto lo =
-      cell_items_.begin() + static_cast<std::ptrdiff_t>(cell_start_[cell]);
-  const auto hi =
-      cell_items_.begin() + static_cast<std::ptrdiff_t>(cell_start_[cell + 1]);
-  const auto pos = std::lower_bound(lo, hi, idx);
-  if (pos == hi || *pos != idx) return false;  // corrupted index: rebuild
-  cell_items_.erase(pos);
-  for (std::size_t c = cell + 1; c < cell_start_.size(); ++c) {
-    --cell_start_[c];
-  }
-  // Indices above idx shift down by one (ascending runs stay sorted).
-  for (std::size_t& item : cell_items_) {
-    if (item > idx) --item;
-  }
-  sites_.erase(sites_.begin() + static_cast<std::ptrdiff_t>(idx));
-  return true;
 }
 
 std::size_t SiteGrid::cell_x(double x) const {

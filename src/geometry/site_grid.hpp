@@ -4,6 +4,10 @@
 // tie-break, lowest index among coincident sites — so the data plane's
 // per-packet home-switch lookup and the C-regulation sampling loop can
 // replace the O(n) scan without changing a single placement.
+//
+// The grid is immutable: a changed site set builds a new grid, one
+// O(n) counting sort, far cheaper than the DT repair of the same join
+// or leave.
 #pragma once
 
 #include <cstddef>
@@ -38,20 +42,6 @@ class SiteGrid {
   /// Replica placement uses this to pick fallback homes.
   std::vector<std::size_t> nearest_k(const Point2D& p, std::size_t k) const;
 
-  /// Appends one site (index size()) into its cell in place. Returns
-  /// false — leaving the grid untouched — when the point falls outside
-  /// the covered bounding box or the site count has drifted 2x from
-  /// the build-time count (cells too coarse/fine): the caller must
-  /// rebuild. Query answers are layout-independent, so a mutated grid
-  /// answers exactly like a freshly built one.
-  bool insert(const Point2D& p);
-
-  /// Erases site `idx`; indices above shift down by one, exactly like
-  /// erasing from the site vector. Returns false (grid untouched) on
-  /// 2x density drift. The bounding box never shrinks — covering more
-  /// area than needed does not change any answer.
-  bool erase(std::size_t idx);
-
  private:
   std::size_t cell_x(double x) const;
   std::size_t cell_y(double y) const;
@@ -68,9 +58,6 @@ class SiteGrid {
                    double& worst_sq) const;
 
   std::vector<Point2D> sites_;
-  /// Site count the cell resolution was chosen for; insert/erase
-  /// refuse once the live count drifts 2x away from it.
-  std::size_t built_n_ = 0;
   double min_x_ = 0.0;
   double min_y_ = 0.0;
   double cell_w_ = 1.0;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "common/small_function.hpp"
@@ -39,13 +38,6 @@ class EventQueue {
   void run();
 
   double now() const { return now_; }
-  /// Time of the earliest pending event; +infinity when empty. The
-  /// open-loop load driver peeks it to interleave event processing
-  /// with arrival generation without popping.
-  double next_time() const {
-    return heap_.empty() ? std::numeric_limits<double>::infinity()
-                         : heap_.front().time;
-  }
   std::size_t pending() const { return heap_.size(); }
   std::size_t processed() const { return processed_; }
 

@@ -7,8 +7,9 @@
 // Coherence rule (the invariant the soak tests pin): a cached entry is
 // only served while nothing that could move, rewrite, or delete data
 // has happened since it was filled. SdenNetwork enforces it at the
-// mutation itself: every stamped switch (network.hpp) bumps the global
-// epoch, and every storage write bumps its own key's version slot. An
+// mutation itself: every forwarding change (network.hpp) bumps the
+// global epoch, and every storage write bumps its own key's version
+// slot. An
 // entry whose epoch or key version moved is a miss. Outside the
 // network only FaultSession bumps the epoch, on a hard fault (a crash
 // destroys data without any write).
@@ -89,7 +90,7 @@ class HotKeyCache {
                              topology::ServerId responder);
 
   /// Drops every cached entry (epoch bump, O(1)): every forwarding
-  /// change (SdenNetwork's switch stamp).
+  /// change (SdenNetwork::note_change).
   void invalidate_all() {
     // relaxed: control-plane mutations never run concurrently with
     // probes (the network-wide contract), so the bump needs atomicity

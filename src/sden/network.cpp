@@ -1,7 +1,6 @@
 #include "sden/network.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -95,7 +94,6 @@ SdenNetwork::SdenNetwork(topology::EdgeNetwork description)
   for (SwitchId id = 0; id < description_.switch_count(); ++id) {
     switches_.emplace_back(id);
   }
-  stamps_.assign(switches_.size(), 0);
   servers_.reserve(description_.server_count());
   for (const topology::EdgeServer& s : description_.all_servers()) {
     servers_.emplace_back(s);
@@ -292,7 +290,7 @@ const RoutePlan& SdenNetwork::ensure_plan() {
 
 void SdenNetwork::sync_plan_slow() {
   PlanState& state = *plan_;
-  // First router after a stamp syncs; concurrent routers wait on the
+  // First router after a change syncs; concurrent routers wait on the
   // mutex and then read the fresh plan. (Mutating the network while
   // packets are in flight was never supported; this only coordinates
   // the sync itself.)
@@ -310,118 +308,17 @@ void SdenNetwork::sync_plan_slow() {
   }
 }
 
-bool SdenNetwork::sync_plan(RoutePlan& plan,
+void SdenNetwork::sync_plan(RoutePlan& plan,
                             const std::vector<std::uint32_t>& owned) const {
-  const bool compiled = !plan.offset.empty();
-  if (compiled && plan.synced == changes_) return false;
-  std::vector<std::uint32_t> stale;
-  for (const std::uint32_t sw : owned) {
-    if (stamps_[sw] > plan.synced) stale.push_back(sw);
-  }
-  PlanPatch patch;
-  const bool from_scratch =
-      !compiled || (!stale.empty() && stale.size() == owned.size()) ||
-      !prepare_plan_patch(plan, stale.data(), stale.size(), patch);
-  if (from_scratch) {
-    compile_plan_subset(plan, owned.data(), owned.size());
-  } else {
-    commit_plan_patch(plan, patch);
-  }
-  plan.synced = changes_;
-  return from_scratch;
-}
-
-void SdenNetwork::compile_switch_region(
-    std::size_t i, std::uint32_t server_begin, std::vector<double>& words,
-    std::vector<std::uint32_t>& servers, std::vector<std::uint32_t>& dests,
-    std::vector<std::pair<Key2, PlanRelay>>& relays) const {
-  const graph::Graph& links = description_.switches();
-  const Switch& sw = switches_[i];
-  const FlowTable& table = sw.table();
-  const std::size_t k = table.neighbors().size();
-
-  for (ServerId s : sw.local_servers()) {
-    servers.push_back(static_cast<std::uint32_t>(s));
-  }
-  const std::uint32_t server_count =
-      static_cast<std::uint32_t>(sw.local_servers().size());
-  std::uint32_t flags = 0;
-  if (sw.dt_participant()) flags |= kPlanFlagDt;
-  if (!table.rewrites().empty()) flags |= kPlanFlagDeliverFallback;
-
-  const std::size_t region = words.size();
-  words.resize(region + kPlanHeaderWords + 4 * k);
-  double* const base = words.data() + region;
-  base[0] = sw.position().x;
-  base[1] = sw.position().y;
-  base[2] = plan_pack(static_cast<std::uint32_t>(k), server_begin);
-  base[3] = plan_pack(server_count, flags);
-
-  // The columns are emitted in lex-position order so the route-time
-  // argmin's first-minimum-wins rule reproduces the closer_to lex
-  // tie-break without a second pass. (Entry order never affects the
-  // winner when positions are distinct, which CVT sites are.)
-  std::array<std::uint32_t, 64> perm_buf;
-  std::vector<std::uint32_t> perm_vec;
-  std::uint32_t* perm = perm_buf.data();
-  if (k > perm_buf.size()) {
-    perm_vec.resize(k);
-    perm = perm_vec.data();
-  }
-  for (std::size_t c = 0; c < k; ++c) perm[c] = static_cast<std::uint32_t>(c);
-  std::sort(perm, perm + k, [&table](std::uint32_t a, std::uint32_t b) {
-    const geometry::Point2D& pa = table.neighbors()[a].position;
-    const geometry::Point2D& pb = table.neighbors()[b].position;
-    return pa.x != pb.x ? pa.x < pb.x : pa.y < pb.y;
-  });
-
-  double* const xs = base + kPlanHeaderWords;
-  double* const ys = xs + k;
-  double* const acts = ys + k;
-  double* const weights = acts + k;
-  for (std::size_t c = 0; c < k; ++c) {
-    const NeighborEntry& ne = table.neighbors()[perm[c]];
-    xs[c] = ne.position.x;
-    ys[c] = ne.position.y;
-    const SwitchId next = ne.physical ? ne.neighbor : ne.first_hop;
-    const std::uint32_t vlink_dest =
-        ne.physical ? kNoPlanSwitch : static_cast<std::uint32_t>(ne.neighbor);
-    acts[c] = plan_pack(static_cast<std::uint32_t>(next), vlink_dest);
-    const graph::EdgeTo* edge =
-        next < switches_.size() ? links.find_edge(i, next) : nullptr;
-    weights[c] = edge != nullptr ? edge->weight : kMissingLink;
-  }
-
-  // First-installed relay per dest wins, like FlowTable::find_relay.
-  // The dedup only needs this switch's own dests: relay keys embed the
-  // switch id, so no other region can collide.
-  const std::size_t dests_start = dests.size();
-  for (const RelayEntry& r : table.relays()) {
-    const std::uint32_t dest = static_cast<std::uint32_t>(r.dest);
-    bool seen = false;
-    for (std::size_t d = dests_start; d < dests.size(); ++d) {
-      if (dests[d] == dest) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    dests.push_back(dest);
-    const graph::EdgeTo* edge =
-        r.succ < switches_.size() ? links.find_edge(i, r.succ) : nullptr;
-    relays.emplace_back(
-        Key2{static_cast<std::uint64_t>(i), static_cast<std::uint64_t>(r.dest)},
-        PlanRelay{static_cast<std::uint32_t>(r.succ), 0,
-                  edge != nullptr ? edge->weight : kMissingLink});
-  }
+  if (plan_stale(plan)) compile_plan_subset(plan, owned.data(), owned.size());
 }
 
 void SdenNetwork::compile_plan_subset(RoutePlan& plan,
                                       const std::uint32_t* owned,
                                       std::size_t count) const {
+  const graph::Graph& links = description_.switches();
   plan.clear();
   plan.offset.assign(switches_.size(), kPlanNoRegion);
-  plan.relay_dests.resize(switches_.size());
 
   // Blob size up front: header words plus four columns per candidate,
   // for every owned switch, each region rounded up to a cache line.
@@ -432,131 +329,82 @@ void SdenNetwork::compile_plan_subset(RoutePlan& plan,
   }
   plan.hot.reserve(words);
 
-  std::vector<std::uint32_t> dests;
-  std::vector<std::pair<Key2, PlanRelay>> relays;
+  std::vector<std::uint32_t> perm;
   for (std::size_t j = 0; j < count; ++j) {
     const std::size_t i = owned[j];
+    const Switch& sw = switches_[i];
+    const FlowTable& table = sw.table();
+    const std::size_t k = table.neighbors().size();
+
     // Cache-line-aligned region start (the vector data itself is
     // 16-byte aligned at worst; 64-byte relative alignment still keeps
     // the header plus first column words on the minimum line count).
     const std::size_t region = (plan.hot.size() + 7) & ~std::size_t{7};
-    plan.hot.resize(region);
+    plan.hot.resize(region + kPlanHeaderWords + 4 * k);
     plan.offset[i] = static_cast<std::uint32_t>(region);
 
-    dests.clear();
-    relays.clear();
-    compile_switch_region(
-        i, static_cast<std::uint32_t>(plan.servers.size()), plan.hot,
-        plan.servers, dests, relays);
-    for (const auto& [key, relay] : relays) {
-      plan.relays.insert_or_assign(key, relay);
+    const std::uint32_t server_begin =
+        static_cast<std::uint32_t>(plan.servers.size());
+    for (ServerId s : sw.local_servers()) {
+      plan.servers.push_back(static_cast<std::uint32_t>(s));
     }
-    plan.relay_dests[i] = dests;
+    std::uint32_t flags = 0;
+    if (sw.dt_participant()) flags |= kPlanFlagDt;
+    if (!table.rewrites().empty()) flags |= kPlanFlagDeliverFallback;
+    double* const base = plan.hot.data() + region;
+    base[0] = sw.position().x;
+    base[1] = sw.position().y;
+    base[2] = plan_pack(static_cast<std::uint32_t>(k), server_begin);
+    base[3] = plan_pack(static_cast<std::uint32_t>(sw.local_servers().size()),
+                        flags);
+
+    // The columns are emitted in lex-position order so the route-time
+    // argmin's first-minimum-wins rule reproduces the closer_to lex
+    // tie-break without a second pass. (Entry order never affects the
+    // winner when positions are distinct, which CVT sites are.)
+    perm.resize(k);
+    for (std::size_t c = 0; c < k; ++c) {
+      perm[c] = static_cast<std::uint32_t>(c);
+    }
+    std::sort(perm.begin(), perm.end(),
+              [&table](std::uint32_t a, std::uint32_t b) {
+                const geometry::Point2D& pa = table.neighbors()[a].position;
+                const geometry::Point2D& pb = table.neighbors()[b].position;
+                return pa.x != pb.x ? pa.x < pb.x : pa.y < pb.y;
+              });
+
+    double* const xs = base + kPlanHeaderWords;
+    double* const ys = xs + k;
+    double* const acts = ys + k;
+    double* const weights = acts + k;
+    for (std::size_t c = 0; c < k; ++c) {
+      const NeighborEntry& ne = table.neighbors()[perm[c]];
+      xs[c] = ne.position.x;
+      ys[c] = ne.position.y;
+      const SwitchId next = ne.physical ? ne.neighbor : ne.first_hop;
+      const std::uint32_t vlink_dest =
+          ne.physical ? kNoPlanSwitch : static_cast<std::uint32_t>(ne.neighbor);
+      acts[c] = plan_pack(static_cast<std::uint32_t>(next), vlink_dest);
+      const graph::EdgeTo* edge =
+          next < switches_.size() ? links.find_edge(i, next) : nullptr;
+      weights[c] = edge != nullptr ? edge->weight : kMissingLink;
+    }
+
+    // First-installed relay per dest wins, like FlowTable::find_relay.
+    // Relay keys embed the switch id, so a key already in the map came
+    // from an earlier relay of this same switch.
+    for (const RelayEntry& r : table.relays()) {
+      const Key2 key{static_cast<std::uint64_t>(i),
+                     static_cast<std::uint64_t>(r.dest)};
+      if (plan.relays.find(key) != nullptr) continue;
+      const graph::EdgeTo* edge =
+          r.succ < switches_.size() ? links.find_edge(i, r.succ) : nullptr;
+      plan.relays.insert_or_assign(
+          key, PlanRelay{static_cast<std::uint32_t>(r.succ), 0,
+                         edge != nullptr ? edge->weight : kMissingLink});
+    }
   }
-}
-
-bool SdenNetwork::prepare_plan_patch(RoutePlan& plan,
-                                     const std::uint32_t* touched,
-                                     std::size_t count,
-                                     PlanPatch& patch) const {
-  patch.regions.clear();
-  patch.dead_delta = 0;
-  // A plan that was never compiled has nothing to patch into.
-  if (plan.offset.empty()) return false;
-
-  // A dynamics event only ever grows the switch-id space; extend the
-  // offset and sidecar tables so new switches can receive regions.
-  plan.offset.resize(switches_.size(), kPlanNoRegion);
-  plan.relay_dests.resize(switches_.size());
-
-  std::size_t hot_end = plan.hot.size();
-  std::size_t servers_end = plan.servers.size();
-  std::size_t relay_inserts = 0;
-  patch.regions.reserve(count);
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::uint32_t t = touched[j];
-    if (t >= switches_.size()) continue;
-    PlanPatchRegion r;
-    r.sw = t;
-    compile_switch_region(t, 0, r.words, r.servers, r.dests, r.relays);
-    const std::uint32_t k = plan_hi(r.words[2]);
-
-    // Server slice: reuse the existing slice when its content is
-    // unchanged (the common case — attachments only change on switch
-    // join); otherwise append a fresh slice at the tail.
-    const std::uint32_t off = plan.offset[t];
-    bool reuse_servers = false;
-    if (off != kPlanNoRegion) {
-      const double* const old_base = plan.hot.data() + off;
-      const std::uint32_t old_begin = plan_lo(old_base[2]);
-      const std::uint32_t old_count = plan_hi(old_base[3]);
-      if (old_count == r.servers.size() &&
-          std::equal(r.servers.begin(), r.servers.end(),
-                     plan.servers.begin() + old_begin)) {
-        r.server_begin = old_begin;
-        r.servers.clear();
-        reuse_servers = true;
-      }
-    }
-    if (!reuse_servers) {
-      r.server_begin = static_cast<std::uint32_t>(servers_end);
-      servers_end += r.servers.size();
-    }
-    r.words[2] = plan_pack(k, r.server_begin);
-
-    // Region placement: overwrite in place when the recompiled region
-    // fits the old footprint; otherwise append at an aligned tail
-    // position and orphan the old words.
-    const std::size_t new_words = r.words.size();
-    std::size_t old_words = 0;
-    if (off != kPlanNoRegion) {
-      old_words =
-          kPlanHeaderWords + 4 * plan_hi(plan.hot[off + 2]);
-    }
-    if (off != kPlanNoRegion && new_words <= old_words) {
-      r.new_offset = off;
-      patch.dead_delta += old_words - new_words;
-    } else {
-      const std::size_t tail = (hot_end + 7) & ~std::size_t{7};
-      r.new_offset = static_cast<std::uint32_t>(tail);
-      hot_end = tail + new_words;
-      patch.dead_delta += old_words;
-    }
-    relay_inserts += r.relays.size();
-    patch.regions.push_back(std::move(r));
-  }
-
-  // Compaction: once half the hot array is dead, a fresh compile costs
-  // about as much as the patch saves — decline and let the caller
-  // recompile (which resets dead_words).
-  if (2 * (plan.dead_words + patch.dead_delta) > hot_end) return false;
-
-  plan.hot.resize(hot_end, 0.0);
-  plan.servers.resize(servers_end, 0);
-  plan.relays.reserve(plan.relays.size() + relay_inserts);
-  return true;
-}
-
-void SdenNetwork::commit_plan_patch(RoutePlan& plan, PlanPatch& patch) const {
-  for (PlanPatchRegion& r : patch.regions) {
-    std::vector<std::uint32_t>& old_dests = plan.relay_dests[r.sw];
-    for (const std::uint32_t dest : old_dests) {
-      plan.relays.erase(Key2{static_cast<std::uint64_t>(r.sw),
-                             static_cast<std::uint64_t>(dest)});
-    }
-    for (const auto& [key, relay] : r.relays) {
-      plan.relays.insert_assume_capacity(key, relay);
-    }
-    old_dests.swap(r.dests);
-
-    double* const dst = plan.hot.data() + r.new_offset;
-    for (std::size_t w = 0; w < r.words.size(); ++w) dst[w] = r.words[w];
-    for (std::size_t s = 0; s < r.servers.size(); ++s) {
-      plan.servers[r.server_begin + s] = r.servers[s];
-    }
-    plan.offset[r.sw] = r.new_offset;
-  }
-  plan.dead_words += patch.dead_delta;
+  plan.synced = changes_;
 }
 
 std::vector<std::size_t> SdenNetwork::server_loads() const {
@@ -585,8 +433,7 @@ Result<SwitchId> SdenNetwork::add_switch(
   }
   const SwitchId id = description_.add_switch();
   switches_.emplace_back(id);
-  stamps_.push_back(0);
-  stamp(id);
+  note_change();
   if (hot_cache_) hot_cache_->ensure_switches(switches_.size());
   // Grow the load tracker too: record() silently ignores ids beyond
   // its size, so without this a post-join switch would be invisible
@@ -604,16 +451,13 @@ Result<ServerId> SdenNetwork::attach_server(SwitchId sw,
   auto id = description_.attach_server(sw, capacity);
   if (!id.ok()) return id.error();
   servers_.emplace_back(description_.server(id.value()));
-  stamp(sw);
+  note_change();
   return id.value();
 }
 
 void SdenNetwork::remove_switch_links(SwitchId sw) {
   if (sw >= switches_.size()) return;
-  stamp(sw);
-  for (const graph::EdgeTo& e : description_.switches().neighbors(sw)) {
-    stamp(e.to);
-  }
+  note_change();
   description_.mutable_switches().remove_edges_of(sw);
   description_.detach_servers(sw);
   switches_[sw].reset();
@@ -622,15 +466,13 @@ void SdenNetwork::remove_switch_links(SwitchId sw) {
 Status SdenNetwork::add_link(SwitchId a, SwitchId b, double weight) {
   const Status added = description_.mutable_switches().add_edge(a, b, weight);
   if (!added.ok()) return added;
-  stamp(a);
-  stamp(b);
+  note_change();
   return Status::Ok();
 }
 
 bool SdenNetwork::remove_link(SwitchId a, SwitchId b) {
   if (!description_.mutable_switches().remove_edge(a, b)) return false;
-  stamp(a);
-  stamp(b);
+  note_change();
   return true;
 }
 
@@ -642,14 +484,13 @@ void SdenNetwork::restore_topology(topology::EdgeNetwork description) {
     switches_.erase(switches_.begin() +
                         static_cast<std::ptrdiff_t>(switch_count),
                     switches_.end());
-    stamps_.resize(switch_count);
   }
   if (servers_.size() > server_count) {
     servers_.erase(servers_.begin() +
                        static_cast<std::ptrdiff_t>(server_count),
                    servers_.end());
   }
-  for (std::size_t sw = 0; sw < switches_.size(); ++sw) stamp(sw);
+  note_change();
 }
 
 Status SdenNetwork::store_item(ServerId sid, const std::string& id,

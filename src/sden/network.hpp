@@ -6,12 +6,12 @@
 // side effects at the delivering server(s).
 //
 // Staleness of derived state is decided here alone: every mutator
-// stamps the switches whose plan regions it may change, which also
-// bumps the hot-key cache's epoch, and sync_plan patches exactly the
-// switches stamped since a plan last synced. Every storage write
-// (deliver, store_item, erase_item) invalidates its own key's cached
-// answers. Callers never patch or recompile a plan; outside this class
-// only a hard fault (FaultSession) drops cached answers.
+// bumps one change count, which also drops the hot-key cache's
+// answers, and sync_plan recompiles any plan compiled at an earlier
+// count. Every storage write (deliver, store_item, erase_item)
+// invalidates its own key's cached answers. Callers never recompile a
+// plan; outside this class only a hard fault (FaultSession) drops
+// cached answers.
 #pragma once
 
 #include <memory>
@@ -95,16 +95,16 @@ class SdenNetwork {
   std::size_t switch_count() const { return switches_.size(); }
   std::size_t server_count() const { return servers_.size(); }
 
-  /// Mutable switch access (controller installs); stamps the switch.
+  /// Mutable switch access (controller installs); counts as a change.
   Switch& switch_at(SwitchId id) {
-    stamp(id);
+    note_change();
     return switches_[id];
   }
   const Switch& switch_at(SwitchId id) const { return switches_[id]; }
-  /// Read-only switch access that does NOT stamp the switch, callable
+  /// Read-only switch access that does NOT count as a change, callable
   /// through a non-const network reference. Inspection passes
   /// (validators, reference routers, metrics) must use this — the
-  /// mutable switch_at() re-compiles the region and empties the
+  /// mutable switch_at() makes every plan recompile and empties the
   /// hot-key cache.
   const Switch& const_switch_at(SwitchId id) const { return switches_[id]; }
   /// Mutable access is for wholesale copies into a fresh network;
@@ -113,8 +113,8 @@ class SdenNetwork {
   const ServerNode& server(ServerId id) const { return servers_[id]; }
 
   const topology::EdgeNetwork& description() const { return description_; }
-  /// Adds/removes a physical link (dynamics), stamping both endpoints:
-  /// their regions bake in link existence and weight.
+  /// Adds/removes a physical link (dynamics). A change: the endpoints'
+  /// plan regions bake in link existence and weight.
   Status add_link(SwitchId a, SwitchId b, double weight = 1.0);
   bool remove_link(SwitchId a, SwitchId b);
 
@@ -158,71 +158,51 @@ class SdenNetwork {
   Result<ServerId> attach_server(SwitchId sw, std::size_t capacity = 0);
 
   /// Tears down a leaving switch (dynamics): removes its physical
-  /// links and detaches its servers, stamping its former neighbors
-  /// too. The switch id stays valid as an inert transit node so ids
-  /// remain dense.
+  /// links and detaches its servers. The switch id stays valid as an
+  /// inert transit node so ids remain dense.
   void remove_switch_links(SwitchId sw);
 
   /// Rolls the topology back to `description`, an earlier state of
   /// this network (controller rollback), dropping the switches and
-  /// servers beyond its counts and stamping every switch. Tail-only:
-  /// dropped servers must have attached to dropped-or-tail switches,
-  /// which the add_switch path guarantees. Stored items on dropped
-  /// servers are destroyed with them — callers roll back before any
-  /// migration.
+  /// servers beyond its counts. Tail-only: dropped servers must have
+  /// attached to dropped-or-tail switches, which the add_switch path
+  /// guarantees. Stored items on dropped servers are destroyed with
+  /// them — callers roll back before any migration.
   void restore_topology(topology::EdgeNetwork description);
 
-  /// Whether the network's own plan has switches stamped since it
-  /// last synced (diagnostics and regression tests: a read-only
-  /// inspection pass must leave a fresh plan intact).
+  /// Whether the network changed since its own plan last synced
+  /// (diagnostics and regression tests: a read-only inspection pass
+  /// must leave a fresh plan intact).
   bool route_plan_stale() const {
-    // acquire: pairs with stamp() and the syncing router's stores.
+    // acquire: pairs with note_change() and the syncing router's
+    // stores.
     return plan_->dirty.load(std::memory_order_acquire);
   }
 
-  /// Compiles a shard-local route plan covering exactly the `count`
-  /// switches listed in `owned`: their regions, their attached-server
-  /// slices, and the relay entries whose source switch is owned. The
-  /// offset table spans all switches, with kPlanNoRegion for non-owned
-  /// ones. The sharded runtime builds one such plan per shard from the
-  /// same flow tables the whole-network plan compiles from, so a walk
-  /// stepping only through owned regions (sden/plan_walk.hpp) stays
-  /// bit-identical to the single-plan walk. Read-only: does not touch
-  /// the network's own cached plan or its dirty flag.
+  /// Whether the network changed since `plan` was compiled (a plan
+  /// that was never compiled is stale too).
+  bool plan_stale(const RoutePlan& plan) const {
+    return plan.synced != changes_;
+  }
+
+  /// Compiles a route plan covering exactly the `count` switches
+  /// listed in `owned`, from scratch: their regions, their
+  /// attached-server slices, and the relay entries whose source switch
+  /// is owned. The offset table spans all switches, with kPlanNoRegion
+  /// for non-owned ones. The whole-network plan owns every switch; the
+  /// sharded runtime builds one plan per shard from the same flow
+  /// tables, so a walk stepping only through owned regions
+  /// (sden/plan_walk.hpp) stays bit-identical to the single-plan walk.
+  /// The plan is synced at the current change count. Read-only: does
+  /// not touch the network's own cached plan or its dirty flag.
   void compile_plan_subset(RoutePlan& plan, const std::uint32_t* owned,
                            std::size_t count) const;
 
-  /// Incremental counterpart of compile_plan_subset: recompiles only
-  /// the regions of the `count` switches in `touched` (sorted, unique)
-  /// into an already-compiled `plan`, leaving every other region
-  /// untouched. Fills `patch` with the compiled blobs and grows the
-  /// plan's arrays to their final sizes (all allocation happens here);
-  /// commit_plan_patch then applies the writes. Returns false when the
-  /// patch is not worth applying — the plan was never compiled, or the
-  /// accumulated dead words would pass half the hot array — in which
-  /// case sync_plan recompiles the subset from scratch. Read-only with
-  /// respect to the flow tables; `plan` may be the network's own
-  /// cached plan or a shard-subset plan.
-  bool prepare_plan_patch(RoutePlan& plan, const std::uint32_t* touched,
-                          std::size_t count, PlanPatch& patch) const;
-
-  /// Applies a prepared patch: erases the touched switches' stale
-  /// relay keys, inserts the recompiled relays (capacity reserved by
-  /// prepare), writes the region words and server slices, and flips
-  /// the offsets. Alloc- and lock-free by construction — verified
-  /// statically as a hot-path root (tools/hotpath_check.py), because
-  /// this is the data-plane half of every incremental control-plane
-  /// event.
-  GRED_HOT_PATH void commit_plan_patch(RoutePlan& plan,
-                                       PlanPatch& patch) const;
-
   /// The one refresh path of the network's own plan and every shard
-  /// plan: patches the switches of `owned` (ascending) stamped since
-  /// `plan` last synced, or compiles it from scratch — returning true
-  /// — when it was never compiled, every owned switch is stamped, or
-  /// prepare_plan_patch declines. O(1) when nothing changed; must not
-  /// run concurrently with a walk over `plan`.
-  bool sync_plan(RoutePlan& plan,
+  /// plan: recompiles `plan` over `owned` (ascending) when the network
+  /// changed since it was compiled (plan_stale). O(1) when nothing
+  /// changed; must not run concurrently with a walk over `plan`.
+  void sync_plan(RoutePlan& plan,
                  const std::vector<std::uint32_t>& owned) const;
 
   /// Hop bound of a single walk (relay hops included): exceeding it
@@ -286,10 +266,10 @@ class SdenNetwork {
   obs::SwitchLoadTracker* load_tracker() const { return load_tracker_; }
 
  private:
-  /// Marks `sw`'s plan region stale for every plan and drops every
-  /// cached retrieval answer (forwarding may have moved).
-  void stamp(SwitchId sw) {
-    stamps_[sw] = ++changes_;
+  /// Counts a change that may alter forwarding: every plan goes stale
+  /// and every cached retrieval answer is dropped.
+  void note_change() {
+    ++changes_;
     // release: not needed for publication (the syncing router's
     // release store of dirty=false publishes the plan), kept so a
     // stale flag observed by route_plan_stale() orders after the
@@ -299,29 +279,19 @@ class SdenNetwork {
   }
 
   /// Returns the up-to-date compiled plan, syncing it first when a
-  /// stamp flagged it dirty. The dirty check itself stays on the hot
+  /// change flagged it dirty. The dirty check itself stays on the hot
   /// path (one acquire load); the lock-and-sync lives in
   /// sync_plan_slow behind a cold boundary.
   const RoutePlan& ensure_plan();
   // cold: takes the rebuild mutex and syncs the plan; runs only after
   // a control-plane mutation, never in the steady state.
   GRED_COLD_PATH void sync_plan_slow();
-  /// Compiles switch `i`'s plan region, appending the region words
-  /// (header + four candidate columns) to `words`, the attached-server
-  /// ids to `servers`, and the first-wins-deduped relay actions to
-  /// `relays` with their dests to `dests`. `server_begin` is what the
-  /// header encodes as the server-slice start; callers that relocate
-  /// the slice afterwards re-pack words[2].
-  void compile_switch_region(
-      std::size_t i, std::uint32_t server_begin, std::vector<double>& words,
-      std::vector<std::uint32_t>& servers, std::vector<std::uint32_t>& dests,
-      std::vector<std::pair<Key2, PlanRelay>>& relays) const;
-
   topology::EdgeNetwork description_;
   std::vector<Switch> switches_;
   std::vector<ServerNode> servers_;
-  std::vector<std::uint64_t> stamps_;  ///< per switch: its last stamp
-  std::uint64_t changes_ = 0;          ///< the latest stamp
+  /// Mutations so far. Starts at 1 so a never-compiled plan
+  /// (synced == 0) is stale.
+  std::uint64_t changes_ = 1;
   std::size_t path_reserve_hint_ = 16;
   std::unique_ptr<PlanState> plan_;
   const FaultState* faults_ = nullptr;

@@ -45,7 +45,7 @@ inline RouteResult reference_route(SdenNetwork& net, Packet pkt,
   const std::size_t max_hops = net.max_route_hops();
   for (std::size_t step = 0; step < max_hops; ++step) {
     // Read-only inspection: const_switch_at keeps the compiled plan
-    // fresh (the mutable switch_at() would stamp the switch every hop).
+    // fresh (the mutable switch_at() would count a change every hop).
     const Decision decision = net.const_switch_at(cur).process(pkt);
 
     if (decision.kind == Decision::Kind::kDrop) {

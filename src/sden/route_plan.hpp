@@ -25,15 +25,16 @@
 //   base[4+2k .. 4+3k)    u64( next_hop << 32 | vlink_dest )
 //   base[4+3k .. 4+4k)    link weight to next_hop (NaN = missing link)
 //
-// The plan is a pure cache: SdenNetwork stamps every switch a mutator
-// touches, and sync_plan patches exactly the switches stamped since a
-// plan last synced — lazily in route(), and per shard at the start of
-// every sharded round. No caller refreshes a plan. Semantics are
-// bit-identical to the oracle, Switch::process walked by
-// reference_router.hpp; the differentials in tests/data_plane_test.cpp
-// and tests/shard_test.cpp hold the paths together. A switch with
-// range-extension rewrites sets deliver_fallback, and its delivery
-// asks Switch::deliver for the rewrite targets.
+// The plan is a pure cache, rebuilt whole when stale: SdenNetwork
+// counts every mutation, and sync_plan recompiles (compile_plan_subset)
+// any plan whose `synced` lags that count — lazily in route(), and per
+// shard at the start of every sharded round. No caller refreshes a
+// plan. Semantics are bit-identical to the oracle, Switch::process
+// walked by reference_router.hpp; the differentials in
+// tests/data_plane_test.cpp and tests/shard_test.cpp hold the paths
+// together. A switch with range-extension rewrites sets
+// deliver_fallback, and its delivery asks Switch::deliver for the
+// rewrite targets.
 #pragma once
 
 #include <atomic>
@@ -89,17 +90,8 @@ struct RoutePlan {
   /// <switch, dest> -> relay action; first-installed entry wins,
   /// exactly like FlowTable::find_relay.
   FlatMap<Key2, PlanRelay> relays;
-  /// Per-switch list of the relay dests actually present in `relays`
-  /// (first-wins deduped). The FlatMap has no iteration, so this
-  /// sidecar is what lets a patch erase exactly one switch's stale
-  /// relay keys. Cold-side metadata: the walk never reads it.
-  std::vector<std::vector<std::uint32_t>> relay_dests;
-  /// Words in `hot` no longer referenced by any offset — left behind
-  /// when a patch moved a grown region to the tail or shrank one in
-  /// place. Patching compacts (recompiles) once this passes half the
-  /// array.
-  std::size_t dead_words = 0;
-  /// The SdenNetwork stamp this plan reflects (sync_plan).
+  /// The SdenNetwork change count this plan was compiled at
+  /// (sync_plan recompiles it once the network's count moves on).
   std::uint64_t synced = 0;
 
   void clear() {
@@ -107,45 +99,14 @@ struct RoutePlan {
     hot.clear();
     servers.clear();
     relays.clear();
-    relay_dests.clear();
-    dead_words = 0;
     synced = 0;
   }
-};
-
-/// One switch's recompiled state inside a PlanPatch.
-struct PlanPatchRegion {
-  std::uint32_t sw = 0;
-  /// Where the region words land in `hot`: the old offset when the new
-  /// region fits in place, else the (aligned) append position.
-  std::uint32_t new_offset = 0;
-  /// Start of the switch's server slice; points at the existing slice
-  /// when its content is unchanged (then `servers` below is empty).
-  std::uint32_t server_begin = 0;
-  std::vector<double> words;           ///< compiled region blob
-  std::vector<std::uint32_t> servers;  ///< slice to write at server_begin
-  std::vector<std::uint32_t> dests;    ///< new relay_dests[sw] value
-  /// Relay inserts, already first-wins deduped per dest.
-  std::vector<std::pair<Key2, PlanRelay>> relays;
-};
-
-/// A prepared two-phase route-plan patch (SdenNetwork::sync_plan).
-/// prepare_plan_patch performs every allocation — compiling the
-/// touched regions, growing hot/offset/servers/relay_dests to their
-/// final sizes, reserving FlatMap slack — so commit_plan_patch is a
-/// pure write pass that the hot-path verifier admits (no allocation,
-/// no locks, no I/O).
-struct PlanPatch {
-  std::vector<PlanPatchRegion> regions;
-  /// Words orphaned by moved or shrunk regions, added to
-  /// RoutePlan::dead_words at commit.
-  std::size_t dead_delta = 0;
 };
 
 /// The network's own plan plus its sync coordination. Held behind a
 /// unique_ptr so SdenNetwork stays movable (the address also keeps the
 /// dirty flag stable across moves). Routing threads only ever read
-/// `dirty` and `plan`; the first router after a stamp syncs under the
+/// `dirty` and `plan`; the first router after a change syncs under the
 /// mutex while late arrivals wait, then everyone reads the result.
 struct PlanState {
   gred::Mutex rebuild_mutex;

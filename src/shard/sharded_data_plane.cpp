@@ -51,7 +51,7 @@ ShardedDataPlane::ShardedDataPlane(sden::SdenNetwork& net, std::size_t shards)
       rings_[from * s + to] = std::make_unique<SpscRing<Handoff>>(kRingCapacity);
     }
   }
-  repartition();
+  sync_plans();
 
   threads_.reserve(s > 0 ? s - 1 : 0);
   for (std::size_t me = 1; me < s; ++me) {
@@ -68,7 +68,12 @@ ShardedDataPlane::~ShardedDataPlane() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ShardedDataPlane::repartition() {
+void ShardedDataPlane::sync_plans() {
+  // The shard plans are always compiled together, so the first one's
+  // change count speaks for all of them.
+  if (!net_.plan_stale(shards_.front()->plan)) return;
+  // A change may move positions, join or drop switches: re-derive the
+  // partition from the current network, then compile each shard plan.
   const std::size_t n = net_.switch_count();
   std::vector<double> xs(n);
   std::vector<double> ys(n);
@@ -84,41 +89,12 @@ void ShardedDataPlane::repartition() {
   }
   owner_ = partition_by_position(xs.data(), ys.data(), valid.data(), n,
                                  shards_.size());
-  for (const std::unique_ptr<Shard>& sh : shards_) {
-    sh->owned.clear();
-    sh->plan.clear();
-  }
+  for (const std::unique_ptr<Shard>& sh : shards_) sh->owned.clear();
   for (std::size_t i = 0; i < n; ++i) {
     shards_[owner_[i]]->owned.push_back(static_cast<std::uint32_t>(i));
   }
   for (const std::unique_ptr<Shard>& sh : shards_) {
     net_.sync_plan(sh->plan, sh->owned);
-  }
-}
-
-void ShardedDataPlane::sync_plans() {
-  const std::size_t n = net_.switch_count();
-  // A rollback dropped switches that shards still own.
-  if (owner_.size() > n) {
-    repartition();
-    return;
-  }
-  // Switches that joined since the partition was built go to the
-  // least-loaded shard (ties to the lowest index). New ids are the
-  // largest, so push_back keeps each shard's owned list ascending.
-  for (std::size_t i = owner_.size(); i < n; ++i) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      if (shards_[s]->owned.size() < shards_[best]->owned.size()) best = s;
-    }
-    owner_.push_back(static_cast<std::uint32_t>(best));
-    shards_[best]->owned.push_back(static_cast<std::uint32_t>(i));
-  }
-  for (const std::unique_ptr<Shard>& sh : shards_) {
-    if (net_.sync_plan(sh->plan, sh->owned)) {
-      repartition();
-      return;
-    }
   }
 }
 
@@ -206,23 +182,21 @@ LoadResult ShardedDataPlane::sustained_load(
 
   // Each shard's RNG block draws its own arrival process at the
   // shard's share of the aggregate rate; superposed Poisson streams
-  // are again Poisson at rate_pps. Scheduling happens here, before
-  // any shard runs, so the round itself only pops events.
+  // are again Poisson at rate_pps. Every arrival time is drawn here,
+  // before any shard runs, ascending along the shard's `initial`
+  // order, so the round only walks a cursor through that list.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];
-    sh.events = sden::EventQueue();
     const std::size_t m = sh.initial.size();
     if (m == 0 || count == 0) continue;
     const double rate_shard =
         rate_pps * static_cast<double>(m) / static_cast<double>(count);
     Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (s + 1)));
-    sh.events.reserve(m);
     double t = 0.0;
     for (const std::uint32_t pi : sh.initial) {
       t += poisson ? -std::log1p(-rng.next_double()) / rate_shard
                    : 1.0 / rate_shard;
       arrival_s_[pi] = t;
-      sh.events.schedule_at(t, [this, s, pi] { start_packet(s, pi); });
     }
   }
 
@@ -287,19 +261,14 @@ void ShardedDataPlane::run_shard(std::size_t me) {
   for (;;) {
     bool any = false;
 
-    if (open_loop_) {
-      // Fire every arrival whose scheduled instant has passed,
-      // regardless of how many packets are still in flight.
-      const double now = now_s() - t0_s_;
-      while (sh.events.next_time() <= now) {
-        sh.events.step();
-        any = true;
-      }
-    } else {
-      while (next_initial < sh.initial.size()) {
-        start_packet(me, sh.initial[next_initial++]);
-        any = true;
-      }
+    // Closed loop starts every packet at once. Open loop starts each
+    // packet whose arrival instant has passed, regardless of how many
+    // are still in flight; arrivals ascend along `initial`.
+    const double now = open_loop_ ? now_s() - t0_s_ : 0.0;
+    while (next_initial < sh.initial.size() &&
+           (!open_loop_ || arrival_s_[sh.initial[next_initial]] <= now)) {
+      start_packet(me, sh.initial[next_initial++]);
+      any = true;
     }
 
     if (s > 1) {

@@ -4,17 +4,19 @@
 // virtually close switches — usually stay inside the owning shard.
 // Each shard exclusively owns its slice of the compiled forwarding
 // state (a RoutePlan subset holding only its switches' regions,
-// relays, and server slices), its event queue, its RNG block for the
-// open-loop arrival process, and its gred::obs metric slot: the
-// shard-local hot path takes no locks and touches no shared atomics.
+// relays, and server slices), its RNG block for the open-loop arrival
+// process, and its gred::obs metric slot: the shard-local hot path
+// takes no locks and touches no shared atomics.
 // A hop that crosses a shard boundary travels as an 8-byte packet
 // continuation through a fixed-capacity SPSC ring (one per ordered
 // shard pair, cache-line-separated indices, batched drain); a full
 // ring spills into a pre-reserved per-destination overflow vector, so
 // a push can never deadlock or allocate mid-round.
 //
-// Every round starts by syncing each shard's plan from the network's
-// stamps (SdenNetwork::sync_plan); nothing refreshes them by hand.
+// Every round starts by syncing the shard plans: when the network
+// changed since they were compiled, the partition is re-derived and
+// each shard plan is compiled once (SdenNetwork::sync_plan); nothing
+// refreshes them by hand.
 //
 // Results are bit-identical to SdenNetwork::route by construction:
 // both walks execute the same plan_step (sden/plan_walk.hpp) over
@@ -39,7 +41,6 @@
 #include "common/overflow_buffer.hpp"
 #include "common/spsc_ring.hpp"
 #include "common/thread_annotations.hpp"
-#include "sden/event_queue.hpp"
 #include "sden/network.hpp"
 
 namespace gred::shard {
@@ -102,10 +103,10 @@ class ShardedDataPlane {
   /// Open-loop sustained load: each shard's RNG block draws arrival
   /// times for the packets whose ingress it owns — Poisson
   /// (exponential gaps) or fixed-rate, at the shard's share of
-  /// `rate_pps` — schedules them on its own event queue, and injects
-  /// each packet at its scheduled instant regardless of completions
-  /// (an open-loop driver, so queueing delay is visible instead of
-  /// being absorbed by the generator). latencies_s[i] (when non-null)
+  /// `rate_pps` — and the shard injects each packet once its arrival
+  /// instant has passed, regardless of completions (an open-loop
+  /// driver, so queueing delay is visible instead of being absorbed
+  /// by the generator). latencies_s[i] (when non-null)
   /// receives completion wall-clock minus scheduled arrival for packet
   /// i, or -1 when it never entered the network. Results are
   /// bit-identical to replay() on the same input.
@@ -125,8 +126,9 @@ class ShardedDataPlane {
     std::vector<std::uint32_t> owned;  ///< owned switch ids, ascending
 
     // Round-local state, touched only by the owning shard's thread.
-    std::vector<std::uint32_t> initial;  ///< packet indices ingressing here
-    sden::EventQueue events;             ///< open-loop arrival schedule
+    /// Packet indices ingressing here, in start order (ascending
+    /// arrival time in an open-loop round).
+    std::vector<std::uint32_t> initial;
     /// [dest] ring spill. Fixed-capacity with bounded compaction: a
     /// plain vector spill here once reallocated mid-round under
     /// sustained partial drains (see common/overflow_buffer.hpp).
@@ -145,10 +147,9 @@ class ShardedDataPlane {
     return *rings_[from * shards_.size() + to];
   }
 
-  /// Derives the Morton partition and compiles every shard plan.
-  void repartition();
-  /// Start of a round: patches the shard plans, or repartitions when a
-  /// sync compiled from scratch (a full install or a compaction).
+  /// Start of a round (and construction): when the network changed
+  /// since the shard plans were compiled, re-derives the Morton
+  /// partition and compiles every shard plan once.
   void sync_plans();
   void setup_round(const sden::Packet* pkts, const sden::SwitchId* ingresses,
                    std::size_t count, sden::RouteResult* results,

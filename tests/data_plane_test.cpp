@@ -7,6 +7,7 @@
 // parallel retrieval replay.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -407,8 +408,8 @@ TEST(DataPlaneDifferential, FailedRoutesMatchLivePipeline) {
   EXPECT_TRUE(after.found);
 
   // A link removed under the installed tables (no controller install):
-  // the network stamps both endpoints, so the compiled plan stops
-  // crossing it exactly where the oracle does.
+  // the link change alone makes the plan recompile, so it stops
+  // crossing the link exactly where the oracle does.
   const sden::SwitchId first = healthy.switch_path[0];
   const sden::SwitchId second = healthy.switch_path[1];
   const double weight =
@@ -462,6 +463,107 @@ TEST(DataPlaneDifferential, PlanSurvivesReadOnlyInspection) {
   // The mutable accessor conservatively invalidates.
   (void)net.switch_at(0);
   EXPECT_TRUE(net.route_plan_stale());
+}
+
+/// Bitwise equality: plan words pack integers into doubles and mark
+/// missing links with NaN, so operator== on the doubles would not do.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A synced route plan is a pure function of the network: after every
+// kind of control-plane change, sync_plan leaves the plan equal word for
+// word to a fresh compile_plan_subset of the same switches, with the
+// same relay actions.
+TEST(DataPlaneDifferential, SyncedPlanEqualsFreshCompile) {
+  const std::size_t n = 24;
+  auto sys =
+      core::GredSystem::create(make_net(n, 404), core::VirtualSpaceOptions{});
+  ASSERT_TRUE(sys.ok());
+  sden::SdenNetwork& net = sys.value().network();
+  Rng rng(405);
+
+  sden::RoutePlan plan;
+  const auto sync_matches_fresh = [&](const std::string& when) {
+    std::vector<std::uint32_t> owned(net.switch_count());
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      owned[i] = static_cast<std::uint32_t>(i);
+    }
+    net.sync_plan(plan, owned);
+    sden::RoutePlan fresh;
+    net.compile_plan_subset(fresh, owned.data(), owned.size());
+    EXPECT_EQ(plan.offset, fresh.offset) << when;
+    EXPECT_TRUE(same_bits(plan.hot, fresh.hot)) << when;
+    EXPECT_EQ(plan.servers, fresh.servers) << when;
+    ASSERT_EQ(plan.relays.size(), fresh.relays.size()) << when;
+    for (const std::uint32_t sw : owned) {
+      for (const sden::RelayEntry& r :
+           net.const_switch_at(sw).table().relays()) {
+        const Key2 key{sw, r.dest};
+        const sden::PlanRelay* got = plan.relays.find(key);
+        const sden::PlanRelay* want = fresh.relays.find(key);
+        ASSERT_NE(want, nullptr) << when;
+        ASSERT_NE(got, nullptr) << when << " switch " << sw;
+        EXPECT_EQ(got->succ, want->succ) << when << " switch " << sw;
+        EXPECT_EQ(std::memcmp(&got->weight, &want->weight, sizeof(double)),
+                  0)
+            << when << " switch " << sw;
+      }
+    }
+  };
+  sync_matches_fresh("initial");
+
+  // A link add and a link remove.
+  sden::SwitchId u = 0;
+  sden::SwitchId v = 0;
+  do {
+    u = rng.next_below(n);
+    v = rng.next_below(n);
+  } while (u == v || net.description().switches().has_edge(u, v));
+  ASSERT_TRUE(sys.value().add_link(u, v).ok());
+  sync_matches_fresh("add_link");
+  bool removed = false;
+  for (sden::SwitchId a = 0; a < n && !removed; ++a) {
+    for (const graph::EdgeTo& e : net.description().switches().neighbors(a)) {
+      if (sys.value().remove_link(a, e.to).ok()) {
+        removed = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(removed);
+  sync_matches_fresh("remove_link");
+
+  // A switch join and a switch leave.
+  const auto joined = sys.value().add_switch({u, v}, /*servers=*/2);
+  ASSERT_TRUE(joined.ok());
+  sync_matches_fresh("add_switch");
+  bool left = false;
+  for (sden::SwitchId a = 0; a < n && !left; ++a) {
+    left = sys.value().remove_switch(a).ok();
+  }
+  ASSERT_TRUE(left);
+  sync_matches_fresh("remove_switch");
+
+  // A range extend and its retraction.
+  topology::ServerId extended = topology::kNoServer;
+  for (topology::ServerId s = 0; s < net.server_count(); ++s) {
+    if (sys.value().extend_range(s).ok()) {
+      extended = s;
+      break;
+    }
+  }
+  ASSERT_NE(extended, topology::kNoServer);
+  sync_matches_fresh("extend_range");
+  ASSERT_TRUE(sys.value().retract_range(extended).ok());
+  sync_matches_fresh("retract_range");
+
+  // An op that fails after mutating the network and rolls back: the
+  // duplicate link target fails once the joiner and its first link
+  // exist.
+  ASSERT_FALSE(sys.value().add_switch({u, u}, /*servers=*/1).ok());
+  sync_matches_fresh("rolled-back add_switch");
 }
 
 TEST(FlowTableIndex, RelayFirstInstalledWinsAndDedup) {

@@ -128,19 +128,9 @@ TEST(ConvexHullTest, AllPointsInsideHull) {
   }
 }
 
-TEST(PolygonTest, AreaAndCentroidOfSquare) {
+TEST(PolygonTest, AreaOfSquare) {
   const std::vector<Point2D> sq{{0, 0}, {2, 0}, {2, 2}, {0, 2}};
   EXPECT_DOUBLE_EQ(polygon_area(sq), 4.0);
-  const Point2D c = polygon_centroid(sq);
-  EXPECT_NEAR(c.x, 1.0, 1e-12);
-  EXPECT_NEAR(c.y, 1.0, 1e-12);
-}
-
-TEST(PolygonTest, CentroidOfTriangle) {
-  const std::vector<Point2D> tri{{0, 0}, {3, 0}, {0, 3}};
-  const Point2D c = polygon_centroid(tri);
-  EXPECT_NEAR(c.x, 1.0, 1e-12);
-  EXPECT_NEAR(c.y, 1.0, 1e-12);
 }
 
 // ---------- Voronoi ----------

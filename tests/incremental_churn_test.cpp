@@ -1,18 +1,17 @@
 // Delta-path churn differential soak. A system absorbs a seeded stream
 // of dynamics events — switch join/leave, link add/remove, range
 // extend/retract — on the delta path (delta-APSP, localized DT repair,
-// flow-table patching, and route-plan patching of the stamped
-// switches). After EVERY event it must be
-// bit-identical to a cold restore of its own state: capture_snapshot +
-// restore_snapshot into a fresh SdenNetwork over the same topology,
-// which recomputes APSP, builds the DT from scratch and installs every
-// switch. Compared:
+// flow-table patching, then a route-plan recompile at the next route).
+// After EVERY event it must be bit-identical to a cold restore of its
+// own state: capture_snapshot + restore_snapshot into a fresh
+// SdenNetwork over the same topology, which recomputes APSP, builds the
+// DT from scratch and installs every switch. Compared:
 //
 //   1. the delta-maintained APSP tables,
 //   2. the repaired DT adjacency,
 //   3. the installed flow tables, field by field,
 //   4. routed packets through the cold network's fresh plan, the delta
-//      system's PATCHED plan, and a 4-shard ShardedDataPlane whose
+//      system's synced plan, and a 4-shard ShardedDataPlane whose
 //      rounds sync their own plans (no refresh call anywhere).
 #include <gtest/gtest.h>
 
@@ -129,8 +128,8 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
   core::Controller ctrl;
   ASSERT_TRUE(ctrl.initialize(net).ok());
 
-  // 4-shard sharded runtime; every replay syncs its plans from the
-  // network's stamps (fixed shard count so the TSan tree exercises the
+  // 4-shard sharded runtime; every replay syncs its plans with the
+  // network (fixed shard count so the TSan tree exercises the
   // cross-shard rings deterministically).
   shard::ShardedDataPlane sdp(net, 4);
 
@@ -187,7 +186,7 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
     // 3. Installed flow tables, field by field.
     expect_tables_equal(net, cold, step);
 
-    // 4. Routing: cold plan vs patched plan vs patched shard plans.
+    // 4. Routing: cold plan vs synced plan vs synced shard plans.
     pkts.clear();
     ingresses.clear();
     for (const std::string& id : live) {
@@ -206,7 +205,7 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
       net.route(via_delta, ingresses[i], delta_res);
       const std::string what =
           "step " + std::to_string(step) + " pkt " + std::to_string(i);
-      expect_identical(cold_res, delta_res, what + " (patched plan)");
+      expect_identical(cold_res, delta_res, what + " (synced plan)");
       expect_identical(cold_res, shard_results[i], what + " (sharded)");
     }
   };

@@ -368,8 +368,8 @@ TEST(ShardInvariance, RecompileTracksControlPlaneChanges) {
   sden::RouteResult fast;
   sden::Packet scratch;
   // Every replay matches the fast path on the current network. Nothing
-  // refreshes the shard plans by hand: each round syncs them from the
-  // switches the control plane stamped.
+  // refreshes the shard plans by hand: each round syncs them with the
+  // network.
   const auto replay_matches = [&](const std::string& when) {
     plane.replay(pkts.data(), ingresses.data(), pkts.size(), got.data());
     for (std::size_t i = 0; i < pkts.size(); ++i) {

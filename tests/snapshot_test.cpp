@@ -24,14 +24,15 @@ sden::SdenNetwork fresh_net(std::uint64_t seed) {
 
 TEST(SnapshotTest, CaptureRequiresInitialized) {
   Controller ctrl;
-  EXPECT_FALSE(capture_snapshot(ctrl).ok());
+  const sden::SdenNetwork net = fresh_net(1);
+  EXPECT_FALSE(capture_snapshot(ctrl, net).ok());
 }
 
 TEST(SnapshotTest, TextRoundTripIsExact) {
   sden::SdenNetwork net = fresh_net(1);
   Controller ctrl;
   ASSERT_TRUE(ctrl.initialize(net).ok());
-  auto snap = capture_snapshot(ctrl);
+  auto snap = capture_snapshot(ctrl, net);
   ASSERT_TRUE(snap.ok());
 
   const std::string text = serialize_snapshot(snap.value());
@@ -57,7 +58,7 @@ TEST(SnapshotTest, RestoreReproducesPlacementExactly) {
   sden::SdenNetwork net_b = fresh_net(2);
   Controller a;
   ASSERT_TRUE(a.initialize(net_a).ok());
-  auto snap = capture_snapshot(a);
+  auto snap = capture_snapshot(a, net_a);
   ASSERT_TRUE(snap.ok());
 
   Controller b;
@@ -84,7 +85,7 @@ TEST(SnapshotTest, RestoreRejectsMismatchedNetwork) {
   sden::SdenNetwork net = fresh_net(4);
   Controller ctrl;
   ASSERT_TRUE(ctrl.initialize(net).ok());
-  auto snap = capture_snapshot(ctrl);
+  auto snap = capture_snapshot(ctrl, net);
   ASSERT_TRUE(snap.ok());
 
   // A different network (different participant set) must be refused.
@@ -111,7 +112,7 @@ TEST(SnapshotTest, RestoredControllerSupportsDynamics) {
   sden::SdenNetwork net_b = fresh_net(5);
   Controller a;
   ASSERT_TRUE(a.initialize(net_a).ok());
-  auto snap = capture_snapshot(a);
+  auto snap = capture_snapshot(a, net_a);
   ASSERT_TRUE(snap.ok());
   Controller b;
   ASSERT_TRUE(restore_snapshot(b, net_b, snap.value()).ok());
@@ -188,7 +189,7 @@ TEST(SnapshotTest, RestoreRejectsInvalidRewrites) {
   sden::SdenNetwork seed_net(
       topology::uniform_edge_network(topology::ring(3), 1));
   ASSERT_TRUE(seed_ctrl.initialize(seed_net).ok());
-  auto snap = capture_snapshot(seed_ctrl);
+  auto snap = capture_snapshot(seed_ctrl, seed_net);
   ASSERT_TRUE(snap.ok());
 
   // Unknown server id.
@@ -208,7 +209,7 @@ TEST(SnapshotTest, RestoreRejectsInvalidRewrites) {
   sden::SdenNetwork line_seed_net(
       topology::uniform_edge_network(topology::line(3), 1));
   ASSERT_TRUE(line_seed.initialize(line_seed_net).ok());
-  auto line_snap = capture_snapshot(line_seed);
+  auto line_snap = capture_snapshot(line_seed, line_seed_net);
   ASSERT_TRUE(line_snap.ok());
   Snapshot no_edge = line_snap.value();
   rw.original = 0;       // server 0 on switch 0
