@@ -11,6 +11,7 @@
 #include "common/spsc_ring.hpp"
 #include "crypto/sha256.hpp"
 #include "geometry/delaunay.hpp"
+#include "geometry/predicates.hpp"
 #include "graph/shortest_path.hpp"
 #include "linalg/mds.hpp"
 #include "sden/plan_walk.hpp"
@@ -61,7 +62,56 @@ void BM_DelaunayBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(dt);
   }
 }
-BENCHMARK(BM_DelaunayBuild)->Arg(50)->Arg(100)->Arg(200);
+BENCHMARK(BM_DelaunayBuild)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(128)
+    ->Arg(200)
+    ->Arg(1024);
+
+// One predicate call on random points in general position: the
+// double-precision filter (exact:0), which decides all of them, or its
+// __float128 fallback and oracle (exact:1).
+constexpr std::size_t kPredicateMask = 1023;
+
+std::vector<geometry::Point2D> predicate_points() {
+  Rng rng(43);
+  std::vector<geometry::Point2D> pts(kPredicateMask + 1);
+  for (auto& p : pts) p = {rng.next_double(), rng.next_double()};
+  return pts;
+}
+
+void BM_Orient2d(benchmark::State& state) {
+  const std::vector<geometry::Point2D> pts = predicate_points();
+  const bool exact = state.range(0) != 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& a = pts[i & kPredicateMask];
+    const auto& b = pts[(i + 1) & kPredicateMask];
+    const auto& c = pts[(i + 2) & kPredicateMask];
+    benchmark::DoNotOptimize(exact ? geometry::orient2d_exact(a, b, c)
+                                   : geometry::orient2d(a, b, c));
+    i += 3;
+  }
+}
+BENCHMARK(BM_Orient2d)->ArgName("exact")->Arg(0)->Arg(1);
+
+void BM_InCircumcircle(benchmark::State& state) {
+  const std::vector<geometry::Point2D> pts = predicate_points();
+  const bool exact = state.range(0) != 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& a = pts[i & kPredicateMask];
+    const auto& b = pts[(i + 1) & kPredicateMask];
+    const auto& c = pts[(i + 2) & kPredicateMask];
+    const auto& p = pts[(i + 3) & kPredicateMask];
+    benchmark::DoNotOptimize(exact
+                                 ? geometry::in_circumcircle_exact(a, b, c, p)
+                                 : geometry::in_circumcircle(a, b, c, p));
+    i += 4;
+  }
+}
+BENCHMARK(BM_InCircumcircle)->ArgName("exact")->Arg(0)->Arg(1);
 
 void BM_ClassicalMds(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -4,17 +4,26 @@
 // insertion. Every successful build/insert must satisfy the deep
 // gred::check::validate_delaunay invariant (empty circumcircles,
 // symmetric adjacency, closed hull) and greedy routing must reach the
-// brute-force nearest site.
+// brute-force nearest site. On every point set, the filtered
+// predicates must also agree with their __float128 oracles.
 #include <cstdint>
+#include <cstdio>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "check/invariants.hpp"
 #include "fuzz_util.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/point.hpp"
+#include "geometry/predicates.hpp"
 
 using gred::fuzz::ByteSource;
 using gred::geometry::DelaunayTriangulation;
+using gred::geometry::in_circumcircle;
+using gred::geometry::in_circumcircle_exact;
+using gred::geometry::orient2d;
+using gred::geometry::orient2d_exact;
 using gred::geometry::Point2D;
 
 namespace {
@@ -63,6 +72,38 @@ std::vector<Point2D> make_points(ByteSource& src, std::uint8_t mode) {
   return pts;
 }
 
+std::string hex_points(std::initializer_list<Point2D> pts) {
+  std::string out;
+  char buf[96];
+  for (const Point2D& p : pts) {
+    std::snprintf(buf, sizeof buf, " (%a, %a)", p.x, p.y);
+    out += buf;
+  }
+  return out;
+}
+
+// orient2d and in_circumcircle against their exact oracles over strided
+// triples and quadruples of the set: O(n) checks, and no input bytes
+// consumed, so the rest of the harness sees the same stream.
+void check_predicates(const std::vector<Point2D>& pts) {
+  const std::size_t n = pts.size();
+  for (const std::size_t stride : {1, 2, 3, 5}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Point2D& a = pts[i];
+      const Point2D& b = pts[(i + stride) % n];
+      const Point2D& c = pts[(i + 2 * stride) % n];
+      const Point2D& p = pts[(i + 3 * stride) % n];
+      FUZZ_ASSERT(orient2d(a, b, c) == orient2d_exact(a, b, c),
+                  "orient2d disagrees with its oracle at" +
+                      hex_points({a, b, c}));
+      FUZZ_ASSERT(
+          in_circumcircle(a, b, c, p) == in_circumcircle_exact(a, b, c, p),
+          "in_circumcircle disagrees with its oracle at" +
+              hex_points({a, b, c, p}));
+    }
+  }
+}
+
 bool has_duplicate(const std::vector<Point2D>& pts) {
   for (std::size_t i = 0; i < pts.size(); ++i) {
     for (std::size_t j = i + 1; j < pts.size(); ++j) {
@@ -93,6 +134,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   ByteSource src(data, size);
   const std::uint8_t mode = src.u8();
   std::vector<Point2D> pts = make_points(src, mode);
+  check_predicates(pts);
   const bool dup = has_duplicate(pts);
 
   auto built = DelaunayTriangulation::build(pts);

@@ -145,9 +145,10 @@ CheckReport validate_delaunay(const geometry::DelaunayTriangulation& dt) {
     const Point2D& a = pts[t.v[0]];
     const Point2D& b = pts[t.v[1]];
     const Point2D& c = pts[t.v[2]];
-    // orient2d (quad precision, exact sign for double inputs) rather
-    // than the naive signed_area2: sliver triangles from near-collinear
-    // site sets have true areas below double rounding noise.
+    // orient2d (exact sign for double inputs: a proven double filter
+    // with a __float128 fallback) rather than the naive signed_area2:
+    // sliver triangles from near-collinear site sets have true areas
+    // below double rounding noise.
     if (geometry::orient2d(a, b, c) !=
         geometry::Orientation::kCounterClockwise) {
       report.fail("triangle (" + std::to_string(t.v[0]) + ", " +

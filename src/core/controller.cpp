@@ -714,11 +714,14 @@ Status Controller::commit_topology_event(sden::SdenNetwork& net,
                                          Checkpoint& cp) {
   const Status rebuilt = rebuild_and_install_incremental(net, delta);
   if (!rebuilt.ok()) return roll_back(net, cp, rebuilt);
-  auto migrated = migrate_items(net, cp.moves);
-  if (!migrated.ok()) return roll_back(net, cp, migrated.error());
-  last_migration_ = migrated.value();
-  const Status repaired = repair_replication_after_dynamics(net, cp.moves);
-  if (!repaired.ok()) return roll_back(net, cp, repaired);
+  const Status moved = [&]() -> Status {
+    const obs::ScopedPhaseTimer timer("migrate");
+    auto migrated = migrate_items(net, cp.moves);
+    if (!migrated.ok()) return migrated.error();
+    last_migration_ = migrated.value();
+    return repair_replication_after_dynamics(net, cp.moves);
+  }();
+  if (!moved.ok()) return roll_back(net, cp, moved);
   return Status::Ok();
 }
 

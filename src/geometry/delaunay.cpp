@@ -130,7 +130,7 @@ Status DelaunayTriangulation::insert_into_faces(
         // line; the edge stays on the hull, handled by ghost edges.
         continue;
       }
-      // Orient with the quad-precision predicate: for sliver triangles
+      // Orient with the exact predicate: for sliver triangles
       // (near-collinear sites) the naive double signed_area2 returns
       // sign noise, and one mis-oriented face corrupts every later
       // cavity walk (found by fuzz/fuzz_delaunay.cpp).

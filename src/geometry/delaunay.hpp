@@ -1,7 +1,8 @@
 // Delaunay triangulation of the switch positions in the virtual space
-// (Section IV-C). Built by randomized incremental insertion into a
-// bounding super-triangle (Bowyer-Watson cavity retriangulation, which
-// yields the same DT as the paper's insert-and-flip description).
+// (Section IV-C). Built by randomized incremental insertion with ghost
+// faces, one per hull edge, joining it to a vertex at infinity
+// (Bowyer-Watson cavity retriangulation, which yields the same DT as
+// the paper's insert-and-flip description).
 //
 // The DT's defining property — greedy routing over DT edges always
 // terminates at the site closest to the target point — is what gives

@@ -2,8 +2,11 @@
 // C-regulation (CVT) refinement.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "geometry/convex_hull.hpp"
@@ -77,6 +80,194 @@ TEST(PredicatesTest, InCircumcircle) {
   EXPECT_FALSE(in_circumcircle(a, b, c, {0.0, -1.5}));
   // On the circle: not strictly inside.
   EXPECT_FALSE(in_circumcircle(a, b, c, {0.0, -1.0}));
+}
+
+// Four points drawn by one of the input modes of
+// FilteredMatchesExactOracle.
+using PointQuad = std::array<Point2D, 4>;
+
+enum OracleMode {
+  kUniform,         // [0,1]^2
+  kFuzzRange,       // [-0.25,1.25]^2, the Delaunay fuzz harness's range
+  kGrid,            // k/4: exact collinear and cocircular sets abound
+  kCollinearChain,  // (t, 0.5 + 0.25 t): collinear up to rounding
+  kOnCircle,        // cocircular up to rounding
+  kPerturbedGrid,   // k/4 moved by 0 or +-2^-50..2^-52
+  kScaled,          // uniform or grid times 2^-1100..2^1050
+  kLineOffset,      // one point 2^-90..2^-120 off an axis through O(1) points
+  kExactLine,       // exactly on y = k x, coordinate magnitudes 2^0..2^-30
+  kExactTrapezoid,  // exactly cocircular, coordinate magnitudes 2^0..2^-30
+  kModeCount
+};
+
+Point2D grid_point(Rng& rng) {
+  return {static_cast<double>(rng.next_below(5)) * 0.25,
+          static_cast<double>(rng.next_below(5)) * 0.25};
+}
+
+// +-(1 + u) * 2^-e with `bits` significant bits and e in [0, 30]:
+// differences of such values are mostly inexact in double, which is
+// what drives the filters' rounding error toward their bounds.
+double mixed_coordinate(Rng& rng, int bits) {
+  const double mantissa =
+      std::ldexp(std::floor(std::ldexp(1.0 + rng.next_double(), bits - 1)),
+                 1 - bits);
+  const int exponent = -static_cast<int>(rng.next_below(31));
+  return (rng.bernoulli(0.5) ? 1.0 : -1.0) * std::ldexp(mantissa, exponent);
+}
+
+PointQuad draw_quad(Rng& rng, OracleMode mode) {
+  PointQuad q;
+  switch (mode) {
+    case kUniform:
+      for (Point2D& p : q) p = {rng.next_double(), rng.next_double()};
+      break;
+    case kFuzzRange:
+      for (Point2D& p : q) {
+        p = {rng.uniform(-0.25, 1.25), rng.uniform(-0.25, 1.25)};
+      }
+      break;
+    case kGrid:
+      for (Point2D& p : q) p = grid_point(rng);
+      break;
+    case kCollinearChain:
+      for (Point2D& p : q) {
+        const double t = rng.next_double();
+        p = {t, 0.5 + 0.25 * t};
+      }
+      break;
+    case kOnCircle: {
+      const double cx = rng.uniform(0.25, 0.75);
+      const double cy = rng.uniform(0.25, 0.75);
+      const double r = rng.uniform(0.05, 0.5);
+      for (Point2D& p : q) {
+        const double theta = rng.uniform(0.0, 6.283185307179586);
+        p = {cx + r * std::cos(theta), cy + r * std::sin(theta)};
+      }
+      break;
+    }
+    case kPerturbedGrid:
+      for (Point2D& p : q) {
+        p = grid_point(rng);
+        const int shift = static_cast<int>(rng.uniform_int(50, 52));
+        p.x += static_cast<double>(rng.uniform_int(-1, 1)) *
+               std::ldexp(1.0, -shift);
+        p.y += static_cast<double>(rng.uniform_int(-1, 1)) *
+               std::ldexp(1.0, -shift);
+      }
+      break;
+    case kScaled: {
+      const int exponent = static_cast<int>(rng.uniform_int(-1100, 1050));
+      const bool grid = rng.bernoulli(0.5);
+      for (Point2D& p : q) {
+        const Point2D u = grid ? grid_point(rng)
+                               : Point2D{rng.next_double(), rng.next_double()};
+        p = {std::ldexp(u.x, exponent), std::ldexp(u.y, exponent)};
+      }
+      break;
+    }
+    case kLineOffset: {
+      // Three points on the x-axis, one 2^-90..2^-120 off it; the
+      // determinants are then that offset times O(1), on both sides of
+      // the exact code's 1e-30 * scale^2 guard.
+      for (Point2D& p : q) p = {rng.next_double(), 0.0};
+      const int shift = static_cast<int>(rng.uniform_int(90, 120));
+      q[rng.next_below(4)].y = (rng.bernoulli(0.5) ? 1.0 : -1.0) *
+                               std::ldexp(1.0, -shift);
+      if (rng.bernoulli(0.5)) {  // the y-axis instead
+        for (Point2D& p : q) p = {p.y, p.x};
+      }
+      break;
+    }
+    case kExactLine: {
+      // 50-bit x times a 3-bit slope is exact, so the four points are
+      // exactly collinear (and so also "cocircular") while the double
+      // evaluation still rounds; the exact code says kCollinear / false.
+      const double slopes[] = {3.0, 5.0, 7.0, -3.0};
+      const double k = slopes[rng.next_below(4)];
+      for (Point2D& p : q) {
+        const double x = mixed_coordinate(rng, 50);
+        p = {x, k * x};
+      }
+      break;
+    }
+    case kExactTrapezoid: {
+      // An isosceles trapezoid (symmetric about the y-axis) is cyclic.
+      const double u = std::abs(mixed_coordinate(rng, 53));
+      const double v = std::abs(mixed_coordinate(rng, 53));
+      const double ya = mixed_coordinate(rng, 53);
+      const double yb = mixed_coordinate(rng, 53);
+      q = {Point2D{-u, ya}, Point2D{u, ya}, Point2D{v, yb}, Point2D{-v, yb}};
+      break;
+    }
+    case kModeCount:
+      break;
+  }
+  if (mode >= kExactLine && rng.bernoulli(0.5)) {
+    for (Point2D& p : q) p = {p.y, p.x};
+  }
+  return q;
+}
+
+std::string describe(const PointQuad& q) {
+  std::string out;
+  char buf[96];
+  for (const Point2D& p : q) {
+    std::snprintf(buf, sizeof buf, "(%a, %a) ", p.x, p.y);
+    out += buf;
+  }
+  return out;
+}
+
+// The filtered predicates against their __float128 oracles on every
+// input mode: orient2d on all four rotations of each quad, and
+// in_circumcircle on two. Any disagreement fails, so a dropped guard
+// term or a too-small orientation bound shows here before it can change
+// a triangulation.
+TEST(PredicatesTest, FilteredMatchesExactOracle) {
+  constexpr int kCasesPerMode = 20000;
+  Rng rng(20241018);
+  std::size_t orient_mismatches = 0;
+  std::size_t incircle_mismatches = 0;
+  std::size_t collinear = 0;           // orient2d said kCollinear
+  std::size_t cocircular_outside = 0;  // exactly cocircular, not inside
+  std::string first_mismatch;
+  for (int m = 0; m < kModeCount; ++m) {
+    const auto mode = static_cast<OracleMode>(m);
+    for (int i = 0; i < kCasesPerMode; ++i) {
+      const PointQuad q = draw_quad(rng, mode);
+      for (int r = 0; r < 4; ++r) {
+        const Point2D& a = q[r];
+        const Point2D& b = q[(r + 1) % 4];
+        const Point2D& c = q[(r + 2) % 4];
+        const Point2D& p = q[(r + 3) % 4];
+        const Orientation o = orient2d(a, b, c);
+        if (o != orient2d_exact(a, b, c)) {
+          ++orient_mismatches;
+          if (first_mismatch.empty()) {
+            first_mismatch = "orient2d " + describe(q);
+          }
+        }
+        collinear += o == Orientation::kCollinear;
+        if (r % 2 != 0) continue;  // two in-circle rotations per quad
+        const bool inside = in_circumcircle(a, b, c, p);
+        if (inside != in_circumcircle_exact(a, b, c, p)) {
+          ++incircle_mismatches;
+          if (first_mismatch.empty()) {
+            first_mismatch = "in_circumcircle " + describe(q);
+          }
+        }
+        const bool cocircular = mode == kExactLine || mode == kExactTrapezoid;
+        cocircular_outside += cocircular && !inside;
+      }
+    }
+  }
+  EXPECT_EQ(orient_mismatches, 0u) << first_mismatch;
+  EXPECT_EQ(incircle_mismatches, 0u) << first_mismatch;
+  // Exact degeneracies occur and get the exact code's answer; the filter
+  // never returns kCollinear, so `collinear` > 0 shows the fallback ran.
+  EXPECT_GT(collinear, 0u);
+  EXPECT_GT(cocircular_outside, 0u);
 }
 
 // ---------- convex hull ----------

@@ -235,6 +235,12 @@ TEST_F(ObsSystemTest, EventLogCoversChurnOps) {
   core::Controller ctrl;
   ASSERT_TRUE(ctrl.initialize(net).ok());
   ASSERT_TRUE(ctrl.add_switch(net, {0, 2}, 1).ok());
+  // One join: one incremental rebuild, then one `migrate` phase timing
+  // its item migration and replica repair.
+  EXPECT_EQ(registry().counter("control.phase.migrate.runs").value(), 1u);
+  EXPECT_EQ(
+      registry().counter("control.phase.incremental_rebuild.runs").value(),
+      1u);
   ASSERT_TRUE(ctrl.extend_range(net, 0).ok());
   ASSERT_TRUE(ctrl.retract_range(net, 0).ok());
   ASSERT_TRUE(ctrl.remove_switch(net, 6).ok());
