@@ -21,34 +21,50 @@ using namespace gred;
 
 namespace {
 
+// SHA-256 as requests hash (hw:1: the SHA-NI block function where the
+// CPU has it) or through the scalar fallback and oracle (hw:0).
+crypto::Digest hash(benchmark::State& state, const std::string& msg) {
+  return state.range(0) != 0 ? crypto::sha256(msg)
+                             : crypto::sha256_scalar(msg.data(), msg.size());
+}
+
+void label_path(benchmark::State& state) {
+  if (state.range(0) != 0 && !crypto::sha256_hardware()) {
+    state.SetLabel("no SHA-NI: scalar");
+  }
+}
+
 void BM_Sha256_64B(benchmark::State& state) {
   const std::string msg(64, 'x');
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::sha256(msg));
+    benchmark::DoNotOptimize(hash(state, msg));
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) * 64);
+  label_path(state);
 }
-BENCHMARK(BM_Sha256_64B);
+BENCHMARK(BM_Sha256_64B)->ArgName("hw")->Arg(0)->Arg(1);
 
 void BM_Sha256_4KiB(benchmark::State& state) {
   const std::string msg(4096, 'x');
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::sha256(msg));
+    benchmark::DoNotOptimize(hash(state, msg));
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) * 4096);
+  label_path(state);
 }
-BENCHMARK(BM_Sha256_4KiB);
+BENCHMARK(BM_Sha256_4KiB)->ArgName("hw")->Arg(0)->Arg(1);
 
 void BM_DataKeyDerivation(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
-    crypto::DataKey key("item-" + std::to_string(i++));
+    crypto::DataKey key(hash(state, "item-" + std::to_string(i++)));
     benchmark::DoNotOptimize(key.position());
   }
+  label_path(state);
 }
-BENCHMARK(BM_DataKeyDerivation);
+BENCHMARK(BM_DataKeyDerivation)->ArgName("hw")->Arg(0)->Arg(1);
 
 void BM_DelaunayBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,8 @@
 // Fuzz harness for the crypto stack (sha256 / hex / data_key):
 //   * from_hex is total — typed error or exact to_hex inverse;
-//   * incremental SHA-256 equals one-shot SHA-256 for any chunking;
+//   * one-shot and incremental SHA-256, for any chunking, equal the
+//     scalar oracle (`sha256_scalar`), so on a CPU with SHA-NI every
+//     input runs both block functions;
 //   * DataKey's derived position always lands in the unit square and
 //     H(d) mod s always respects the modulus.
 #include <algorithm>
@@ -46,16 +48,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                   std::equal(back.value().begin(), back.value().end(), data),
               "from_hex(to_hex(bytes)) round trip failed");
 
-  // --- incremental vs one-shot SHA-256 ---
-  const gred::crypto::Digest oneshot = gred::crypto::sha256(data, size);
+  // --- one-shot and incremental SHA-256 vs the scalar oracle ---
+  const gred::crypto::Digest oracle = gred::crypto::sha256_scalar(data, size);
+  FUZZ_ASSERT(gred::crypto::sha256(data, size) == oracle,
+              "one-shot SHA-256 differs from the scalar oracle");
   gred::crypto::Sha256 h;
   const std::size_t cut1 = size > 0 ? size / 3 : 0;
   const std::size_t cut2 = size > 0 ? size - size / 5 : 0;
   h.update(data, cut1);
   h.update(data + cut1, cut2 - cut1);
   h.update(data + cut2, size - cut2);
-  FUZZ_ASSERT(h.finish() == oneshot,
-              "chunked SHA-256 differs from one-shot digest");
+  FUZZ_ASSERT(h.finish() == oracle,
+              "chunked SHA-256 differs from the scalar oracle");
 
   // --- DataKey derivations stay in range and deterministic ---
   const gred::crypto::DataKey key(text);

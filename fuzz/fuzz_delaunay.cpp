@@ -5,7 +5,9 @@
 // gred::check::validate_delaunay invariant (empty circumcircles,
 // symmetric adjacency, closed hull) and greedy routing must reach the
 // brute-force nearest site. On every point set, the filtered
-// predicates must also agree with their __float128 oracles.
+// predicates must also agree with their __float128 oracles; one mode,
+// a point a hair off an axis, exists for that check alone.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -28,6 +30,10 @@ using gred::geometry::Point2D;
 
 namespace {
 
+// The last generator mode below: sets that straddle the predicates'
+// guard, checked against the oracles but not triangulated.
+constexpr std::uint8_t kHairOffAxis = 4;
+
 // Point-set generators keyed by the first input byte. Duplicates are
 // intentionally possible in every mode: build() must reject them with
 // a typed error, never crash.
@@ -35,7 +41,7 @@ std::vector<Point2D> make_points(ByteSource& src, std::uint8_t mode) {
   std::vector<Point2D> pts;
   const std::size_t n = 3 + src.below(24);
   pts.reserve(n + 4);
-  switch (mode % 4) {
+  switch (mode) {
     case 0:  // arbitrary points in a padded unit square
       for (std::size_t i = 0; i < n; ++i) {
         pts.push_back({src.unit_double(-0.25, 1.25),
@@ -52,6 +58,24 @@ std::vector<Point2D> make_points(ByteSource& src, std::uint8_t mode) {
       for (std::size_t i = 0; i < n; ++i) {
         pts.push_back({static_cast<double>(src.below(5)) * 0.25,
                        static_cast<double>(src.below(5)) * 0.25});
+      }
+      break;
+    }
+    case kHairOffAxis: {
+      // Points on the x-axis, one of them 2^-90..2^-120 off it: a triple
+      // through that point has a determinant of the offset times O(1)
+      // with no rounding error, on either side of the exact predicates'
+      // 1e-30 * scale^2 guard, so the filter's guard term alone decides
+      // whether it may answer.
+      for (std::size_t i = 0; i < n; ++i) {
+        pts.push_back({src.unit_double(), 0.0});
+      }
+      const int shift = 90 + static_cast<int>(src.below(31));
+      const std::size_t off = src.below(n);
+      const double sign = src.u8() % 2 == 0 ? 1.0 : -1.0;
+      pts[off].y = std::ldexp(sign, -shift);
+      if (src.u8() % 2 != 0) {  // the y-axis instead
+        for (Point2D& p : pts) p = {p.y, p.x};
       }
       break;
     }
@@ -132,9 +156,17 @@ void check_greedy_delivery(const DelaunayTriangulation& dt,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   ByteSource src(data, size);
-  const std::uint8_t mode = src.u8();
+  const std::uint8_t mode = src.u8() % (kHairOffAxis + 1);
   std::vector<Point2D> pts = make_points(src, mode);
   check_predicates(pts);
+  if (mode == kHairOffAxis) {
+    // Not triangulated. Inside its 1e-30 * scale^2 guard the exact
+    // orientation test is not a consistent geometry: with a, b, c on a
+    // line, p can be on line ab and off line ac. The Bowyer-Watson
+    // build assumes it is, and on such sets can return faces that fail
+    // validate_delaunay (ROADMAP item 4).
+    return 0;
+  }
   const bool dup = has_duplicate(pts);
 
   auto built = DelaunayTriangulation::build(pts);

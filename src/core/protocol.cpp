@@ -16,12 +16,13 @@ constexpr double kBackoffMs = 1.0;
 constexpr double kBackoffMultiplier = 2.0;
 constexpr double kBackoffCapMs = 8.0;
 
+// `key` must be DataKey(data_id): callers hash each identifier once and
+// build every packet of the request from that key.
 sden::Packet make_packet(sden::PacketType type, const std::string& data_id,
-                         std::string payload) {
+                         const crypto::DataKey& key, std::string payload) {
   sden::Packet pkt;
   pkt.type = type;
   pkt.data_id = data_id;
-  const crypto::DataKey key(data_id);
   const crypto::SpacePoint pos = key.position();
   pkt.target = {pos.x, pos.y};
   // Cache H(d) so the terminal switch's H(d) mod s server choice does
@@ -75,20 +76,21 @@ Result<OpReport> GredProtocol::run(sden::Packet packet,
 Result<OpReport> GredProtocol::place(const std::string& data_id,
                                      const std::string& payload,
                                      topology::SwitchId ingress) {
+  const crypto::DataKey key(data_id);
   auto primary = run(
-      make_packet(sden::PacketType::kPlacement, data_id, payload), ingress);
+      make_packet(sden::PacketType::kPlacement, data_id, key, payload),
+      ingress);
   if (!primary.ok()) return primary;
   if (controller_->replication_factor() > 1) {
     // k-replica placement: each additional copy keeps the same data_id
     // but re-targets the packet at the replica home's own virtual
     // position, so greedy routing delivers it there and H(d) mod s
     // picks that home's server.
-    const crypto::DataKey key(data_id);
     const std::vector<topology::SwitchId> homes =
         controller_->replica_homes(key);
     for (std::size_t c = 1; c < homes.size(); ++c) {
       sden::Packet pkt =
-          make_packet(sden::PacketType::kPlacement, data_id, payload);
+          make_packet(sden::PacketType::kPlacement, data_id, key, payload);
       pkt.target = net_->const_switch_at(homes[c]).position();
       auto r = run(std::move(pkt), ingress);
       if (!r.ok()) return r.error();
@@ -99,7 +101,14 @@ Result<OpReport> GredProtocol::place(const std::string& data_id,
 
 Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
                                         topology::SwitchId ingress) {
-  sden::Packet pkt = make_packet(sden::PacketType::kRetrieval, data_id, {});
+  return retrieve(data_id, crypto::DataKey(data_id), ingress);
+}
+
+Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
+                                        const crypto::DataKey& key,
+                                        topology::SwitchId ingress) {
+  sden::Packet pkt =
+      make_packet(sden::PacketType::kRetrieval, data_id, key, {});
   const crypto::Digest digest = pkt.key_digest;
   sden::HotKeyCache* cache = net_->hot_key_cache();
   obs::SwitchLoadTracker* loads = net_->load_tracker();
@@ -142,7 +151,9 @@ Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
 
 Result<OpReport> GredProtocol::remove(const std::string& data_id,
                                       topology::SwitchId ingress) {
-  return run(make_packet(sden::PacketType::kRemoval, data_id, {}), ingress);
+  return run(make_packet(sden::PacketType::kRemoval, data_id,
+                         crypto::DataKey(data_id), {}),
+             ingress);
 }
 
 Result<std::vector<OpReport>> GredProtocol::place_replicated(
@@ -183,21 +194,24 @@ Result<OpReport> GredProtocol::retrieve_nearest_replica(
 
   // Section VI: distances in the virtual space identify the closest
   // copy, since network distance is embedded in the positions.
-  unsigned best_copy = 0;
+  std::string best_id;
+  crypto::DataKey best_key{crypto::Digest{}};
   double best_dist = 0.0;
   for (unsigned c = 0; c < copies; ++c) {
-    const crypto::DataKey key(crypto::replica_identifier(data_id, c));
+    std::string id = crypto::replica_identifier(data_id, c);
+    const crypto::DataKey key(id);
     const crypto::SpacePoint pos = key.position();
     const topology::SwitchId home =
         controller_->home_switch({pos.x, pos.y});
     const double d = geometry::distance(
         access, net.switch_at(home).position());
     if (c == 0 || d < best_dist) {
-      best_copy = c;
+      best_id = std::move(id);
+      best_key = key;
       best_dist = d;
     }
   }
-  return retrieve(crypto::replica_identifier(data_id, best_copy), ingress);
+  return retrieve(best_id, best_key, ingress);
 }
 
 Result<RetrievalOutcome> GredProtocol::retrieve_with_fallback(
@@ -228,7 +242,8 @@ Result<RetrievalOutcome> GredProtocol::retrieve_with_fallback(
       backoff = std::min(backoff * kBackoffMultiplier, kBackoffCapMs);
     }
     const bool fallback = !homes.empty() && attempt % homes.size() != 0;
-    sden::Packet pkt = make_packet(sden::PacketType::kRetrieval, data_id, {});
+    sden::Packet pkt =
+        make_packet(sden::PacketType::kRetrieval, data_id, key, {});
     // Each attempt is a distinct send: salt the flaky-link drop hash
     // with the ordinal so a retry of the same key along the same link
     // gets a fresh drop decision (otherwise a flaky link that dropped

@@ -138,6 +138,10 @@ class GredProtocol {
   const Controller& controller() const { return *controller_; }
 
  private:
+  /// retrieve() with `data_id` already hashed: key == DataKey(data_id).
+  Result<OpReport> retrieve(const std::string& data_id,
+                            const crypto::DataKey& key,
+                            topology::SwitchId ingress);
   Result<OpReport> run(sden::Packet packet, topology::SwitchId ingress);
 
   sden::SdenNetwork* net_;

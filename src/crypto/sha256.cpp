@@ -3,6 +3,11 @@
 #include <cassert>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace gred::crypto {
 namespace {
 
@@ -31,6 +36,96 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+#if defined(__x86_64__)
+
+// CPUID: SHA extensions (leaf 7, EBX bit 29), plus SSSE3 (leaf 1, ECX
+// bit 9) and SSE4.1 (ECX bit 19) for the byte shuffles and blends.
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if (((ecx >> 9) & 1u) == 0 || ((ecx >> 19) & 1u) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return ((ebx >> 29) & 1u) != 0;
+}
+
+const __m128i* as_m128(const void* p) {
+  return static_cast<const __m128i*>(p);
+}
+
+// The block function on the SHA extensions; the same result as
+// Sha256::process_block_scalar for every state and block. The state
+// lives in two registers as ABEF and CDGH; SHA256RNDS2 runs two rounds,
+// SHA256MSG1/MSG2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* block) {
+  // Byte-swaps each 32-bit lane: the message words are big-endian.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0b, 0x0405060700010203);
+
+  // Lanes are named high to low: DCBA is state[0..3] as loaded.
+  __m128i tmp = _mm_loadu_si128(as_m128(state));         // DCBA
+  __m128i state1 = _mm_loadu_si128(as_m128(state + 4));  // HGFE
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                    // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);              // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);      // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);           // CDGH
+  const __m128i abef = state0;
+  const __m128i cdgh = state1;
+
+  // m0 holds the schedule words W[4g..4g+3] of round group g; m1..m3
+  // hold the next groups, or the older groups they are derived from.
+  __m128i m0 = _mm_shuffle_epi8(_mm_loadu_si128(as_m128(block)), kByteSwap);
+  __m128i m1 =
+      _mm_shuffle_epi8(_mm_loadu_si128(as_m128(block + 16)), kByteSwap);
+  __m128i m2 =
+      _mm_shuffle_epi8(_mm_loadu_si128(as_m128(block + 32)), kByteSwap);
+  __m128i m3 =
+      _mm_shuffle_epi8(_mm_loadu_si128(as_m128(block + 48)), kByteSwap);
+  for (int g = 0; g < 16; ++g) {
+    const __m128i wk =
+        _mm_add_epi32(m0, _mm_loadu_si128(as_m128(kRoundConst + 4 * g)));
+    state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+    state0 = _mm_sha256rnds2_epu32(state0, state1,
+                                   _mm_shuffle_epi32(wk, 0x0E));
+    // Group g+1: W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+    // m1 holds MSG1's s0(W[t-15]) + W[t-16], W[t-7] spans m3 and m0,
+    // and MSG2 adds s1(W[t-2]) from m0.
+    if (g >= 3 && g < 15) {
+      m1 = _mm_sha256msg2_epu32(
+          _mm_add_epi32(m1, _mm_alignr_epi8(m0, m3, 4)), m0);
+    }
+    // MSG1's partial sums for group g+3, from groups g-1 (m3) and g.
+    if (g >= 1 && g < 13) m3 = _mm_sha256msg1_epu32(m3, m0);
+    const __m128i next = m1;
+    m1 = m2;
+    m2 = m3;
+    m3 = m0;
+    m0 = next;
+  }
+
+  state0 = _mm_add_epi32(state0, abef);
+  state1 = _mm_add_epi32(state1, cdgh);
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+#else
+
+constexpr bool cpu_has_sha_ni() { return false; }
+
+#endif
+
+// Which block function compresses: chosen once, during static
+// initialisation. A plain flag, not a function pointer, ifunc or
+// function-local static, so both calls stay direct and the hot-path
+// checker can follow them (DESIGN.md §13); a read before initialisation
+// sees false and takes the scalar code, which gives the same digest.
+const bool kShaNi = cpu_has_sha_ni();
+
 }  // namespace
 
 void Sha256::reset() {
@@ -40,6 +135,16 @@ void Sha256::reset() {
 }
 
 void Sha256::process_block(const std::uint8_t* block) {
+#if defined(__x86_64__)
+  if (kShaNi && !scalar_) {
+    compress_sha_ni(state_, block);
+    return;
+  }
+#endif
+  process_block_scalar(block);
+}
+
+void Sha256::process_block_scalar(const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t(block[4 * i]) << 24) |
@@ -146,5 +251,14 @@ Digest sha256(const void* data, std::size_t len) {
   h.update(data, len);
   return h.finish();
 }
+
+Digest sha256_scalar(const void* data, std::size_t len) {
+  Sha256 h;
+  h.scalar_ = true;
+  h.update(data, len);
+  return h.finish();
+}
+
+bool sha256_hardware() { return kShaNi; }
 
 }  // namespace gred::crypto

@@ -1,10 +1,13 @@
-// SHA-256 against the FIPS 180-4 / NIST CAVS vectors, hex codec, and
-// the paper's data-key derivation (Section III).
+// SHA-256 against the FIPS 180-4 / NIST CAVS vectors, the SHA-NI block
+// function against the scalar oracle, hex codec, and the paper's
+// data-key derivation (Section III).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "crypto/data_key.hpp"
@@ -14,45 +17,55 @@
 namespace gred::crypto {
 namespace {
 
-std::string hex_of(std::string_view msg) { return to_hex(sha256(msg)); }
+// Every known answer is checked on both block functions: `sha256`
+// (SHA-NI where the CPU has it) and the scalar oracle.
+void expect_digest(std::string_view msg, std::string_view hex) {
+  EXPECT_EQ(to_hex(sha256(msg)), hex);
+  EXPECT_EQ(to_hex(sha256_scalar(msg.data(), msg.size())), hex)
+      << "scalar oracle";
+}
 
 // ---------- SHA-256 known-answer tests ----------
 
 TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(hex_of(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  expect_digest(
+      "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256Test, Abc) {
-  EXPECT_EQ(hex_of("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  expect_digest(
+      "abc",
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256Test, TwoBlockMessage) {
-  EXPECT_EQ(hex_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  expect_digest(
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 TEST(Sha256Test, FourBlockMessage) {
-  EXPECT_EQ(
-      hex_of("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
-             "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+  expect_digest(
+      "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+      "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
 }
 
 TEST(Sha256Test, MillionAs) {
+  const char* const want =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
   Sha256 h;
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(to_hex(h.finish()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  EXPECT_EQ(to_hex(h.finish()), want);
+  expect_digest(std::string(1000000, 'a'), want);
 }
 
 TEST(Sha256Test, SingleByte) {
   // NIST CAVS: one byte 0xbd.
-  const std::uint8_t byte = 0xbd;
-  EXPECT_EQ(to_hex(sha256(&byte, 1)),
-            "68325720aabd7c82f30f554b313d0570c95accbb7dc4b5aae11204c08ffe732b");
+  expect_digest(
+      "\xbd",
+      "68325720aabd7c82f30f554b313d0570c95accbb7dc4b5aae11204c08ffe732b");
 }
 
 TEST(Sha256Test, ExactBlockBoundaries) {
@@ -93,6 +106,62 @@ TEST(Sha256Test, ResetReusesObject) {
 TEST(Sha256Test, DifferentInputsDiffer) {
   EXPECT_NE(sha256("a"), sha256("b"));
   EXPECT_NE(sha256("abc"), sha256("abd"));
+}
+
+// The SHA-NI block function against the scalar oracle: every length
+// 0..300 and random lengths up to 8 KiB, at start offsets 0..15, one
+// shot and streamed in random chunks. Without SHA-NI both sides run the
+// scalar code, so the comparison would be vacuous and the test skips.
+TEST(Sha256Test, HardwareMatchesScalarOracle) {
+#if defined(__x86_64__) && !defined(__clang__)
+  // The dispatcher must pick SHA-NI wherever the CPU has it; otherwise
+  // this test would skip on exactly the hosts it is for. (Clang before
+  // 18 rejects the "sha" feature string, so only GCC builds check.)
+  EXPECT_EQ(sha256_hardware(), __builtin_cpu_supports("sha") &&
+                                   __builtin_cpu_supports("ssse3") &&
+                                   __builtin_cpu_supports("sse4.1"));
+#endif
+  if (!sha256_hardware()) {
+    GTEST_SKIP() << "CPU has no SHA-NI: sha256 ran the scalar block "
+                    "function, the oracle itself";
+  }
+  constexpr std::size_t kMaxLen = 8192;
+  Rng rng(20261018);
+  std::vector<std::uint8_t> buf(kMaxLen + 16);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+
+  std::size_t cases = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  const auto check = [&](std::size_t offset, std::size_t len) {
+    const std::uint8_t* data = buf.data() + offset;
+    const Digest want = sha256_scalar(data, len);
+    Sha256 streamed;
+    for (std::size_t done = 0; done < len;) {
+      const std::size_t chunk =
+          std::min<std::size_t>(len - done, 1 + rng.next_below(150));
+      streamed.update(data + done, chunk);
+      done += chunk;
+    }
+    const bool one_shot_ok = sha256(data, len) == want;
+    const bool streamed_ok = streamed.finish() == want;
+    ++cases;
+    if (one_shot_ok && streamed_ok) return;
+    ++mismatches;
+    if (first_mismatch.empty()) {
+      first_mismatch = (one_shot_ok ? "streamed" : "one-shot") +
+                       std::string(" len=") + std::to_string(len) +
+                       " offset=" + std::to_string(offset);
+    }
+  };
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t offset = 0; offset < 16; ++offset) check(offset, len);
+  }
+  for (int i = 0; i < 400; ++i) {
+    check(rng.next_below(16), rng.next_below(kMaxLen + 1));
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases << "; first: "
+                            << first_mismatch;
 }
 
 // ---------- hex ----------

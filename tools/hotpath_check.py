@@ -6,8 +6,8 @@ blocking in the steady state" (DESIGN.md §13). bench_data_plane proves
 the allocation half at runtime for the schedules it happens to run;
 this tool proves the whole contract statically, for every path:
 
-  1. Every TU under src/ is re-compiled (exactly as recorded in
-     compile_commands.json, normalized to -O2 -DNDEBUG) with GCC's
+  1. Every TU the TU list names is re-compiled (exactly as recorded
+     in compile_commands.json, normalized to -O2 -DNDEBUG) with GCC's
      -fcallgraph-info=su,da, which dumps the POST-OPTIMIZATION call
      graph per TU — what the generated code actually calls, after
      inlining, not what the source text mentions.
@@ -32,7 +32,14 @@ cold path allocated is latency noise, not a new allocation.
 
 A marker that resolves to no graph node is an error too — it means the
 analyzed TU set does not cover the annotated function, and the proof
-would be vacuous.
+would be vacuous. Markers are collected from all of src/ whatever the
+TU list says, so a list that misses a hot root's library fails here,
+and one that misses a library the closure calls into fails on the
+unrecognized external symbol.
+
+The TU list names the TUs to compile, one absolute path per line, each
+a src/ entry of compile_commands.json. CMake writes the hot roots' link
+closure to <build>/hotpath_tus.txt.
 
 Waiver file: tools/hotpath_waivers.conf, `root | symbol | callsite |
 justification` with regex fields (symbol matches mangled or demangled,
@@ -41,7 +48,8 @@ whole subtree behind the matched edge, so it must argue why that
 subtree is acceptable, not just name it.
 
 Usage:
-  hotpath_check.py <repo-root> <compile_commands.json> [--jobs N]
+  hotpath_check.py <repo-root> <compile_commands.json> <tu-list>
+                   [--jobs N]
   hotpath_check.py <repo-root> --self-test
 Exit 0 clean, 1 errors, 2 usage/setup errors, 77 toolchain missing
 (gcc or c++filt not on PATH — ctest SKIP_RETURN_CODE).
@@ -417,7 +425,8 @@ def compile_tu(gxx, entry, flags, out_path):
     return proc, out_path.with_suffix(".ci")
 
 
-def run_repo(root: Path, compile_commands: Path, jobs: int) -> int:
+def run_repo(root: Path, compile_commands: Path, tu_list: Path,
+             jobs: int) -> int:
     gxx = shutil.which("g++") or shutil.which("gcc")
     if gxx is None or (shutil.which("c++filt") is None
                        and shutil.which("llvm-cxxfilt") is None):
@@ -443,9 +452,22 @@ def run_repo(root: Path, compile_commands: Path, jobs: int) -> int:
             entry = dict(entry)
             entry["file"] = str(src.resolve())
             tus.append((rel, entry))
-    if not tus:
-        print("hotpath: no src/ TUs in compile_commands.json",
+    try:
+        wanted = {str(Path(line.strip()).resolve()) for line in
+                  tu_list.read_text(encoding="utf-8").splitlines()
+                  if line.strip()}
+    except OSError as exc:
+        print(f"hotpath: cannot read {tu_list}: {exc}", file=sys.stderr)
+        return 2
+    missing = wanted - {entry["file"] for _, entry in tus}
+    if missing:
+        print(f"hotpath: {tu_list} lists TUs that are not src/ TUs of "
+              f"{compile_commands}: {', '.join(sorted(missing))}",
               file=sys.stderr)
+        return 2
+    tus = [(rel, entry) for rel, entry in tus if entry["file"] in wanted]
+    if not tus:
+        print(f"hotpath: {tu_list} names no TU", file=sys.stderr)
         return 2
 
     hot, cold, bad = collect_markers(root)
@@ -583,10 +605,10 @@ def main(argv):
             print(__doc__, file=sys.stderr)
             return 2
         return self_test(Path(args[0]))
-    if len(args) != 2:
+    if len(args) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    return run_repo(Path(args[0]), Path(args[1]), jobs)
+    return run_repo(Path(args[0]), Path(args[1]), Path(args[2]), jobs)
 
 
 if __name__ == "__main__":
