@@ -16,6 +16,7 @@
 #include "linalg/mds.hpp"
 #include "sden/plan_walk.hpp"
 #include "sden/route_plan.hpp"
+#include "topology/waxman.hpp"
 
 using namespace gred;
 
@@ -197,7 +198,9 @@ void BM_PlanGreedyStep(benchmark::State& state) {
   // sden::plan_step at a random switch of a plan compiled from an
   // n-switch Waxman GredSystem, toward a random data position. The
   // `candidates` counter is the mean candidate count of the stepped
-  // switches, the k of the argmin.
+  // switches, the k of the argmin. The 1,024 cases repeat in a cycle,
+  // which the branch predictor learns, so this reads about 3x below a
+  // step of a real walk; BM_PlanWalk times that.
   const auto n = static_cast<std::size_t>(state.range(0));
   const topology::EdgeNetwork net =
       bench::network({.switches = n, .servers_per_switch = 4,
@@ -229,12 +232,90 @@ void BM_PlanGreedyStep(benchmark::State& state) {
   for (auto _ : state) {
     sden::Packet& pkt = pkts[c];
     pkt.clear_virtual_link();  // a taken DT edge enters a virtual link
-    benchmark::DoNotOptimize(sden::plan_step(plan, at[c], pkt));
+    benchmark::DoNotOptimize(sden::plan_step(plan, at[c], pkt, nullptr));
     c = (c + 1) & (kCases - 1);
   }
   state.counters["candidates"] = candidates / static_cast<double>(kCases);
 }
 BENCHMARK(BM_PlanGreedyStep)->Arg(64)->Arg(256);
+
+void BM_PlanWalk(benchmark::State& state) {
+  // Whole compiled walks, greedy steps and relay hops, from ingress to
+  // the delivering switch (no delivery): sden::plan_step over the plan
+  // of perfbench's deployment (128-switch Waxman, seed 2019, minimum
+  // degree 3, 4 servers per switch), for 64K seeded (ingress, key)
+  // pairs walked in turn. Unlike BM_PlanGreedyStep's 1,024 cyclic
+  // single steps, whose argmin winners, virtual-link entries and
+  // progress checks the branch predictor learns (about 3x faster per
+  // step), 64K random walks are as unpredictable as perfbench's reads.
+  // Time is ns per route; counters: ns/step, steps/route, and
+  // relay_share, the share of steps that were relay hops. /simd:1 runs
+  // the argmin requests use (AVX2 where CPUID reports it), /simd:0 the
+  // scalar loop.
+  Rng topo_rng(2019);
+  topology::WaxmanOptions opt;
+  opt.node_count = 128;
+  opt.min_degree = 3;
+  auto topo = topology::generate_waxman(opt, topo_rng);
+  if (!topo.ok()) {
+    state.SkipWithError("topology failed");
+    return;
+  }
+  auto sys = core::GredSystem::create(
+      topology::uniform_edge_network(std::move(topo).value().graph, 4), {});
+  if (!sys.ok()) {
+    state.SkipWithError("system creation failed");
+    return;
+  }
+  const sden::SdenNetwork& network = sys.value().network();
+  const std::size_t n = network.switch_count();
+  std::vector<std::uint32_t> owned(n);
+  for (std::size_t i = 0; i < n; ++i) owned[i] = static_cast<std::uint32_t>(i);
+  sden::RoutePlan plan;
+  network.compile_plan_subset(plan, owned.data(), owned.size());
+
+  constexpr std::size_t kPairs = 1 << 16;  // power of two: masked cycling
+  Rng rng(13);
+  std::vector<std::uint32_t> ingress(kPairs);
+  std::vector<geometry::Point2D> target(kPairs);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    ingress[i] = static_cast<std::uint32_t>(rng.next_below(n));
+    const crypto::DataKey key("walk-" + std::to_string(i));
+    target[i] = {key.position().x, key.position().y};
+  }
+  const bool simd = state.range(0) != 0 && sden::kAvx2Argmin;
+  const std::size_t max_hops = network.max_route_hops();
+  sden::Packet pkt;
+  std::size_t steps = 0;
+  std::size_t relay_steps = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    pkt.clear_virtual_link();
+    pkt.target = target[i];
+    std::uint32_t cur = ingress[i];
+    for (std::size_t s = 0; s < max_hops; ++s) {
+      relay_steps += static_cast<std::size_t>(pkt.on_virtual_link() &&
+                                              pkt.vlink_dest != cur);
+      ++steps;
+      const sden::PlanStep st = sden::plan_step(plan, cur, pkt, nullptr, simd);
+      if (st.kind != sden::PlanStep::Kind::kHop) break;
+      cur = st.next;
+    }
+    benchmark::DoNotOptimize(cur);
+    i = (i + 1) & (kPairs - 1);
+  }
+  const auto total = static_cast<double>(steps);
+  state.counters["ns/step"] = benchmark::Counter(
+      total, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["steps/route"] =
+      benchmark::Counter(total, benchmark::Counter::kAvgIterations);
+  state.counters["relay_share"] =
+      total > 0 ? static_cast<double>(relay_steps) / total : 0.0;
+  if (state.range(0) != 0 && !sden::kAvx2Argmin) {
+    state.SetLabel("no AVX2: scalar");
+  }
+}
+BENCHMARK(BM_PlanWalk)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_GredRetrievalFastPath(benchmark::State& state) {
   // Full compiled-plan retrieval walk with reused scratch — the

@@ -79,6 +79,12 @@ class [[nodiscard]] Result {
   Result(T value) : storage_(std::move(value)) {}          // NOLINT(google-explicit-constructor)
   Result(Error error) : storage_(std::move(error)) {}      // NOLINT(google-explicit-constructor)
   Result(ErrorCode code, std::string msg) : storage_(Error{code, std::move(msg)}) {}
+  /// Constructs the value in place from `args`: a caller that fills a
+  /// large value through value() then returns this Result by name
+  /// never moves the value.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : storage_(std::in_place_type<T>, std::forward<Args>(args)...) {}
 
   bool ok() const { return std::holds_alternative<T>(storage_); }
   explicit operator bool() const { return ok(); }

@@ -34,20 +34,18 @@ sden::Packet make_packet(sden::PacketType type, const std::string& data_id,
 
 }  // namespace
 
-Result<OpReport> GredProtocol::run(sden::Packet packet,
-                                   topology::SwitchId ingress) {
+Status GredProtocol::route_into(sden::Packet& packet,
+                                topology::SwitchId ingress,
+                                OpReport& report) {
   if (!controller_->initialized()) {
-    return Error(ErrorCode::kFailedPrecondition,
-                 "GredProtocol: controller not initialized");
+    return Status(ErrorCode::kFailedPrecondition,
+                  "GredProtocol: controller not initialized");
   }
-  OpReport report;
   report.ingress = ingress;
   net_->route(packet, ingress, report.route);
-  if (!report.route.status.ok()) {
-    return report.route.status.error();
-  }
+  if (!report.route.status.ok()) return report.route.status;
   if (report.route.delivered_to.empty()) {
-    return Error(ErrorCode::kInternal, "packet was not delivered");
+    return Status(ErrorCode::kInternal, "packet was not delivered");
   }
   report.destination =
       net_->server(report.route.delivered_to.front()).info().attached_to;
@@ -70,16 +68,24 @@ Result<OpReport> GredProtocol::run(sden::Packet packet,
                                  ? 1.0
                                  : report.selected_cost;
   }
-  return report;
+  return Status::Ok();
+}
+
+void GredProtocol::run_into(sden::Packet& packet, topology::SwitchId ingress,
+                            Result<OpReport>& out) {
+  Status routed = route_into(packet, ingress, out.value());
+  // The status is a copy, so replacing the report that held it is safe.
+  if (!routed.ok()) out = routed.error();
 }
 
 Result<OpReport> GredProtocol::place(const std::string& data_id,
                                      const std::string& payload,
                                      topology::SwitchId ingress) {
   const crypto::DataKey key(data_id);
-  auto primary = run(
-      make_packet(sden::PacketType::kPlacement, data_id, key, payload),
-      ingress);
+  Result<OpReport> primary(std::in_place);
+  sden::Packet pkt =
+      make_packet(sden::PacketType::kPlacement, data_id, key, payload);
+  run_into(pkt, ingress, primary);
   if (!primary.ok()) return primary;
   if (controller_->replication_factor() > 1) {
     // k-replica placement: each additional copy keeps the same data_id
@@ -89,11 +95,15 @@ Result<OpReport> GredProtocol::place(const std::string& data_id,
     const std::vector<topology::SwitchId> homes =
         controller_->replica_homes(key);
     for (std::size_t c = 1; c < homes.size(); ++c) {
-      sden::Packet pkt =
+      sden::Packet copy_pkt =
           make_packet(sden::PacketType::kPlacement, data_id, key, payload);
-      pkt.target = net_->const_switch_at(homes[c]).position();
-      auto r = run(std::move(pkt), ingress);
-      if (!r.ok()) return r.error();
+      copy_pkt.target = net_->const_switch_at(homes[c]).position();
+      OpReport copy;
+      Status routed = route_into(copy_pkt, ingress, copy);
+      if (!routed.ok()) {
+        primary = routed.error();
+        return primary;
+      }
     }
   }
   return primary;
@@ -107,21 +117,22 @@ Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
 Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
                                         const crypto::DataKey& key,
                                         topology::SwitchId ingress) {
-  sden::Packet pkt =
-      make_packet(sden::PacketType::kRetrieval, data_id, key, {});
-  const crypto::Digest digest = pkt.key_digest;
+  // One report per request, filled in place and returned by name.
+  Result<OpReport> out(std::in_place);
+  const crypto::Digest& digest = key.digest();
   sden::HotKeyCache* cache = net_->hot_key_cache();
   obs::SwitchLoadTracker* loads = net_->load_tracker();
   if (cache != nullptr && cache->enabled()) {
     if (!controller_->initialized()) {
-      return Error(ErrorCode::kFailedPrecondition,
-                   "GredProtocol: controller not initialized");
+      out = Error(ErrorCode::kFailedPrecondition,
+                  "GredProtocol: controller not initialized");
+      return out;
     }
     if (const sden::HotKeyCache::Entry* hit = cache->probe(ingress, digest)) {
       // Served at the ingress: no routing, no server visit. The report
       // mirrors a zero-hop retrieval (stretch 1 by definition);
       // delivered_to stays empty because no delivery happened.
-      OpReport report;
+      OpReport& report = out.value();
       report.ingress = ingress;
       report.destination = ingress;
       report.served_from_cache = true;
@@ -130,12 +141,14 @@ Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
       report.route.responder = hit->responder;
       report.route.payload = hit->payload;
       if (loads != nullptr) loads->record(ingress);
-      return report;
+      return out;
     }
   }
-  auto r = run(std::move(pkt), ingress);
-  if (r.ok()) {
-    const OpReport& rep = r.value();
+  sden::Packet pkt =
+      make_packet(sden::PacketType::kRetrieval, data_id, key, {});
+  run_into(pkt, ingress, out);
+  if (out.ok()) {
+    const OpReport& rep = out.value();
     if (rep.route.found && cache != nullptr && cache->enabled() &&
         cache->mode() == sden::HotKeyCache::Mode::kLearn) {
       cache->insert(ingress, digest, rep.route.payload, rep.destination,
@@ -146,14 +159,16 @@ Result<OpReport> GredProtocol::retrieve(const std::string& data_id,
     // ingress instead).
     if (loads != nullptr) loads->record(rep.destination);
   }
-  return r;
+  return out;
 }
 
 Result<OpReport> GredProtocol::remove(const std::string& data_id,
                                       topology::SwitchId ingress) {
-  return run(make_packet(sden::PacketType::kRemoval, data_id,
-                         crypto::DataKey(data_id), {}),
-             ingress);
+  Result<OpReport> out(std::in_place);
+  sden::Packet pkt = make_packet(sden::PacketType::kRemoval, data_id,
+                                 crypto::DataKey(data_id), {});
+  run_into(pkt, ingress, out);
+  return out;
 }
 
 Result<std::vector<OpReport>> GredProtocol::place_replicated(
@@ -217,13 +232,18 @@ Result<OpReport> GredProtocol::retrieve_nearest_replica(
 Result<RetrievalOutcome> GredProtocol::retrieve_with_fallback(
     const std::string& data_id, topology::SwitchId ingress,
     const RetryPolicy& policy) {
+  // The outcome, and the report inside it, are filled in place: every
+  // attempt routes into out.report, and the Result is returned by name.
+  Result<RetrievalOutcome> result(std::in_place);
   if (!controller_->initialized()) {
-    return Error(ErrorCode::kFailedPrecondition,
-                 "GredProtocol: controller not initialized");
+    result = Error(ErrorCode::kFailedPrecondition,
+                   "GredProtocol: controller not initialized");
+    return result;
   }
   if (policy.max_attempts < 1) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "retrieve_with_fallback: max_attempts must be >= 1");
+    result = Error(ErrorCode::kInvalidArgument,
+                   "retrieve_with_fallback: max_attempts must be >= 1");
+    return result;
   }
 
   const crypto::DataKey key(data_id);
@@ -232,7 +252,7 @@ Result<RetrievalOutcome> GredProtocol::retrieve_with_fallback(
   const std::vector<topology::SwitchId> homes =
       controller_->replica_homes(key);
 
-  RetrievalOutcome out;
+  RetrievalOutcome& out = result.value();
   double backoff = kBackoffMs;
   Status last = Status::Ok();
   for (std::size_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
@@ -256,26 +276,32 @@ Result<RetrievalOutcome> GredProtocol::retrieve_with_fallback(
     ++out.attempts;
     if (fallback) ++out.fallbacks;
 
-    auto r = run(std::move(pkt), ingress);
-    if (r.ok() && r.value().route.found) {
+    // Every field the report keeps is rewritten by a successful
+    // attempt, so a failed one leaves nothing behind but scratch.
+    Status routed = route_into(pkt, ingress, out.report);
+    if (routed.ok() && out.report.route.found) {
       out.found = true;
       out.recovered = attempt > 0;
-      out.report = std::move(r).value();
       break;
     }
-    if (r.ok()) {
+    if (routed.ok()) {
       // Clean miss at this replica: another copy may still exist.
       last = Status(ErrorCode::kNotFound,
                     "retrieve_with_fallback: no replica held the item");
-    } else if (is_retryable_route_error(r.error().code)) {
-      last = Status(r.error());
+    } else if (is_retryable_route_error(routed.error().code)) {
+      last = std::move(routed);
     } else {
       // Caller mistake or invariant violation — surface it loudly
       // instead of masking it as a retries-exhausted miss.
-      return r.error();
+      result = routed.error();
+      return result;
     }
   }
-  if (!out.found) out.final_status = last;
+  if (!out.found) {
+    // The report describes the successful attempt only.
+    out.report = OpReport{};
+    out.final_status = last;
+  }
 
   if (obs::enabled()) {
     static obs::Counter& attempts =
@@ -291,7 +317,7 @@ Result<RetrievalOutcome> GredProtocol::retrieve_with_fallback(
     if (out.recovered) recovered.add();
     if (!out.found) failed.add();
   }
-  return out;
+  return result;
 }
 
 }  // namespace gred::core

@@ -142,7 +142,18 @@ class GredProtocol {
   Result<OpReport> retrieve(const std::string& data_id,
                             const crypto::DataKey& key,
                             topology::SwitchId ingress);
-  Result<OpReport> run(sden::Packet packet, topology::SwitchId ingress);
+  /// Routes `packet` from `ingress` and fills `report`, which must be
+  /// default-constructed or left by an earlier call (every field a
+  /// delivered route reports is rewritten). Returns the routing
+  /// failure, or Ok.
+  Status route_into(sden::Packet& packet, topology::SwitchId ingress,
+                    OpReport& report);
+  /// route_into over the report held by `out` (which must hold one),
+  /// replacing it with the failure when routing fails. Each request
+  /// builds one Result in place and returns it by name, so its report
+  /// is never copied or moved.
+  void run_into(sden::Packet& packet, topology::SwitchId ingress,
+                Result<OpReport>& out);
 
   sden::SdenNetwork* net_;
   const Controller* controller_;

@@ -57,6 +57,13 @@ struct FaultState {
     return p == nullptr ? 0.0 : *p;
   }
 
+  /// Whether every traversal from -> to fails: `to` has crashed or the
+  /// link is hard-down. A greedy step under faults skips candidates
+  /// whose physical next hop this names (plan_step, Switch::process).
+  bool hop_is_down(SwitchId from, SwitchId to) const {
+    return switch_is_down(to) || link_drop_probability(from, to) >= 1.0;
+  }
+
   void set_switch_down(SwitchId s, bool down) {
     if (s >= switch_down.size()) switch_down.resize(s + 1, 0);
     const std::uint8_t next = down ? 1 : 0;

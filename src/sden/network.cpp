@@ -85,6 +85,18 @@ class RouteTraceGuard {
   const SwitchId ingress_;
 };
 
+/// A placement's storage write at one delivery target. The last target
+/// takes the payload by move; a placement only ever has one target
+/// today, so this is the common case.
+// cold: a storage write, which may grow the server's slot table (and
+// copies the payload for any target but the last); reads and removals,
+// the steady state, never store.
+GRED_COLD_PATH Status store_payload(ServerNode& node, Packet& pkt,
+                                    bool last) {
+  return node.store(pkt.data_id,
+                    last ? std::move(pkt.payload) : pkt.payload);
+}
+
 }  // namespace
 
 SdenNetwork::SdenNetwork(topology::EdgeNetwork description)
@@ -152,7 +164,7 @@ void SdenNetwork::route(Packet& pkt, SwitchId ingress, RouteResult& result) {
   // exceeding it means a forwarding-table bug.
   const std::size_t max_hops = max_route_hops();
   for (std::size_t step = 0; step < max_hops; ++step) {
-    const PlanStep st = plan_step(plan, cur, pkt);
+    const PlanStep st = plan_step(plan, cur, pkt, faults);
     switch (st.kind) {
       case PlanStep::Kind::kHop:
         if (faults != nullptr) {
@@ -214,7 +226,7 @@ Status SdenNetwork::deliver_compiled(const RoutePlan& plan, const double* base,
   // DataKey position derivation on the fast path.
   const std::size_t idx = static_cast<std::size_t>(
       pkt.has_key_digest ? crypto::digest_mod(pkt.key_digest, server_count)
-                         : pkt.key().mod(server_count));
+                         : pkt.derive_key().mod(server_count));
   Decision::TargetList targets;
   targets.push_back({plan.servers[plan_lo(base[2]) + idx], terminal});
   return deliver(targets, pkt, terminal, result);
@@ -227,12 +239,12 @@ Status SdenNetwork::deliver(const Decision::TargetList& targets, Packet& pkt,
   if (hot_cache_ && pkt.type != PacketType::kRetrieval) {
     hot_cache_->invalidate_id(pkt.has_key_digest
                                   ? pkt.key_digest
-                                  : crypto::DataKey(pkt.data_id).digest());
+                                  : pkt.derive_key().digest());
   }
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const Decision::DeliveryTarget& target = targets[t];
     if (target.server >= servers_.size()) {
-      return Status(ErrorCode::kInternal, "delivery to unknown server");
+      return route_errors::unknown_server();
     }
     // A cross-switch delivery (range extension) must use a physical
     // link from the terminal switch (the paper's port p5 to switch 2).
@@ -254,12 +266,7 @@ Status SdenNetwork::deliver(const Decision::TargetList& targets, Packet& pkt,
 
     ServerNode& node = servers_[target.server];
     if (pkt.type == PacketType::kPlacement) {
-      // The last target takes the payload by move; a placement only
-      // ever has one target today, so this is the common case.
-      const Status stored =
-          node.store(pkt.data_id, t + 1 == targets.size()
-                                      ? std::move(pkt.payload)
-                                      : pkt.payload);
+      Status stored = store_payload(node, pkt, t + 1 == targets.size());
       if (!stored.ok()) return stored;
     } else if (pkt.type == PacketType::kRetrieval) {
       if (const std::string* payload = node.find(pkt.data_id)) {
@@ -320,12 +327,45 @@ void SdenNetwork::compile_plan_subset(RoutePlan& plan,
   plan.clear();
   plan.offset.assign(switches_.size(), kPlanNoRegion);
 
-  // Blob size up front: header words plus four columns per candidate,
-  // for every owned switch, each region rounded up to a cache line.
-  std::size_t words = 0;
+  // The relay array first: every switch's relay entries in install
+  // order, whatever `owned` says, so each plan of this network holds
+  // the same entries at the same indices. A link names the entry the
+  // switch matches toward a destination, FlowTable::find_relay's
+  // first-installed one; later entries for the same destination are
+  // compiled but never linked to.
+  std::vector<std::uint32_t> first_relay(switches_.size());
+  std::uint32_t relay_count = 0;
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    first_relay[i] = relay_count;
+    relay_count +=
+        static_cast<std::uint32_t>(switches_[i].table().relays().size());
+  }
+  const auto link_of = [&](SwitchId at, SwitchId dest) {
+    if (at >= switches_.size()) return kNoRelayLink;
+    const FlowTable& table = switches_[at].table();
+    const RelayEntry* r = table.find_relay(dest);
+    return r == nullptr ? kNoRelayLink
+                        : first_relay[at] + static_cast<std::uint32_t>(
+                                                r - table.relays().data());
+  };
+  plan.relays.reserve(relay_count);
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    for (const RelayEntry& r : switches_[i].table().relays()) {
+      const graph::EdgeTo* edge =
+          r.succ < switches_.size() ? links.find_edge(i, r.succ) : nullptr;
+      plan.relays.push_back(
+          PlanRelay{static_cast<std::uint32_t>(r.succ), link_of(r.succ, r.dest),
+                    edge != nullptr ? edge->weight : kMissingLink});
+    }
+  }
+
+  // Blob size up front: header words plus the candidate columns, for
+  // every owned switch, each region rounded up to a cache line, plus
+  // the vector argmin's tail padding.
+  std::size_t words = kPlanArgminBlock;
   for (std::size_t j = 0; j < count; ++j) {
-    const Switch& sw = switches_[owned[j]];
-    words += (kPlanHeaderWords + 4 * sw.table().neighbors().size() + 7) & ~7u;
+    const std::size_t k = switches_[owned[j]].table().neighbors().size();
+    words += (kPlanHeaderWords + kPlanColumns * k + 7) & ~std::size_t{7};
   }
   plan.hot.reserve(words);
 
@@ -340,7 +380,7 @@ void SdenNetwork::compile_plan_subset(RoutePlan& plan,
     // 16-byte aligned at worst; 64-byte relative alignment still keeps
     // the header plus first column words on the minimum line count).
     const std::size_t region = (plan.hot.size() + 7) & ~std::size_t{7};
-    plan.hot.resize(region + kPlanHeaderWords + 4 * k);
+    plan.hot.resize(region + kPlanHeaderWords + kPlanColumns * k);
     plan.offset[i] = static_cast<std::uint32_t>(region);
 
     const std::uint32_t server_begin =
@@ -377,6 +417,7 @@ void SdenNetwork::compile_plan_subset(RoutePlan& plan,
     double* const ys = xs + k;
     double* const acts = ys + k;
     double* const weights = acts + k;
+    double* const relay_links = weights + k;
     for (std::size_t c = 0; c < k; ++c) {
       const NeighborEntry& ne = table.neighbors()[perm[c]];
       xs[c] = ne.position.x;
@@ -388,22 +429,11 @@ void SdenNetwork::compile_plan_subset(RoutePlan& plan,
       const graph::EdgeTo* edge =
           next < switches_.size() ? links.find_edge(i, next) : nullptr;
       weights[c] = edge != nullptr ? edge->weight : kMissingLink;
-    }
-
-    // First-installed relay per dest wins, like FlowTable::find_relay.
-    // Relay keys embed the switch id, so a key already in the map came
-    // from an earlier relay of this same switch.
-    for (const RelayEntry& r : table.relays()) {
-      const Key2 key{static_cast<std::uint64_t>(i),
-                     static_cast<std::uint64_t>(r.dest)};
-      if (plan.relays.find(key) != nullptr) continue;
-      const graph::EdgeTo* edge =
-          r.succ < switches_.size() ? links.find_edge(i, r.succ) : nullptr;
-      plan.relays.insert_or_assign(
-          key, PlanRelay{static_cast<std::uint32_t>(r.succ), 0,
-                         edge != nullptr ? edge->weight : kMissingLink});
+      relay_links[c] = plan_pack(
+          0, ne.physical ? kNoRelayLink : link_of(next, ne.neighbor));
     }
   }
+  plan.hot.resize(plan.hot.size() + kPlanArgminBlock);
   plan.synced = changes_;
 }
 

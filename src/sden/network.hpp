@@ -186,9 +186,10 @@ class SdenNetwork {
   }
 
   /// Compiles a route plan covering exactly the `count` switches
-  /// listed in `owned`, from scratch: their regions, their
-  /// attached-server slices, and the relay entries whose source switch
-  /// is owned. The offset table spans all switches, with kPlanNoRegion
+  /// listed in `owned`, from scratch: their regions and their
+  /// attached-server slices, plus the whole network's relay array
+  /// (identical in every plan, so a relay index means the same entry
+  /// in each). The offset table spans all switches, with kPlanNoRegion
   /// for non-owned ones. The whole-network plan owns every switch; the
   /// sharded runtime builds one plan per shard from the same flow
   /// tables, so a walk stepping only through owned regions
@@ -219,12 +220,13 @@ class SdenNetwork {
   /// plan's deliver-fallback flag), where Switch::deliver resolves the
   /// targets. Public for the sharded runtime. Concurrent calls are
   /// safe for retrievals/removals on disjoint (pkt, result) pairs.
-  // cold: delivery mutates server storage / copies the payload string —
-  // out of the hop loop's closure; one call per packet, not per hop.
-  GRED_COLD_PATH Status deliver_compiled(const RoutePlan& plan,
-                                         const double* base, Packet& pkt,
-                                         std::uint32_t terminal,
-                                         RouteResult& result);
+  /// Every routed packet ends here, so it stays inside the hot-path
+  /// closure; the cold boundaries sit where the work is rare: the
+  /// rewrite lookup (Switch::deliver), the placement store, and keys
+  /// that were never hashed (Packet::derive_key).
+  Status deliver_compiled(const RoutePlan& plan, const double* base,
+                          Packet& pkt, std::uint32_t terminal,
+                          RouteResult& result);
 
   /// The one delivery function every router ends in: hands `pkt` from
   /// `terminal` to each target in order. A target on another switch

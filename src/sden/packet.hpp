@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/thread_annotations.hpp"
 #include "crypto/data_key.hpp"
 #include "geometry/point.hpp"
 #include "topology/edge_network.hpp"
@@ -17,6 +18,8 @@ namespace gred::sden {
 using SwitchId = topology::SwitchId;
 using ServerId = topology::ServerId;
 inline constexpr SwitchId kNoSwitch = static_cast<SwitchId>(-1);
+/// Packet::relay_link value for "no compiled relay entry".
+inline constexpr std::uint32_t kNoRelayLink = 0xffffffffu;
 
 enum class PacketType : std::uint8_t {
   kPlacement,  ///< deliver payload to the responsible server
@@ -42,10 +45,18 @@ struct Packet {
   /// Source switch of the virtual link (diagnostics; the paper's d.sour).
   SwitchId vlink_sour = kNoSwitch;
 
+  /// Compiled fast path only (fast-path metadata, not on the wire):
+  /// the index, in the route plan's relay array, of the entry the
+  /// current switch uses toward vlink_dest (kNoRelayLink when it has
+  /// none). Every plan of a network indexes the same array, so the
+  /// index survives shard handoffs; Switch::process ignores it.
+  std::uint32_t relay_link = kNoRelayLink;
+
   bool on_virtual_link() const { return vlink_dest != kNoSwitch; }
   void clear_virtual_link() {
     vlink_dest = kNoSwitch;
     vlink_sour = kNoSwitch;
+    relay_link = kNoRelayLink;
   }
 
   // --- cached key derivation (fast-path metadata, not on the wire) ---
@@ -71,8 +82,13 @@ struct Packet {
   /// The packet's data key: cached digest when present, else derived
   /// from data_id (identical by construction).
   crypto::DataKey key() const {
-    return has_key_digest ? crypto::DataKey(key_digest)
-                          : crypto::DataKey(data_id);
+    return has_key_digest ? crypto::DataKey(key_digest) : derive_key();
+  }
+  /// The key hashed from data_id, whatever the cache holds.
+  // cold: runs SHA-256 over the identifier; every fast-path sender
+  // caches the digest (set_key), so a routed packet never gets here.
+  GRED_COLD_PATH crypto::DataKey derive_key() const {
+    return crypto::DataKey(data_id);
   }
 };
 

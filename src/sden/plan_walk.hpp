@@ -2,9 +2,15 @@
 // SdenNetwork::route (whole-network plan) and the sharded runtime
 // (per-shard plan subsets). Extracting the step keeps the two
 // bit-identical by construction: there is exactly one implementation of
-// the relay stage, the branch-free argmin, and the closer_to tie-break,
-// and both callers feed it the same per-switch region layout
-// (route_plan.hpp).
+// the relay stage, the argmin, and the closer_to tie-break, and both
+// callers feed it the same per-switch region layout (route_plan.hpp).
+//
+// The argmin runs in AVX2 where CPUID reports it (argmin_avx2, chosen
+// once by the plain flag kAvx2Argmin) and in the scalar loop elsewhere;
+// argmin_scalar is also the vector body's test oracle. Both round
+// dx*dx, dy*dy and their sum separately — the vector body is compiled
+// for AVX2 without FMA — so they pick the same winner on every input,
+// near-ties included.
 //
 // The caller owns everything around the step: the hop bound, fault
 // checks on a committed hop (which come AFTER the missing-link check,
@@ -12,10 +18,12 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
 #include "common/thread_annotations.hpp"
+#include "sden/fault_state.hpp"
 #include "sden/packet.hpp"
 #include "sden/route_plan.hpp"
 
@@ -35,56 +43,21 @@ struct PlanStep {
   double weight = 0.0;
 };
 
-/// Executes one iteration of the compiled walk: the virtual-link relay
-/// stage (Section V-A) or one greedy decision (Algorithm 2) over the
-/// plan's contiguous candidate columns. Mutates `pkt`'s virtual-link
-/// fields exactly as the live pipeline would (clearing them at a link
-/// endpoint, setting them when entering a multi-hop DT edge — the
-/// latter happens even when the step then fails on a missing link,
-/// matching SdenNetwork::route's historical order; a failed result
-/// discards the scratch packet anyway). `plan` must contain a region
-/// for `cur` — sharded callers check ownership first.
-GRED_HOT_PATH inline PlanStep plan_step(const RoutePlan& plan,
-                                        std::uint32_t cur, Packet& pkt) {
-  const double* const hot = plan.hot.data();
-  const double tx = pkt.target.x;
-  const double ty = pkt.target.y;
+/// Winner of the argmin over a region's candidate columns: the first
+/// index whose squared distance to the target is minimal (the columns
+/// are lex-sorted, so that is the paper's tie-break), or `index == k`
+/// with `d2 == +inf` when no candidate has a finite distance.
+struct PlanArgmin {
+  std::size_t index = 0;
+  double d2 = 0.0;
+};
 
-  // Stage 1: virtual-link relay. While d.relay != null and we are not
-  // the link endpoint, the packet moves along pre-installed relay
-  // tuples without greedy logic.
-  if (pkt.on_virtual_link()) {
-    if (pkt.vlink_dest == cur) {
-      pkt.clear_virtual_link();
-    } else {
-      const PlanRelay* relay = plan.relays.find(
-          Key2{cur, static_cast<std::uint64_t>(pkt.vlink_dest)});
-      if (relay == nullptr) {
-        return {PlanStep::Kind::kNoRelay, kNoPlanSwitch, 0.0};
-      }
-      if (std::isnan(relay->weight)) {
-        return {PlanStep::Kind::kMissingLink, relay->succ, 0.0};
-      }
-      return {PlanStep::Kind::kHop, relay->succ, relay->weight};
-    }
-  }
-
-  const double* const base = hot + plan.offset[cur];
-  const std::uint32_t flags = plan_lo(base[3]);
-  if ((flags & kPlanFlagDt) == 0) {
-    return {PlanStep::Kind::kNonDtTransit, kNoPlanSwitch, 0.0};
-  }
-
-  // Algorithm 2: one pass over the contiguous candidate columns under
-  // the paper's total order (squared distance, ties by lex position)
-  // — same unique minimizer as Switch::process's closer_to scan. The
-  // compile step sorted the columns by lex position, so the FIRST
-  // index achieving the minimum distance is the lex-smallest tie
-  // winner, and a strict-less argmin (two independent accumulator
-  // chains, branch-free minsd + cmov, no rescan) is exact.
-  const std::size_t k = plan_hi(base[2]);
-  const double* const xs = base + kPlanHeaderWords;
-  const double* const ys = xs + k;
+/// The scalar argmin: two independent strict-less accumulator chains
+/// (branch-free minsd + cmov), merged with the smaller index winning
+/// equal distances. The fallback where AVX2 is missing, and the oracle
+/// of the vector body.
+inline PlanArgmin argmin_scalar(const double* xs, const double* ys,
+                                std::size_t k, double tx, double ty) {
   double m0 = std::numeric_limits<double>::infinity();
   double m1 = m0;
   std::size_t b0 = k;
@@ -111,38 +84,145 @@ GRED_HOT_PATH inline PlanStep plan_step(const RoutePlan& plan,
   }
   // Merge the even/odd chains; on equal distance the smaller index
   // (lex-smaller position) wins.
-  const double best_d2 = m1 < m0 ? m1 : m0;
-  const std::size_t best = (m1 < m0 || (m1 == m0 && b1 < b0)) ? b1 : b0;
+  return {(m1 < m0 || (m1 == m0 && b1 < b0)) ? b1 : b0, m1 < m0 ? m1 : m0};
+}
 
-  if (best != k) {
-    // closer_to(target, best, self): strictly smaller distance, or
-    // equal distance and lexicographically smaller position.
-    const double px = base[0];
-    const double py = base[1];
-    const double bx = xs[best];
-    const double by = ys[best];
-    const double sdx = px - tx;
-    const double sdy = py - ty;
-    const double self_d2 = sdx * sdx + sdy * sdy;
-    if (best_d2 < self_d2 ||
-        (best_d2 == self_d2 && (bx != px ? bx < px : by < py))) {
-      const double act = ys[k + best];         // packed action word
-      const double weight = ys[2 * k + best];  // link-weight column
-      const std::uint32_t vlink_dest = plan_lo(act);
-      if (vlink_dest != kNoPlanSwitch) {
-        // Enter the virtual link toward the multi-hop DT neighbor.
-        pkt.vlink_dest = vlink_dest;
-        pkt.vlink_sour = cur;
+#if defined(__x86_64__)
+/// Whether plan_step runs argmin_avx2: CPUID reports AVX2 and the OS
+/// saves YMM state. Set once during static initialisation; a read
+/// before then sees false and takes the scalar loop, which picks the
+/// same winner.
+extern const bool kAvx2Argmin;
+
+/// The argmin in AVX2, four candidates per instruction: passes of
+/// kPlanArgminBlock lanes, each branch-free, with masked loads, padding
+/// lanes at +inf, and the first minimum found by one ctz over the
+/// merged equality masks. Same result as argmin_scalar for every
+/// input. `xs` must lie in a RoutePlan's `hot` array (its tail padding
+/// keeps every formed address inside it).
+PlanArgmin argmin_avx2(const double* xs, const double* ys, std::size_t k,
+                       double tx, double ty);
+#else
+inline constexpr bool kAvx2Argmin = false;
+inline PlanArgmin argmin_avx2(const double* xs, const double* ys,
+                              std::size_t k, double tx, double ty) {
+  return argmin_scalar(xs, ys, k, tx, ty);
+}
+#endif
+
+/// Whether candidate `a` of the region at `base` (k candidates) makes
+/// strict progress toward the target: closer_to(target, a, self), a
+/// strictly smaller distance, or an equal one and a lexicographically
+/// smaller position.
+inline bool plan_progresses(const double* base, std::size_t k,
+                            const PlanArgmin& a, double tx, double ty) {
+  if (a.index == k) return false;
+  const double px = base[0];
+  const double py = base[1];
+  const double sdx = px - tx;
+  const double sdy = py - ty;
+  const double self_d2 = sdx * sdx + sdy * sdy;
+  const double bx = base[kPlanHeaderWords + a.index];
+  const double by = base[kPlanHeaderWords + k + a.index];
+  return a.d2 < self_d2 ||
+         (a.d2 == self_d2 && (bx != px ? bx < px : by < py));
+}
+
+/// Under injected faults: the argmin over the candidates of the region
+/// at `base` whose physical next hop from `cur` is up (not a crashed
+/// switch, not a hard-down link). Scalar, out of line and fault-only,
+/// so the healthy step keeps its vector body and one predicted branch.
+PlanArgmin argmin_live(const double* base, std::size_t k, double tx,
+                       double ty, std::uint32_t cur, const FaultState& faults);
+
+/// Executes one iteration of the compiled walk: the virtual-link relay
+/// stage (Section V-A) or one greedy decision (Algorithm 2) over the
+/// plan's contiguous candidate columns. Mutates `pkt`'s virtual-link
+/// fields exactly as the live pipeline would (clearing them at a link
+/// endpoint, setting them when entering a multi-hop DT edge — the
+/// latter happens even when the step then fails on a missing link,
+/// matching SdenNetwork::route's historical order; a failed result
+/// discards the scratch packet anyway), and keeps Packet::relay_link
+/// on the relay entry of the switch the packet moves to. `plan` must
+/// contain a region for `cur` — sharded callers check ownership first.
+///
+/// `faults` is null on a healthy network. Otherwise a greedy step
+/// first tries the best candidate whose physical next hop is up; it
+/// takes it when it makes strict progress toward the target (the
+/// closer_to rule below), and falls back to the unchanged step when it
+/// does not (Switch::process applies the same rule).
+///
+/// `vector_argmin` picks the argmin body; routers leave the default,
+/// and BM_PlanWalk/simd:0 times the scalar loop through it. Always
+/// inlined: a call per step costs the walk more than the duplicated
+/// body costs its two callers.
+[[gnu::always_inline]] GRED_HOT_PATH inline PlanStep plan_step(
+    const RoutePlan& plan, std::uint32_t cur, Packet& pkt,
+    const FaultState* faults, bool vector_argmin = kAvx2Argmin) {
+  const double tx = pkt.target.x;
+  const double ty = pkt.target.y;
+
+  // Stage 1: virtual-link relay. While d.relay != null and we are not
+  // the link endpoint, the packet moves along pre-installed relay
+  // tuples without greedy logic: the entry it carries is this switch's
+  // entry toward the link's destination.
+  if (pkt.on_virtual_link()) {
+    if (pkt.vlink_dest == cur) {
+      pkt.clear_virtual_link();
+    } else {
+      if (pkt.relay_link == kNoRelayLink) {
+        return {PlanStep::Kind::kNoRelay, kNoPlanSwitch, 0.0};
       }
-      if (std::isnan(weight)) {
-        return {PlanStep::Kind::kMissingLink, plan_hi(act), 0.0};
+      const PlanRelay& relay = plan.relays[pkt.relay_link];
+      if (std::isnan(relay.weight)) {
+        return {PlanStep::Kind::kMissingLink, relay.succ, 0.0};
       }
-      return {PlanStep::Kind::kHop, plan_hi(act), weight};
+      pkt.relay_link = relay.next;
+      return {PlanStep::Kind::kHop, relay.succ, relay.weight};
     }
   }
 
-  // No neighbor is closer: this switch owns the data.
-  return {PlanStep::Kind::kDeliver, cur, 0.0};
+  const double* const base = plan.hot.data() + plan.offset[cur];
+  const std::uint32_t flags = plan_lo(base[3]);
+  if ((flags & kPlanFlagDt) == 0) {
+    return {PlanStep::Kind::kNonDtTransit, kNoPlanSwitch, 0.0};
+  }
+
+  // Algorithm 2: one pass over the contiguous candidate columns under
+  // the paper's total order (squared distance, ties by lex position)
+  // — same unique minimizer as Switch::process's closer_to scan. The
+  // compile step sorted the columns by lex position, so the FIRST
+  // index achieving the minimum distance is the lex-smallest tie
+  // winner, and a strict-less argmin with no rescan is exact.
+  const std::size_t k = plan_hi(base[2]);
+  const double* const xs = base + kPlanHeaderWords;
+  const double* const ys = xs + k;
+  PlanArgmin best = vector_argmin ? argmin_avx2(xs, ys, k, tx, ty)
+                                  : argmin_scalar(xs, ys, k, tx, ty);
+  if (faults != nullptr) {
+    const PlanArgmin live = argmin_live(base, k, tx, ty, cur, *faults);
+    if (plan_progresses(base, k, live, tx, ty)) best = live;
+  }
+  if (!plan_progresses(base, k, best, tx, ty)) {
+    // No neighbor is closer: this switch owns the data.
+    return {PlanStep::Kind::kDeliver, cur, 0.0};
+  }
+
+  const double* const acts = ys + k;
+  const double act = acts[best.index];         // packed action word
+  const double weight = acts[k + best.index];  // link-weight column
+  const std::uint32_t vlink_dest = plan_lo(act);
+  if (vlink_dest != kNoPlanSwitch) {
+    // Enter the virtual link toward the multi-hop DT neighbor, at the
+    // first hop's relay entry.
+    pkt.vlink_dest = vlink_dest;
+    pkt.vlink_sour = cur;
+    pkt.relay_link = plan_lo(acts[2 * k + best.index]);
+  }
+  if (std::isnan(weight)) {
+    return {PlanStep::Kind::kMissingLink, plan_hi(act), 0.0};
+  }
+  return {PlanStep::Kind::kHop, plan_hi(act), weight};
 }
 
 }  // namespace gred::sden

@@ -46,7 +46,7 @@ inline RouteResult reference_route(SdenNetwork& net, Packet pkt,
   for (std::size_t step = 0; step < max_hops; ++step) {
     // Read-only inspection: const_switch_at keeps the compiled plan
     // fresh (the mutable switch_at() would count a change every hop).
-    const Decision decision = net.const_switch_at(cur).process(pkt);
+    const Decision decision = net.const_switch_at(cur).process(pkt, faults);
 
     if (decision.kind == Decision::Kind::kDrop) {
       result.fail(route_errors::pipeline_drop(cur, decision.drop_code,

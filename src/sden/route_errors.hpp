@@ -66,6 +66,13 @@ GRED_COLD_PATH inline Status hop_bound() {
   return Status(ErrorCode::kRoutingLoop, "routing loop: hop bound exceeded");
 }
 
+/// A delivery target names a server the network does not have.
+// cold: failure-path status construction builds a std::string
+// message; drops are the exception, not the steady state.
+GRED_COLD_PATH inline Status unknown_server() {
+  return Status(ErrorCode::kInternal, "delivery to unknown server");
+}
+
 /// Range-extension handoff rides a link missing from the topology.
 // cold: failure-path status construction builds a std::string
 // message; drops are the exception, not the steady state.

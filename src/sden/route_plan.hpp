@@ -24,6 +24,28 @@
 //   base[4+k .. 4+2k)     candidate y coordinates
 //   base[4+2k .. 4+3k)    u64( next_hop << 32 | vlink_dest )
 //   base[4+3k .. 4+4k)    link weight to next_hop (NaN = missing link)
+//   base[4+4k .. 4+5k)    u64( relay link ): for a multi-hop DT
+//                         candidate, the index in `relays` of the entry
+//                         its first hop uses toward it (kNoRelayLink
+//                         when that hop has none, and for physical
+//                         neighbours)
+//
+// After the last region, kPlanArgminBlock zero words keep every address
+// the vector argmin (plan_walk.hpp) forms inside the array; its masked
+// loads never read past a region's candidates.
+//
+// Relay hops (the <sour, pred, succ, dest> tuples of multi-hop DT
+// edges, Section IV-C) are compiled into one array, `relays`: every
+// switch's relay entries, ordered by switch id and then by install
+// order. Each entry names its successor, the link weight to it, and the
+// index of the entry that successor uses toward the same destination
+// (the first one installed for that destination, as in
+// FlowTable::find_relay), so a packet on a virtual link steps from
+// entry to entry by index (it carries the current one as
+// Packet::relay_link) instead of hashing <switch, dest> at every hop. Every plan, the network's own and each
+// shard's subset, compiles the whole array in the same order, so an
+// index means the same entry on both sides of a shard handoff. A chain
+// may cycle (corrupted tables); the walk's hop bound ends it.
 //
 // The plan is a pure cache, rebuilt whole when stale: SdenNetwork
 // counts every mutation, and sync_plan recompiles (compile_plan_subset)
@@ -39,11 +61,12 @@
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/mutex.hpp"
+#include "sden/packet.hpp"
 
 namespace gred::sden {
 
@@ -62,6 +85,12 @@ inline constexpr std::uint32_t kPlanFlagDeliverFallback = 2u;
 
 /// Header words per switch region before the candidate columns.
 inline constexpr std::size_t kPlanHeaderWords = 4;
+/// Columns per candidate: x, y, action, weight, relay link.
+inline constexpr std::size_t kPlanColumns = 5;
+/// Candidates one pass of the vector argmin covers (plan_walk.hpp), and
+/// the zero words after the last region that keep its addresses inside
+/// `hot`.
+inline constexpr std::size_t kPlanArgminBlock = 12;
 
 inline double plan_pack(std::uint32_t hi, std::uint32_t lo) {
   return std::bit_cast<double>((static_cast<std::uint64_t>(hi) << 32) | lo);
@@ -76,7 +105,9 @@ inline std::uint32_t plan_lo(double d) {
 /// Relay action for one <switch, vlink destination> pair.
 struct PlanRelay {
   std::uint32_t succ = kNoPlanSwitch;  ///< next hop along the virtual link
-  std::uint32_t pad = 0;
+  /// Index of the entry `succ` uses toward the same destination, or
+  /// kNoRelayLink when it has none.
+  std::uint32_t next = kNoRelayLink;
   double weight = 0.0;  ///< link weight to succ; NaN when missing
 };
 
@@ -87,9 +118,9 @@ struct RoutePlan {
   std::vector<double> hot;
   /// Attached servers of every switch, serial order, concatenated.
   std::vector<std::uint32_t> servers;
-  /// <switch, dest> -> relay action; first-installed entry wins,
-  /// exactly like FlowTable::find_relay.
-  FlatMap<Key2, PlanRelay> relays;
+  /// Every switch's relay entries, linked by index (layout above);
+  /// the same array in every plan of a network.
+  std::vector<PlanRelay> relays;
   /// The SdenNetwork change count this plan was compiled at
   /// (sync_plan recompiles it once the network's count moves on).
   std::uint64_t synced = 0;

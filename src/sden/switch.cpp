@@ -2,7 +2,7 @@
 
 namespace gred::sden {
 
-Decision Switch::process(Packet& pkt) const {
+Decision Switch::process(Packet& pkt, const FaultState* faults) const {
   // Stage 1: virtual-link relay (Section V-A "Transfer in a virtual
   // link"). While d.relay != null and we are not the link endpoint, the
   // packet moves along pre-installed relay tuples without greedy logic.
@@ -44,6 +44,24 @@ Decision Switch::process(Packet& pkt) const {
     if (best == nullptr ||
         geometry::closer_to(pkt.target, cand.position, best->position)) {
       best = &cand;
+    }
+  }
+  if (faults != nullptr) {
+    // Under faults, the best candidate whose physical next hop is up
+    // wins when it still makes strict progress toward the target;
+    // otherwise the step is unchanged.
+    const NeighborEntry* live = nullptr;
+    for (const NeighborEntry& cand : table_.neighbors()) {
+      const SwitchId hop = cand.physical ? cand.neighbor : cand.first_hop;
+      if (faults->hop_is_down(id_, hop)) continue;
+      if (live == nullptr ||
+          geometry::closer_to(pkt.target, cand.position, live->position)) {
+        live = &cand;
+      }
+    }
+    if (live != nullptr &&
+        geometry::closer_to(pkt.target, live->position, position_)) {
+      best = live;
     }
   }
   if (best != nullptr &&

@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "crypto/data_key.hpp"
 #include "geometry/point.hpp"
+#include "sden/fault_state.hpp"
 #include "sden/flow_table.hpp"
 #include "sden/packet.hpp"
 
@@ -96,13 +97,19 @@ class Switch {
 
   /// Runs the forwarding pipeline on `pkt`, possibly mutating its
   /// virtual-link fields (exactly what the P4 program rewrites): the
-  /// relay stage, Algorithm 2's greedy stage, then deliver().
-  Decision process(Packet& pkt) const;
+  /// relay stage, Algorithm 2's greedy stage, then deliver(). With
+  /// injected `faults`, the greedy stage prefers the best candidate
+  /// whose physical next hop is up, when that candidate is closer to
+  /// the target than this switch.
+  Decision process(Packet& pkt, const FaultState* faults = nullptr) const;
 
   /// The pipeline's last stage at a terminal switch: pick the serving
   /// server(s) by H(d) mod s and the range-extension rewrites
   /// (Section V-B/V-C). kDeliver, or kDrop when no server is attached.
-  Decision deliver(const Packet& pkt) const;
+  // cold: the compiled delivery calls it only at a switch with
+  // range-extension rewrites (a hotspot's delegation, not the steady
+  // state); the rewrite lookup and pkt.key() stay out of the closure.
+  GRED_COLD_PATH Decision deliver(const Packet& pkt) const;
 
  private:
   SwitchId id_;

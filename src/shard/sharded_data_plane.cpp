@@ -324,7 +324,7 @@ void ShardedDataPlane::walk(std::size_t me, std::uint32_t pi,
     }
     --steps_left_[pi];
 
-    const sden::PlanStep st = sden::plan_step(plan, cur, pkt);
+    const sden::PlanStep st = sden::plan_step(plan, cur, pkt, round_faults_);
     switch (st.kind) {
       case sden::PlanStep::Kind::kHop: {
         if (round_faults_ != nullptr) {

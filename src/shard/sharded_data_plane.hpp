@@ -3,8 +3,10 @@
 // virtual positions, so greedy next-hops — which move between
 // virtually close switches — usually stay inside the owning shard.
 // Each shard exclusively owns its slice of the compiled forwarding
-// state (a RoutePlan subset holding only its switches' regions,
-// relays, and server slices), its RNG block for the open-loop arrival
+// state (a RoutePlan subset holding only its switches' regions and
+// server slices, plus the network's relay array, which every plan
+// holds whole so a packet's relay index crosses a handoff unchanged),
+// its RNG block for the open-loop arrival
 // process, and its gred::obs metric slot: the shard-local hot path
 // takes no locks and touches no shared atomics.
 // A hop that crosses a shard boundary travels as an 8-byte packet
@@ -88,6 +90,9 @@ class ShardedDataPlane {
   ShardedDataPlane& operator=(const ShardedDataPlane&) = delete;
 
   std::size_t shard_count() const { return shards_.size(); }
+  /// The shard owning switch `sw` under the partition of the last sync
+  /// (construction or the latest round).
+  std::uint32_t owner_of(sden::SwitchId sw) const { return owner_[sw]; }
 
   /// Routes `count` packets, writing results[i] for pkts[i] injected at
   /// ingresses[i] — each bit-identical to SdenNetwork::route on the

@@ -7,7 +7,9 @@
 // parallel retrieval replay.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "sden/flow_table.hpp"
 #include "sden/item_store.hpp"
 #include "sden/network.hpp"
+#include "sden/plan_walk.hpp"
 #include "sden/reference_router.hpp"
 #include "shard/sharded_data_plane.hpp"
 #include "topology/waxman.hpp"
@@ -369,18 +372,25 @@ TEST(DataPlaneDifferential, FailedRoutesMatchLivePipeline) {
     EXPECT_TRUE(r.switch_path.empty());
   }
 
-  // Hard-down link on the first healthy hop.
+  // Every link out of the ingress hard-down: no candidate's next hop
+  // is up, so the greedy step is unchanged and fails on the first hop.
+  // (With one link cut, the step would take the best live candidate.)
   faults.set_switch_down(ingress, false);
-  faults.set_link_drop(healthy.switch_path[0], healthy.switch_path[1], 1.0);
+  const graph::Graph& links = net.description().switches();
+  for (const graph::EdgeTo& e : links.neighbors(ingress)) {
+    faults.set_link_drop(ingress, e.to, 1.0);
+  }
   {
-    const sden::RouteResult r = run_both("hard-down link");
+    const sden::RouteResult r = run_both("hard-down links");
     EXPECT_EQ(r.status.error().code, ErrorCode::kLinkDown);
     EXPECT_EQ(r.switch_path.size(), 1u);
   }
 
   // Flaky links everywhere: both routers must agree packet by packet
   // on the deterministic drop decision (same hash inputs both sides).
-  faults.clear_link(healthy.switch_path[0], healthy.switch_path[1]);
+  for (const graph::EdgeTo& e : links.neighbors(ingress)) {
+    faults.clear_link(ingress, e.to);
+  }
   for (const auto& [u, v] : net.description().switches().edges()) {
     faults.set_link_drop(u, v, 0.35);
   }
@@ -496,21 +506,29 @@ TEST(DataPlaneDifferential, SyncedPlanEqualsFreshCompile) {
     EXPECT_EQ(plan.offset, fresh.offset) << when;
     EXPECT_TRUE(same_bits(plan.hot, fresh.hot)) << when;
     EXPECT_EQ(plan.servers, fresh.servers) << when;
+    // The relay array, entry for entry: successor, link to the
+    // successor's entry, and the weight bits (NaN marks a missing link).
     ASSERT_EQ(plan.relays.size(), fresh.relays.size()) << when;
+    for (std::size_t i = 0; i < plan.relays.size(); ++i) {
+      EXPECT_EQ(plan.relays[i].succ, fresh.relays[i].succ) << when << i;
+      EXPECT_EQ(plan.relays[i].next, fresh.relays[i].next) << when << i;
+      EXPECT_EQ(std::memcmp(&plan.relays[i].weight, &fresh.relays[i].weight,
+                            sizeof(double)),
+                0)
+          << when << " relay " << i;
+    }
+    // One entry per installed relay, whose link is the entry its
+    // successor matches toward the same destination.
+    std::size_t e = 0;
     for (const std::uint32_t sw : owned) {
       for (const sden::RelayEntry& r :
            net.const_switch_at(sw).table().relays()) {
-        const Key2 key{sw, r.dest};
-        const sden::PlanRelay* got = plan.relays.find(key);
-        const sden::PlanRelay* want = fresh.relays.find(key);
-        ASSERT_NE(want, nullptr) << when;
-        ASSERT_NE(got, nullptr) << when << " switch " << sw;
-        EXPECT_EQ(got->succ, want->succ) << when << " switch " << sw;
-        EXPECT_EQ(std::memcmp(&got->weight, &want->weight, sizeof(double)),
-                  0)
-            << when << " switch " << sw;
+        ASSERT_LT(e, plan.relays.size()) << when;
+        EXPECT_EQ(plan.relays[e].succ, r.succ) << when << " " << e;
+        ++e;
       }
     }
+    EXPECT_EQ(plan.relays.size(), e) << when;
   };
   sync_matches_fresh("initial");
 
@@ -564,6 +582,401 @@ TEST(DataPlaneDifferential, SyncedPlanEqualsFreshCompile) {
   // exist.
   ASSERT_FALSE(sys.value().add_switch({u, u}, /*servers=*/1).ok());
   sync_matches_fresh("rolled-back add_switch");
+}
+
+// --- the compiled walk's argmin and relay links ---------------------------
+
+/// Candidate columns laid out as a plan region lays them out: x column,
+/// then y column, then (here) zeros up to the vector argmin's padding.
+struct Columns {
+  std::vector<double> words;
+  std::size_t k = 0;
+
+  explicit Columns(std::size_t count)
+      : words(2 * count + sden::kPlanArgminBlock, 0.0), k(count) {}
+  double* xs() { return words.data(); }
+  double* ys() { return words.data() + k; }
+};
+
+/// Both argmins over `c` toward (tx, ty) must name the same index and
+/// the same squared distance, bit for bit.
+void expect_same_argmin(Columns& c, double tx, double ty,
+                        const std::string& what) {
+  const sden::PlanArgmin want =
+      sden::argmin_scalar(c.xs(), c.ys(), c.k, tx, ty);
+  const sden::PlanArgmin got = sden::argmin_avx2(c.xs(), c.ys(), c.k, tx, ty);
+  EXPECT_EQ(got.index, want.index) << what;
+  EXPECT_EQ(std::memcmp(&got.d2, &want.d2, sizeof(double)), 0)
+      << what << ": " << got.d2 << " vs " << want.d2;
+}
+
+/// Squared distance the way the scalar loop rounds it, and the two ways
+/// a compiler allowed to contract could fuse one product into the sum.
+double d2_rounded(double dx, double dy) { return dx * dx + dy * dy; }
+double d2_fused_x(double dx, double dy) { return std::fma(dx, dx, dy * dy); }
+double d2_fused_y(double dx, double dy) { return std::fma(dy, dy, dx * dx); }
+
+// The AVX2 argmin names the scalar loop's winner on every input: every
+// candidate count from 0 to 64 (so every tail, padding lane and later
+// block), exact distance ties between lex-ordered positions anywhere in
+// the lanes, NaN and overflowing positions, and near-ties whose winner
+// moves when dx*dx + dy*dy is computed with a fused multiply-add.
+TEST(PlanWalkTest, SimdArgminMatchesScalarOracle) {
+#if defined(__x86_64__)
+  EXPECT_EQ(sden::kAvx2Argmin, __builtin_cpu_supports("avx2") != 0);
+#endif
+  if (!sden::kAvx2Argmin) {
+    GTEST_SKIP() << "no AVX2: plan_step runs the scalar argmin only";
+  }
+  Rng rng(2501);
+
+  // Random columns, including inputs no argmin may pick.
+  for (std::size_t k = 0; k <= 64; ++k) {
+    for (int trial = 0; trial < 60; ++trial) {
+      Columns c(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        c.xs()[i] = rng.uniform(-0.5, 1.5);
+        c.ys()[i] = rng.uniform(-0.5, 1.5);
+        if (trial % 10 == 9 && rng.bernoulli(0.3)) {
+          // A NaN coordinate, or one whose square overflows to +inf.
+          (rng.bernoulli(0.5) ? c.xs() : c.ys())[i] =
+              rng.bernoulli(0.5) ? std::numeric_limits<double>::quiet_NaN()
+                                 : 1e200;
+        }
+      }
+      expect_same_argmin(c, rng.next_double(), rng.next_double(),
+                         "random k=" + std::to_string(k));
+    }
+  }
+
+  // Exact ties: dyadic offsets from a dyadic target, so every distance
+  // is exact. The tied pair (lex order, like the plan's columns) sits
+  // at lanes i < j, everything else farther away; the first wins.
+  const double tx = 0.5;
+  const double ty = 0.25;
+  std::size_t ties = 0;
+  for (std::size_t k = 2; k <= 64; ++k) {
+    for (std::size_t i = 0; i + 1 < k; i += 3) {
+      for (const std::size_t j : {i + 1, i + 4, i + 5, k - 1}) {
+        if (j <= i || j >= k) continue;
+        Columns c(k);
+        for (std::size_t l = 0; l < k; ++l) {
+          c.xs()[l] = tx + static_cast<double>(l + 3) / 16.0;
+          c.ys()[l] = ty - static_cast<double>(l + 3) / 16.0;
+        }
+        // (tx - 3/64, ty + 5/64) and (tx + 3/64, ty + 5/64): equal
+        // distance, the first lex-smaller.
+        c.xs()[i] = tx - 3.0 / 64.0;
+        c.ys()[i] = ty + 5.0 / 64.0;
+        c.xs()[j] = tx + 3.0 / 64.0;
+        c.ys()[j] = ty + 5.0 / 64.0;
+        expect_same_argmin(c, tx, ty,
+                           "tie k=" + std::to_string(k) + " lanes " +
+                               std::to_string(i) + "," + std::to_string(j));
+        EXPECT_EQ(sden::argmin_avx2(c.xs(), c.ys(), k, tx, ty).index, i);
+        ++ties;
+      }
+    }
+  }
+  EXPECT_GT(ties, 500u);
+
+  // Near-ties: two candidates at the same radius from the target, whose
+  // order under rounded products differs from their order under one of
+  // the fused forms. A vector body compiled with FMA contraction picks
+  // the other candidate on some of them.
+  std::size_t flips_x = 0;
+  std::size_t flips_y = 0;
+  for (std::size_t attempt = 0;
+       attempt < 400000 && (flips_x < 64 || flips_y < 64); ++attempt) {
+    const double px = rng.next_double();
+    const double py = rng.next_double();
+    const double r = rng.uniform(1e-3, 0.4);
+    const double t1 = rng.uniform(0.0, 6.283185307179586);
+    const double t2 = rng.uniform(0.0, 6.283185307179586);
+    const double ax = px + r * std::cos(t1);
+    const double ay = py + r * std::sin(t1);
+    const double bx = px + r * std::cos(t2);
+    const double by = py + r * std::sin(t2);
+    const double adx = ax - px;
+    const double ady = ay - py;
+    const double bdx = bx - px;
+    const double bdy = by - py;
+    // Whether a (at the lower lane) wins under each rounding.
+    const bool plain = !(d2_rounded(bdx, bdy) < d2_rounded(adx, ady));
+    const bool fused_x = !(d2_fused_x(bdx, bdy) < d2_fused_x(adx, ady));
+    const bool fused_y = !(d2_fused_y(bdx, bdy) < d2_fused_y(adx, ady));
+    if (plain == fused_x && plain == fused_y) continue;
+    if (plain != fused_x) ++flips_x;
+    if (plain != fused_y) ++flips_y;
+    const std::size_t k = 2 + rng.next_below(63);
+    const std::size_t i = rng.next_below(k - 1);
+    const std::size_t j = i + 1 + rng.next_below(k - 1 - i);
+    Columns c(k);
+    for (std::size_t l = 0; l < k; ++l) {
+      c.xs()[l] = px + 2.0 + static_cast<double>(l);
+      c.ys()[l] = py - 2.0;
+    }
+    c.xs()[i] = ax;
+    c.ys()[i] = ay;
+    c.xs()[j] = bx;
+    c.ys()[j] = by;
+    expect_same_argmin(c, px, py, "near-tie " + std::to_string(attempt));
+    EXPECT_EQ(sden::argmin_scalar(c.xs(), c.ys(), k, px, py).index,
+              plain ? i : j);
+  }
+  EXPECT_GE(flips_x, 64u);
+  EXPECT_GE(flips_y, 64u);
+}
+
+/// One relay hop of an oracle walk: a packet on the virtual link toward
+/// `dest` moved from `from` to `to` along a relay tuple.
+struct RelayHop {
+  sden::SwitchId from;
+  sden::SwitchId to;
+  sden::SwitchId dest;
+};
+
+/// The relay hops of Switch::process's walk of `pkt` from `ingress` on
+/// a healthy network, in walk order.
+std::vector<RelayHop> oracle_relay_hops(const sden::SdenNetwork& net,
+                                        sden::Packet pkt,
+                                        sden::SwitchId ingress) {
+  std::vector<RelayHop> hops;
+  sden::SwitchId cur = ingress;
+  for (std::size_t step = 0; step < net.max_route_hops(); ++step) {
+    const bool relaying = pkt.on_virtual_link() && pkt.vlink_dest != cur;
+    const sden::SwitchId dest = pkt.vlink_dest;
+    const sden::Decision d = net.const_switch_at(cur).process(pkt);
+    if (d.kind != sden::Decision::Kind::kForward) break;
+    if (relaying) hops.push_back({cur, d.next_hop, dest});
+    cur = d.next_hop;
+  }
+  return hops;
+}
+
+/// Re-installs `sw`'s flow table with its relays toward `dest` dropped
+/// (succ == kNoSwitch) or pointed at `succ`: corrupted tables no
+/// controller would install.
+void rewrite_relays(sden::SdenNetwork& net, sden::SwitchId sw,
+                    sden::SwitchId dest, sden::SwitchId succ) {
+  sden::FlowTable& table = net.switch_at(sw).table();
+  const sden::FlowTable old = table;
+  table.clear();
+  for (const sden::NeighborEntry& e : old.neighbors()) table.add_neighbor(e);
+  for (sden::RelayEntry r : old.relays()) {
+    if (r.dest == dest) {
+      if (succ == sden::kNoSwitch) continue;
+      r.succ = succ;
+    }
+    table.add_relay(r);
+  }
+  for (const sden::RewriteEntry& e : old.rewrites()) table.add_rewrite(e);
+}
+
+// Relay hops step by compiled link: route(), the oracle and a 2-shard
+// replay agree on healthy virtual links (some of which hand the packet,
+// and its relay index, to the other shard mid-link), and on corrupted
+// ones: a relay missing mid-link (kNoRoute where the packet stands), a
+// relay over a removed link (kLinkDown), and two relays pointing at
+// each other (kRoutingLoop at the hop bound, the same step for all).
+TEST(PlanWalkTest, LinkedRelaysMatchOracleAndShards) {
+  std::size_t relay_hops = 0;
+  std::size_t crossing_links = 0;
+  std::size_t no_relay = 0;
+  std::size_t missing_link = 0;
+  std::size_t loops = 0;
+  for (const std::uint64_t seed : {821u, 822u, 823u}) {
+    const std::size_t n = 48;
+    const auto build = [&] {
+      auto sys = core::GredSystem::create(make_net(n, seed, 0.25),
+                                          core::VirtualSpaceOptions{});
+      EXPECT_TRUE(sys.ok());
+      return std::move(sys).value();
+    };
+    core::GredSystem sys = build();
+    sden::SdenNetwork& net = sys.network();
+    std::vector<sden::SwitchId> access;
+    for (sden::SwitchId s = 0; s < n; ++s) {
+      if (net.const_switch_at(s).dt_participant()) access.push_back(s);
+    }
+    Rng rng(seed * 3);
+
+    // Retrievals whose walk takes at least one relay hop.
+    std::vector<sden::Packet> pkts;
+    std::vector<sden::SwitchId> ingresses;
+    std::vector<std::vector<RelayHop>> hops;
+    for (std::size_t i = 0; i < 300 && pkts.size() < 60; ++i) {
+      const std::string id = "rl-" + std::to_string(seed) + "-" +
+                             std::to_string(i);
+      const sden::SwitchId ingress = access[rng.next_below(access.size())];
+      ASSERT_TRUE(sys.place(id, "v-" + id, ingress).ok());
+      const sden::Packet pkt = make_packet(id, sden::PacketType::kRetrieval);
+      std::vector<RelayHop> walk = oracle_relay_hops(net, pkt, ingress);
+      if (walk.empty()) continue;
+      pkts.push_back(pkt);
+      ingresses.push_back(ingress);
+      hops.push_back(std::move(walk));
+    }
+    ASSERT_FALSE(pkts.empty());
+
+    shard::ShardedDataPlane plane(net, 2);
+    const auto three_way = [&](std::size_t i, const std::string& what) {
+      sden::Packet scratch = pkts[i];
+      sden::RouteResult fast;
+      net.route(scratch, ingresses[i], fast);
+      const sden::RouteResult oracle =
+          sden::reference_route(net, pkts[i], ingresses[i]);
+      sden::RouteResult sharded;
+      plane.replay(&pkts[i], &ingresses[i], 1, &sharded);
+      expect_identical(fast, oracle, "oracle " + what);
+      expect_identical(fast, sharded, "sharded " + what);
+      return fast;
+    };
+
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      const sden::RouteResult r = three_way(i, "healthy " + std::to_string(i));
+      EXPECT_TRUE(r.found) << i;
+      for (const RelayHop& h : hops[i]) {
+        ++relay_hops;
+        // The packet reaches `to` still on the link, carrying the index
+        // of `to`'s entry, which the other shard's plan resolves.
+        if (h.to != h.dest && plane.owner_of(h.from) != plane.owner_of(h.to)) {
+          ++crossing_links;
+        }
+      }
+    }
+
+    // Corrupt the tables under one relay hop of each of a few walks,
+    // then restore them.
+    for (std::size_t i = 0; i < pkts.size(); i += 7) {
+      const RelayHop h = hops[i][rng.next_below(hops[i].size())];
+      const std::string what = " seed " + std::to_string(seed) + " walk " +
+                               std::to_string(i);
+
+      core::GredSystem pristine = build();
+      const auto reset = [&] {
+        for (sden::SwitchId s = 0; s < n; ++s) {
+          net.switch_at(s).table() =
+              pristine.network().const_switch_at(s).table();
+        }
+      };
+
+      rewrite_relays(net, h.from, h.dest, sden::kNoSwitch);
+      {
+        const sden::RouteResult r = three_way(i, "missing relay" + what);
+        ASSERT_FALSE(r.status.ok());
+        EXPECT_EQ(r.status.error().code, ErrorCode::kNoRoute);
+        EXPECT_NE(r.status.error().message.find("no relay entry"),
+                  std::string::npos);
+        ++no_relay;
+      }
+      reset();
+
+      const double weight =
+          net.description().switches().find_edge(h.from, h.to)->weight;
+      ASSERT_TRUE(net.remove_link(h.from, h.to));
+      {
+        const sden::RouteResult r = three_way(i, "missing link" + what);
+        ASSERT_FALSE(r.status.ok());
+        EXPECT_EQ(r.status.error().code, ErrorCode::kLinkDown);
+        ++missing_link;
+      }
+      ASSERT_TRUE(net.add_link(h.from, h.to, weight).ok());
+
+      if (h.to != h.dest) {
+        // from -> to -> from -> ... until the hop bound.
+        rewrite_relays(net, h.to, h.dest, h.from);
+        const sden::RouteResult r = three_way(i, "relay loop" + what);
+        ASSERT_FALSE(r.status.ok());
+        EXPECT_EQ(r.status.error().code, ErrorCode::kRoutingLoop);
+        EXPECT_EQ(r.switch_path.size(), net.max_route_hops() + 1);
+        ++loops;
+        reset();
+      }
+      EXPECT_TRUE(three_way(i, "restored" + what).found);
+    }
+  }
+  EXPECT_GT(relay_hops, 0u);
+  EXPECT_GT(crossing_links, 0u);
+  EXPECT_GT(no_relay, 0u);
+  EXPECT_GT(missing_link, 0u);
+  EXPECT_GT(loops, 0u);
+}
+
+// Under faults, a greedy step skips a candidate whose physical next hop
+// is down when another candidate still makes strict progress. The best
+// candidate's next hop is crashed, or its link cut, on many walks;
+// route(), the oracle and a 2-shard replay agree on every one, statuses
+// included, and on some the walk goes around the fault, so a router
+// that skipped alone would disagree with the others.
+TEST(PlanWalkTest, FaultedStepSkipsDownNeighbour) {
+  std::size_t detours = 0;
+  std::size_t delivered = 0;
+  std::size_t unchanged = 0;
+  for (const std::uint64_t seed : {831u, 832u}) {
+    const std::size_t n = 64;
+    auto built = core::GredSystem::create(make_net(n, seed),
+                                          core::VirtualSpaceOptions{});
+    ASSERT_TRUE(built.ok());
+    core::GredSystem& sys = built.value();
+    sden::SdenNetwork& net = sys.network();
+    shard::ShardedDataPlane plane(net, 2);
+    Rng rng(seed * 11);
+
+    sden::FaultState faults;
+    faults.seed = seed;
+    for (std::size_t i = 0; i < 120; ++i) {
+      const std::string id = "fs-" + std::to_string(seed) + "-" +
+                             std::to_string(i);
+      const sden::SwitchId ingress = rng.next_below(n);
+      ASSERT_TRUE(sys.place(id, "v-" + id, rng.next_below(n)).ok());
+      const sden::Packet pkt = make_packet(id, sden::PacketType::kRetrieval);
+      sden::Packet scratch = pkt;
+      sden::RouteResult healthy;
+      net.route(scratch, ingress, healthy);
+      ASSERT_TRUE(healthy.found) << id;
+      if (healthy.switch_path.size() < 3) continue;
+      // The walk's first hop, crashed; then the link to it, cut.
+      const sden::SwitchId first = healthy.switch_path[0];
+      const sden::SwitchId second = healthy.switch_path[1];
+      for (const bool crash : {true, false}) {
+        if (crash) {
+          faults.set_switch_down(second, true);
+        } else {
+          faults.set_link_drop(first, second, 1.0);
+        }
+        net.set_fault_state(&faults);
+        scratch = pkt;
+        sden::RouteResult fast;
+        net.route(scratch, ingress, fast);
+        const sden::RouteResult oracle =
+            sden::reference_route(net, pkt, ingress);
+        sden::RouteResult sharded;
+        plane.replay(&pkt, &ingress, 1, &sharded);
+        const std::string what =
+            id + (crash ? " next switch down" : " link cut");
+        expect_identical(fast, oracle, "oracle " + what);
+        expect_identical(fast, sharded, "sharded " + what);
+        if (fast.switch_path.size() > 1 && fast.switch_path[1] != second) {
+          ++detours;
+          if (fast.found) ++delivered;
+        } else {
+          // No live candidate made progress: the step is unchanged and
+          // fails on the faulted hop.
+          ASSERT_FALSE(fast.status.ok()) << what;
+          EXPECT_EQ(fast.status.error().code, ErrorCode::kLinkDown) << what;
+          EXPECT_EQ(fast.switch_path.size(), 1u) << what;
+          ++unchanged;
+        }
+        net.set_fault_state(nullptr);
+        faults.set_switch_down(second, false);
+        faults.clear_link(first, second);
+      }
+    }
+  }
+  EXPECT_GT(detours, 20u);
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(unchanged, 0u);
 }
 
 TEST(FlowTableIndex, RelayFirstInstalledWinsAndDedup) {
