@@ -629,4 +629,44 @@ CheckReport validate_flow_tables(
   return report;
 }
 
+CheckReport validate_placement(
+    const sden::SdenNetwork& net,
+    const std::function<std::vector<HomeServers>(const std::string& id)>&
+        homes_of) {
+  CheckReport report;
+  report.subject = "validate_placement";
+  std::set<std::string> seen;
+  for (topology::ServerId s = 0; s < net.server_count(); ++s) {
+    for (const auto& [id, payload] : net.server(s).items()) {
+      ++report.checked;
+      const std::vector<HomeServers> homes = homes_of(id);
+      if (homes.empty()) {
+        report.fail("item " + id + " has no replica home");
+        continue;
+      }
+      const bool in_place =
+          std::any_of(homes.begin(), homes.end(), [s](const HomeServers& h) {
+            return h.server == s || h.target == s;
+          });
+      if (!in_place) {
+        report.fail("copy of " + id + " on server " + std::to_string(s) +
+                    " is on no home's server or target");
+      }
+      if (!seen.insert(id).second) continue;
+      for (std::size_t i = 0; i < homes.size(); ++i) {
+        const HomeServers& h = homes[i];
+        const auto holds = [&](topology::ServerId x) {
+          return x < net.server_count() && net.server(x).contains(id);
+        };
+        if (!holds(h.server) && !holds(h.target)) {
+          report.fail("home " + std::to_string(i) + " of " + id +
+                      " (server " + std::to_string(h.server) + ", target " +
+                      std::to_string(h.target) + ") holds no copy");
+        }
+      }
+    }
+  }
+  return report;
+}
+
 }  // namespace gred::check

@@ -93,6 +93,23 @@ CheckReport validate_flow_tables(
     const geometry::DelaunayTriangulation* dt = nullptr,
     std::size_t probes = 64, std::uint64_t seed = 0x47524544u);
 
+/// One replica home of an item as the data plane serves it: a store
+/// writes `target`, a retrieval queries `server` and `target`.
+struct HomeServers {
+  topology::ServerId server = topology::kNoServer;
+  topology::ServerId target = topology::kNoServer;
+};
+
+/// Every stored copy in `net` against `homes_of(id)`, the item's
+/// replica homes: each copy sits on some home's server or target, and
+/// each home of each stored item holds a copy on one of the two. (Not
+/// exactly one copy per home: an overwrite made during a range
+/// extension leaves copies on both, and reads query both.)
+CheckReport validate_placement(
+    const sden::SdenNetwork& net,
+    const std::function<std::vector<HomeServers>(const std::string& id)>&
+        homes_of);
+
 }  // namespace gred::check
 
 #if GRED_CHECKS_ENABLED

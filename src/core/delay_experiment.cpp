@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/thread_pool.hpp"
-#include "sden/event_queue.hpp"
 
 namespace gred::core {
 namespace {
@@ -86,13 +84,17 @@ Result<DelayExperimentResult> RetrievalDelayExperiment::run(
     if (slot.outcome == RoutedRequest::Outcome::kError) return slot.error;
   }
 
-  // --- Phase 2: serial event-queue replay in request order. ---
-  sden::EventQueue queue;
-  queue.reserve(requests.size() + 1);
-  std::unordered_map<topology::ServerId, double> server_free;
+  // --- Phase 2: FIFO queueing at servers, in server-arrival order. ---
+  // Requests reach their responder in order of arrival time; a tie goes
+  // to the earlier injection, then to the earlier request.
+  struct Arrival {
+    double at;
+    double inject;
+    std::size_t request;
+  };
+  std::vector<Arrival> arrivals;
   std::vector<double> delays;
   delays.reserve(requests.size());
-
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const RoutedRequest& slot = routed[i];
     if (slot.outcome == RoutedRequest::Outcome::kNotFound) {
@@ -102,27 +104,28 @@ Result<DelayExperimentResult> RetrievalDelayExperiment::run(
     const double inject = requests[i].at_ms;
     if (slot.cached) {
       ++out.cache_hits;
-      queue.schedule_at(inject + options_.cache_service_ms,
-                        [&, inject] { delays.push_back(queue.now() - inject); });
+      const double done = inject + options_.cache_service_ms;
+      delays.push_back(done - inject);
+      out.makespan_ms = std::max(out.makespan_ms, done);
       continue;
     }
-    const double req_ms = slot.req_ms;
-    const double resp_ms = slot.resp_ms;
-    const topology::ServerId responder = slot.responder;
-    queue.schedule_at(inject, [&, inject, req_ms, resp_ms, responder] {
-      queue.schedule_after(req_ms, [&, inject, resp_ms, responder] {
-        double& free_at = server_free[responder];
-        const double start = std::max(queue.now(), free_at);
-        free_at = start + options_.service_time_ms;
-        queue.schedule_at(free_at + resp_ms, [&, inject] {
-          delays.push_back(queue.now() - inject);
-        });
-      });
-    });
+    arrivals.push_back({inject + slot.req_ms, inject, i});
   }
-
-  queue.run();
-  out.makespan_ms = queue.now();
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const Arrival& a, const Arrival& b) {
+              if (a.at != b.at) return a.at < b.at;
+              if (a.inject != b.inject) return a.inject < b.inject;
+              return a.request < b.request;
+            });
+  std::vector<double> free_at(system_->network().server_count(), 0.0);
+  for (const Arrival& a : arrivals) {
+    const RoutedRequest& slot = routed[a.request];
+    double& free = free_at[slot.responder];
+    free = std::max(a.at, free) + options_.service_time_ms;
+    const double done = free + slot.resp_ms;
+    delays.push_back(done - a.inject);
+    out.makespan_ms = std::max(out.makespan_ms, done);
+  }
   out.delay = summarize(std::move(delays));
   return out;
 }

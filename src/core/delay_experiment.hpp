@@ -1,15 +1,16 @@
 // Response-delay experiments (the measurement behind Fig. 8): replay a
-// set of retrieval requests through the discrete-event engine with
-// per-hop propagation latency, a per-request service time, and FIFO
-// queueing at servers. Every hop costs `link_latency_ms`.
+// set of retrieval requests with per-hop propagation latency, a
+// per-request service time, and FIFO queueing at servers. Every hop
+// costs `link_latency_ms`.
 //
 // The replay is two-phase so it parallelizes without losing
 // determinism: phase 1 routes every request through the data plane —
 // requests are independent, so they shard across the thread pool into
 // fixed-size blocks with results written to per-request slots; phase 2
-// replays the precomputed (request leg, service, response leg) triples
-// through the event queue serially in request order. Aggregate
-// statistics are therefore bit-identical for every thread count.
+// serially queues the precomputed (request leg, service, response leg)
+// triples at their servers in order of arrival (ties by injection
+// time, then request order). Aggregate statistics are therefore
+// bit-identical for every thread count.
 #pragma once
 
 #include <string>
@@ -55,7 +56,7 @@ struct DelayExperimentResult {
 struct RetrievalRequest {
   std::string data_id;
   topology::SwitchId ingress = 0;
-  double at_ms = 0.0;
+  double at_ms = 0.0;  ///< injection time (>= 0)
 };
 
 class RetrievalDelayExperiment {

@@ -59,10 +59,10 @@ Result<VirtualSpace> VirtualSpace::build(
     const obs::ScopedPhaseTimer embed_timer("mds_embed");
   // Tiny networks: MDS needs m < n; place directly.
   if (n == 1) {
-    vs.mds_positions_ = {{0.5, 0.5}};
+    vs.positions_ = {{0.5, 0.5}};
   } else if (n <= 3) {
     static const Point2D kTiny[3] = {{0.25, 0.35}, {0.75, 0.35}, {0.5, 0.75}};
-    vs.mds_positions_.assign(kTiny, kTiny + n);
+    vs.positions_.assign(kTiny, kTiny + n);
     if (apsp.dist(participants[0], participants[1]) == graph::kUnreachable) {
       return Error(ErrorCode::kFailedPrecondition,
                    "VirtualSpace: participants are disconnected");
@@ -115,14 +115,14 @@ Result<VirtualSpace> VirtualSpace::build(
     const double scale = extent > 0.0 ? usable / extent : 1.0;
     const double cx = 0.5 * (min_x + max_x);
     const double cy = 0.5 * (min_y + max_y);
-    vs.mds_positions_.reserve(n);
+    vs.positions_.reserve(n);
     for (const Point2D& p : raw) {
-      vs.mds_positions_.push_back(
+      vs.positions_.push_back(
           {0.5 + (p.x - cx) * scale, 0.5 + (p.y - cy) * scale});
     }
   }
 
-  separate_duplicates(vs.mds_positions_);
+  separate_duplicates(vs.positions_);
   }  // embed_timer: the raw-embedding phase ends before C-regulation
 
   // C-regulation (skipped for the NoCVT variant).
@@ -135,13 +135,9 @@ Result<VirtualSpace> VirtualSpace::build(
     cvt.density = options.cvt_density;
     cvt.density_bound = options.cvt_density_bound;
     Rng rng(options.seed);
-    geometry::CvtResult refined =
-        geometry::c_regulation(vs.mds_positions_, cvt, rng);
-    vs.positions_ = std::move(refined.sites);
-    vs.energy_history_ = std::move(refined.energy_history);
+    vs.positions_ =
+        geometry::c_regulation(std::move(vs.positions_), cvt, rng).sites;
     separate_duplicates(vs.positions_);
-  } else {
-    vs.positions_ = vs.mds_positions_;
   }
 
   vs.rebuild_grid();
@@ -181,7 +177,6 @@ Result<VirtualSpace> VirtualSpace::from_positions(
   VirtualSpace vs;
   vs.participants_ = std::move(participants);
   vs.positions_ = std::move(positions);
-  vs.mds_positions_ = vs.positions_;
   vs.rebuild_grid();
   return vs;
 }
@@ -221,7 +216,6 @@ void VirtualSpace::add_participant(topology::SwitchId sw,
                                    const geometry::Point2D& p) {
   participants_.push_back(sw);
   positions_.push_back(p);
-  mds_positions_.push_back(p);
   // Only a position collision needs the (quadratic) separation pass.
   if (std::find(positions_.begin(), positions_.end() - 1, p) !=
       positions_.end() - 1) {
@@ -236,8 +230,6 @@ void VirtualSpace::remove_participant(topology::SwitchId sw) {
   participants_.erase(participants_.begin() +
                       static_cast<std::ptrdiff_t>(idx));
   positions_.erase(positions_.begin() + static_cast<std::ptrdiff_t>(idx));
-  mds_positions_.erase(mds_positions_.begin() +
-                       static_cast<std::ptrdiff_t>(idx));
   rebuild_grid();
 }
 

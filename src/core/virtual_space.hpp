@@ -95,10 +95,6 @@ class VirtualSpace {
   const std::vector<geometry::Point2D>& positions() const {
     return positions_;
   }
-  /// Positions after M-position + normalization, before C-regulation.
-  const std::vector<geometry::Point2D>& mds_positions() const {
-    return mds_positions_;
-  }
 
   /// Index of `sw` in participants(); kNoIndex when not a participant.
   static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
@@ -107,11 +103,6 @@ class VirtualSpace {
   /// Kruskal stress of the normalized M-position embedding against the
   /// hop distances (diagnostics / ablation A2).
   double embedding_stress() const { return stress_; }
-
-  /// Discrete CVT energy after each executed C-regulation iteration.
-  const std::vector<double>& cvt_energy_history() const {
-    return energy_history_;
-  }
 
   /// The participant whose position is nearest to `p` (paper
   /// tie-break). Answered from a uniform-grid index over the positions
@@ -142,9 +133,7 @@ class VirtualSpace {
 
   std::vector<topology::SwitchId> participants_;
   std::vector<geometry::Point2D> positions_;
-  std::vector<geometry::Point2D> mds_positions_;
   geometry::SiteGrid grid_;
-  std::vector<double> energy_history_;
   double stress_ = 0.0;
 };
 

@@ -11,10 +11,9 @@
 //   flaky link   -> the transient loss clears; no topology change
 //
 // Each repair also clears the matching data-plane fault, so after a
-// fully advanced plan the FaultState is empty again. With replication
-// enabled on the controller, every repair ends in a
-// restore_replication pass that brings surviving items back to the
-// replication factor.
+// fully advanced plan the FaultState is empty again. Every repair is a
+// controller dynamics op, so it ends in the controller's reconcile
+// pass, which brings surviving items back to the replication factor.
 #pragma once
 
 #include <cstddef>

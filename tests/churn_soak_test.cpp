@@ -104,39 +104,46 @@ TEST_F(ChurnSoakTest, RandomChurnPreservesInvariantsAndData) {
   std::size_t ops_attempted = 0;
   for (int step = 0; step < kEvents; ++step) {
     const std::uint64_t op = rng.next_below(6);
+    Status status = Status::Ok();
     switch (op) {
       case 0: {  // switch join (sometimes with a degenerate link list)
         const SwitchId u = random_participant();
         const SwitchId v = random_participant();
-        (void)ctrl.add_switch(net, {u, v},
-                              /*server_count=*/2);
+        auto joined = ctrl.add_switch(net, {u, v},
+                                      /*server_count=*/2);
+        if (!joined.ok()) status = joined.error();
         break;
       }
       case 1: {  // switch leave; may fail (disconnect pre-check)
         if (ctrl.space().participants().size() > 4) {
-          (void)ctrl.remove_switch(net, random_participant());
+          status = ctrl.remove_switch(net, random_participant());
         } else {
-          (void)ctrl.add_link(net, random_participant(),
-                              random_participant());
+          status = ctrl.add_link(net, random_participant(),
+                                 random_participant());
         }
         break;
       }
       case 2:  // link add; may fail (exists / self-loop)
-        (void)ctrl.add_link(net, random_participant(),
-                            random_participant());
-        break;
-      case 3:  // link remove; may fail (missing / would disconnect)
-        (void)ctrl.remove_link(net, random_participant(),
+        status = ctrl.add_link(net, random_participant(),
                                random_participant());
         break;
+      case 3:  // link remove; may fail (missing / would disconnect)
+        status = ctrl.remove_link(net, random_participant(),
+                                  random_participant());
+        break;
       case 4:  // range extension; may fail (already active)
-        (void)ctrl.extend_range(
+        status = ctrl.extend_range(
             net, static_cast<ServerId>(rng.next_below(net.server_count())));
         break;
       default:  // retraction; may fail (none active)
-        (void)ctrl.retract_range(
+        status = ctrl.retract_range(
             net, static_cast<ServerId>(rng.next_below(net.server_count())));
         break;
+    }
+    if (status.ok()) {
+      const check::CheckReport placement = ctrl.validate_placement(net);
+      EXPECT_TRUE(placement.ok())
+          << "step " << step << ": " << placement.to_string();
     }
     ++ops_attempted;
 

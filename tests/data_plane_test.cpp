@@ -3,8 +3,8 @@
 // Switch::process pipeline) on random topologies — with transit
 // switches, range extensions and faulted handoffs too — plan
 // invalidation on every mutation route, the indexed FlowTable,
-// ItemStore, EventQueue ordering, and thread-count invariance of the
-// parallel retrieval replay.
+// ItemStore, and thread-count invariance of the parallel retrieval
+// replay.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +18,6 @@
 #include "core/delay_experiment.hpp"
 #include "core/system.hpp"
 #include "crypto/data_key.hpp"
-#include "sden/event_queue.hpp"
 #include "sden/flow_table.hpp"
 #include "sden/item_store.hpp"
 #include "sden/network.hpp"
@@ -1075,30 +1074,6 @@ TEST(ItemStoreTest, UpsertFindEraseIterate) {
     ++seen;
   }
   EXPECT_EQ(seen, n / 2);
-}
-
-TEST(EventQueueTest, OrdersByTimeWithFifoTies) {
-  sden::EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(2.0, [&] { order.push_back(3); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  q.schedule_at(1.0, [&] { order.push_back(2); });  // FIFO among equals
-  q.schedule_at(3.0, [&] { order.push_back(4); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(q.processed(), 4u);
-  EXPECT_EQ(q.pending(), 0u);
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-
-  // Scheduling into the past clamps to now (time stays monotonic), and
-  // handlers scheduling new events keep running.
-  q.schedule_at(1.0, [&q, &order] {
-    order.push_back(5);
-    q.schedule_after(0.5, [&order] { order.push_back(6); });
-  });
-  q.run();
-  EXPECT_EQ(order.back(), 6);
-  EXPECT_DOUBLE_EQ(q.now(), 3.5);
 }
 
 // The parallel retrieval replay must produce the same aggregate result

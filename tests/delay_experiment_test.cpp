@@ -4,6 +4,7 @@
 #include "common/rng.hpp"
 #include "core/delay_experiment.hpp"
 #include "core/system.hpp"
+#include "crypto/data_key.hpp"
 #include "topology/presets.hpp"
 #include "topology/waxman.hpp"
 
@@ -97,6 +98,39 @@ TEST(DelayExperimentTest, FasterLinksLowerDelay) {
   ASSERT_TRUE(s.ok());
   ASSERT_TRUE(f.ok());
   EXPECT_GT(s.value().delay.mean, f.value().delay.mean);
+}
+
+TEST(DelayExperimentTest, SimultaneousArrivalsQueueByInjectionThenOrder) {
+  // Three retrievals of one item reach its server at 0.05 ms: the first
+  // request was injected at 0.05 ms at the home switch, the other two
+  // at 0 one hop away (every switch of complete(3) is one hop from the
+  // others). The server takes the earlier injections first, in request
+  // order. With 0.05 ms links and 0.2 ms service the delays are
+  //   0.05 + 0.2 + 0.05 = 0.30, then 0.25 + 0.2 + 0.05 = 0.50,
+  //   then 0.45 + 0.2 - 0.05 = 0.60 ms (done at 0.65 ms).
+  auto built = GredSystem::create(
+      topology::uniform_edge_network(topology::complete(3), 1), {});
+  ASSERT_TRUE(built.ok());
+  GredSystem sys = std::move(built).value();
+  ASSERT_TRUE(sys.place("tie", "v", 0).ok());
+  const auto home =
+      sys.controller().expected_placement(sys.network(), crypto::DataKey("tie"));
+  ASSERT_TRUE(home.ok());
+  const topology::SwitchId h = home.value().sw;
+  DelayModelOptions model;
+  model.link_latency_ms = 0.05;
+  model.service_time_ms = 0.2;
+  RetrievalDelayExperiment exp(sys, model);
+  auto r = exp.run({{"tie", h, 0.05},
+                    {"tie", static_cast<topology::SwitchId>((h + 1) % 3), 0.0},
+                    {"tie", static_cast<topology::SwitchId>((h + 2) % 3), 0.0}});
+  ASSERT_TRUE(r.ok());
+  const Summary& delay = r.value().delay;
+  ASSERT_EQ(delay.count, 3u);
+  EXPECT_NEAR(delay.min, 0.30, 1e-12);
+  EXPECT_NEAR(delay.p50, 0.50, 1e-12);
+  EXPECT_NEAR(delay.max, 0.60, 1e-12);
+  EXPECT_NEAR(r.value().makespan_ms, 0.65, 1e-12);
 }
 
 // ---------- latency-aware metrics ----------

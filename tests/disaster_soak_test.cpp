@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "common/rng.hpp"
 #include "core/system.hpp"
 #include "fault/fault_plan.hpp"
@@ -113,9 +114,18 @@ TEST_F(DisasterSoakTest, RegionKillMidSoakLosesNothingAtK2) {
   policy.max_attempts = 6;
   std::size_t step = 0;
   for (const std::size_t t : deadlines) {
+    const std::size_t repaired_before = session.repaired();
     auto advanced = session.advance(t);
     ASSERT_TRUE(advanced.ok())
         << "t=" << t << ": " << advanced.error().to_string();
+    // Every copy where the data plane stores and reads it, and every
+    // replica home held, after each repair.
+    if (session.repaired() > repaired_before) {
+      const check::CheckReport placement =
+          sys.controller().validate_placement(sys.network());
+      EXPECT_TRUE(placement.ok()) << "t=" << t << ": "
+                                  << placement.to_string();
+    }
 
     // Churn rides along with the disasters.
     if (step % 2 == 1) {

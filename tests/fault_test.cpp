@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "common/rng.hpp"
 #include "core/system.hpp"
 #include "crypto/data_key.hpp"
@@ -122,15 +123,16 @@ TEST(Replication, PlaceStoresFactorCopiesAtReplicaTargets) {
   for (int i = 0; i < 25; ++i) {
     const std::string id = "rep-" + std::to_string(i);
     ASSERT_TRUE(sys.place(id, "v", static_cast<SwitchId>(i % 12)).ok());
-    auto targets =
-        sys.controller().replica_targets(sys.network(), crypto::DataKey(id));
-    ASSERT_TRUE(targets.ok());
+    std::vector<core::Controller::Placement> homes;
+    ASSERT_TRUE(sys.controller()
+                    .placements(sys.network(), crypto::DataKey(id), homes)
+                    .ok());
     const auto held_by = holders(sys, id);
-    EXPECT_EQ(held_by.size(), targets.value().size()) << id;
-    for (const auto target : targets.value()) {
-      EXPECT_TRUE(std::find(held_by.begin(), held_by.end(), target) !=
+    EXPECT_EQ(held_by.size(), homes.size()) << id;
+    for (const auto& home : homes) {
+      EXPECT_TRUE(std::find(held_by.begin(), held_by.end(), home.target) !=
                   held_by.end())
-          << id << " missing from server " << target;
+          << id << " missing from server " << home.target;
     }
   }
 }
@@ -146,6 +148,32 @@ TEST(Replication, EnableReplicationBackfillsExistingItems) {
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(holders(sys, "pre-" + std::to_string(i)).size(), 2u);
   }
+}
+
+TEST(Replication, EnableAfterExtensionKeepsFactorCopies) {
+  // Items stored on a server before it delegates stay on it, and reads
+  // query both it and its delegate, so that copy already holds the
+  // primary home: raising the factor to 2 adds one copy, not two.
+  GredSystem sys = make_system(3, 4);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(sys.place("ext-" + std::to_string(i), "v",
+                          static_cast<SwitchId>(i % 12))
+                    .ok());
+  }
+  const auto loads = sys.network().server_loads();
+  const auto extended = static_cast<topology::ServerId>(
+      std::max_element(loads.begin(), loads.end()) - loads.begin());
+  std::vector<std::string> on_extended;
+  for (const auto& [id, payload] : sys.network().server(extended).items()) {
+    on_extended.push_back(id);
+  }
+  ASSERT_FALSE(on_extended.empty());
+  ASSERT_TRUE(sys.extend_range(extended).ok());
+  ASSERT_TRUE(sys.enable_replication(ReplicationOptions{.factor = 2}).ok());
+  for (const std::string& id : on_extended) {
+    EXPECT_EQ(holders(sys, id).size(), 2u) << id;
+  }
+  EXPECT_TRUE(sys.controller().validate_placement(sys.network()).ok());
 }
 
 TEST(Replication, RemoveSwitchRestoresFactor) {

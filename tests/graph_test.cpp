@@ -1,10 +1,9 @@
-// Graph container, BFS/Dijkstra/APSP, and structural properties.
+// Graph container, BFS/Dijkstra/APSP and their delta updates.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/graph.hpp"
-#include "graph/properties.hpp"
 #include "graph/shortest_path.hpp"
 #include "topology/presets.hpp"
 #include "topology/waxman.hpp"
@@ -384,47 +383,6 @@ TEST(DeltaApspTest, RemoveNodeEdgesMatchesRecompute) {
                          v);
     }
   }
-}
-
-// ---------- properties ----------
-
-TEST(PropertiesTest, Connectivity) {
-  EXPECT_TRUE(is_connected(topology::ring(5)));
-  EXPECT_TRUE(is_connected(Graph(1)));
-  EXPECT_TRUE(is_connected(Graph(0)));
-  Graph g(4);
-  (void)g.add_edge(0, 1);
-  (void)g.add_edge(2, 3);
-  EXPECT_FALSE(is_connected(g));
-}
-
-TEST(PropertiesTest, ConnectedComponents) {
-  Graph g(5);
-  (void)g.add_edge(0, 1);
-  (void)g.add_edge(2, 3);
-  const auto comp = connected_components(g);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_NE(comp[0], comp[2]);
-  EXPECT_NE(comp[4], comp[0]);
-  EXPECT_NE(comp[4], comp[2]);
-}
-
-TEST(PropertiesTest, Diameter) {
-  EXPECT_DOUBLE_EQ(diameter(topology::line(5)), 4.0);
-  EXPECT_DOUBLE_EQ(diameter(topology::ring(6)), 3.0);
-  EXPECT_DOUBLE_EQ(diameter(topology::complete(5)), 1.0);
-  EXPECT_DOUBLE_EQ(diameter(Graph(1)), 0.0);
-  Graph g(2);
-  EXPECT_EQ(diameter(g), kUnreachable);
-}
-
-TEST(PropertiesTest, DegreeStats) {
-  const Graph g = topology::star(5);
-  const DegreeStats s = degree_stats(g);
-  EXPECT_EQ(s.min, 1u);
-  EXPECT_EQ(s.max, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 8.0 / 5.0);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Switch-plane simulator: flow tables, the switch pipeline (Algorithm 2
 // plus virtual-link relaying and range-extension rewrites), server
-// nodes, network packet walks, and the discrete-event queue.
+// nodes, and network packet walks.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "sden/event_queue.hpp"
 #include "sden/flow_table.hpp"
 #include "sden/network.hpp"
 #include "sden/packet.hpp"
@@ -344,65 +343,6 @@ TEST(ServerNodeTest, Counters) {
   (void)node.store("b", "2");
   node.note_retrieval();
   EXPECT_EQ(node.retrievals_served(), 1u);
-}
-
-// ---------- EventQueue ----------
-
-TEST(EventQueueTest, OrdersByTime) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-  EXPECT_EQ(q.processed(), 3u);
-}
-
-TEST(EventQueueTest, FifoOnTies) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, RelativeSchedulingDuringRun) {
-  EventQueue q;
-  std::vector<double> times;
-  q.schedule_at(1.0, [&] {
-    times.push_back(q.now());
-    q.schedule_after(0.5, [&] { times.push_back(q.now()); });
-  });
-  q.run();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 1.0);
-  EXPECT_DOUBLE_EQ(times[1], 1.5);
-}
-
-TEST(EventQueueTest, PastTimesClampToNow) {
-  EventQueue q;
-  double seen = -1.0;
-  q.schedule_at(2.0, [&] {
-    q.schedule_at(0.5, [&] { seen = q.now(); });  // in the past
-  });
-  q.run();
-  EXPECT_DOUBLE_EQ(seen, 2.0);
-}
-
-TEST(EventQueueTest, StepByStep) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(1.0, [&] { ++fired; });
-  q.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_TRUE(q.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_TRUE(q.step());
-  EXPECT_FALSE(q.step());
 }
 
 // ---------- SdenNetwork walks ----------

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/multihop_dt.hpp"
 #include "core/virtual_space.hpp"
+#include "geometry/cvt.hpp"
 #include "geometry/voronoi.hpp"
 #include "graph/shortest_path.hpp"
 #include "topology/presets.hpp"
@@ -101,7 +102,7 @@ TEST(VirtualSpaceTest, EmbeddingPreservesDistanceOrder) {
   ASSERT_TRUE(vs.ok());
   EXPECT_LT(vs.value().embedding_stress(), 0.25);
 
-  const auto& pos = vs.value().mds_positions();
+  const auto& pos = vs.value().positions();
   // For node 0 (a corner), the farthest node in hops must be farther in
   // the virtual space than an adjacent node.
   const double d_adj = geometry::distance(pos[0], pos[1]);
@@ -116,8 +117,19 @@ TEST(VirtualSpaceTest, NoCvtSkipsRefinement) {
   opt.cvt_iterations = 0;
   auto vs = VirtualSpace::build(all_switches(g), apsp, opt);
   ASSERT_TRUE(vs.ok());
-  EXPECT_EQ(vs.value().positions(), vs.value().mds_positions());
-  EXPECT_TRUE(vs.value().cvt_energy_history().empty());
+  // Without refinement the C-regulation sampling cannot matter...
+  VirtualSpaceOptions resampled = opt;
+  resampled.seed ^= 0x5eedu;
+  resampled.cvt_samples = 10;
+  auto same = VirtualSpace::build(all_switches(g), apsp, resampled);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(vs.value().positions(), same.value().positions());
+  // ...while a single iteration moves the sites.
+  VirtualSpaceOptions refined = opt;
+  refined.cvt_iterations = 1;
+  auto moved = VirtualSpace::build(all_switches(g), apsp, refined);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_NE(vs.value().positions(), moved.value().positions());
 }
 
 TEST(VirtualSpaceTest, CvtImprovesCellBalance) {
@@ -135,6 +147,11 @@ TEST(VirtualSpaceTest, CvtImprovesCellBalance) {
   opt.cvt_samples = 2000;
   auto vs = VirtualSpace::build(all_switches(topo.value().graph), apsp, opt);
   ASSERT_TRUE(vs.ok());
+  VirtualSpaceOptions raw_opt = opt;
+  raw_opt.cvt_iterations = 0;
+  auto raw =
+      VirtualSpace::build(all_switches(topo.value().graph), apsp, raw_opt);
+  ASSERT_TRUE(raw.ok());
 
   const geometry::Rect domain;
   auto cov_of = [&](const std::vector<Point2D>& sites) {
@@ -145,18 +162,31 @@ TEST(VirtualSpaceTest, CvtImprovesCellBalance) {
     for (double a : areas) var += (a - mean) * (a - mean);
     return std::sqrt(var / static_cast<double>(areas.size())) / mean;
   };
-  EXPECT_LT(cov_of(vs.value().positions()),
-            cov_of(vs.value().mds_positions()));
+  EXPECT_LT(cov_of(vs.value().positions()), cov_of(raw.value().positions()));
 }
 
 TEST(VirtualSpaceTest, CvtEnergyRecorded) {
+  // The refined positions are C-regulation's 15 iterations from the
+  // raw embedding, and the CVT result records each one's energy.
   const graph::Graph g = topology::grid(5, 5);
   const auto apsp = graph::all_pairs_shortest_paths(g);
   VirtualSpaceOptions opt;
   opt.cvt_iterations = 15;
   auto vs = VirtualSpace::build(all_switches(g), apsp, opt);
   ASSERT_TRUE(vs.ok());
-  EXPECT_EQ(vs.value().cvt_energy_history().size(), 15u);
+  VirtualSpaceOptions raw_opt = opt;
+  raw_opt.cvt_iterations = 0;
+  auto raw = VirtualSpace::build(all_switches(g), apsp, raw_opt);
+  ASSERT_TRUE(raw.ok());
+  geometry::CvtOptions cvt;
+  cvt.samples_per_iteration = opt.cvt_samples;
+  cvt.max_iterations = opt.cvt_iterations;
+  cvt.domain = geometry::Rect{0.0, 0.0, 1.0, 1.0};
+  Rng rng(opt.seed);
+  const geometry::CvtResult refined =
+      geometry::c_regulation(raw.value().positions(), cvt, rng);
+  EXPECT_EQ(refined.energy_history.size(), 15u);
+  EXPECT_EQ(vs.value().positions(), refined.sites);
 }
 
 TEST(VirtualSpaceTest, DeterministicForSameSeed) {
