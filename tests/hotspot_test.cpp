@@ -4,19 +4,25 @@
 // and the delay model's cache path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/delay_experiment.hpp"
 #include "core/system.hpp"
 #include "crypto/data_key.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/switch_load.hpp"
 #include "sden/hot_key_cache.hpp"
 #include "topology/presets.hpp"
 #include "workload/hotspot.hpp"
+#include "workload/zipf.hpp"
 
 namespace gred::core {
 namespace {
@@ -146,6 +152,291 @@ TEST(HotKeyCacheTest, StatsAndClear) {
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.0);
   cache.clear();
   EXPECT_EQ(cache.probe(0, digest_of("a")), nullptr);
+}
+
+TEST(HotKeyCacheTest, ClockHandPassesWay256) {
+  // Regression: the hand was one byte wide, so the hand stored after
+  // evicting way 255 of a 300-way set was 0. The next sweep cleared the
+  // reference bits of ways 0-255 and the fill after it evicted k301,
+  // filled moments before, instead of the unreferenced k257.
+  HotKeyCache cache(1, 300);
+  for (int i = 0; i <= 557; ++i) {
+    EXPECT_EQ(cache.insert(0, digest_of("k" + std::to_string(i)), "p", 0, 0),
+              static_cast<std::size_t>(i < 300 ? i : i - 300));
+  }
+  EXPECT_NE(cache.probe(0, digest_of("k301")), nullptr);
+  EXPECT_EQ(cache.probe(0, digest_of("k257")), nullptr);
+}
+
+// ---------- HotKeyCache against the entry-by-entry scan ----------
+
+// The oracle: a set as an array of whole entries, every probe and fill
+// scanning them way by way. The policy is the cache's: a probe hits the
+// first used way of the current epoch and key version holding the
+// digest; a fill refreshes the key's live way, else takes the first
+// unused or stale way, else sweeps CLOCK from a per-switch hand.
+class ReferenceCache {
+ public:
+  struct Way {
+    crypto::Digest digest{};
+    std::string payload;
+    SwitchId home = 0;
+    topology::ServerId responder = topology::kNoServer;
+    std::uint64_t epoch = 0;
+    std::uint64_t version = 0;
+    bool used = false;
+    bool referenced = false;
+  };
+
+  ReferenceCache(std::size_t switches, std::size_t ways)
+      : switches_(switches),
+        ways_(ways),
+        ways_of_(switches * ways),
+        hand_(switches, 0),
+        versions_(kSlots, 0) {}
+
+  const Way* probe(SwitchId sw, const crypto::Digest& d) {
+    if (sw >= switches_) return nullptr;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      Way& e = way(sw, w);
+      if (e.used && e.epoch == epoch_ && e.digest == d &&
+          e.version == version_of(d)) {
+        e.referenced = true;
+        ++hits;
+        return &e;
+      }
+    }
+    ++misses;
+    return nullptr;
+  }
+
+  std::size_t insert(SwitchId sw, const crypto::Digest& d,
+                     const std::string& payload, SwitchId home,
+                     topology::ServerId responder) {
+    if (sw >= switches_) return ways_;
+    std::size_t victim = ways_;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      const Way& e = way(sw, w);
+      if (e.used && e.epoch == epoch_ && e.digest == d) {
+        victim = w;
+        ++refreshes;
+        break;
+      }
+      if (victim == ways_ && (!e.used || e.epoch != epoch_ ||
+                              e.version != version_of(e.digest))) {
+        victim = w;
+      }
+    }
+    if (victim == ways_) {
+      std::size_t h = hand_[sw];
+      while (way(sw, h).referenced) {
+        way(sw, h).referenced = false;
+        h = (h + 1) % ways_;
+      }
+      victim = h;
+      hand_[sw] = (h + 1) % ways_;
+      ++evictions;
+    }
+    way(sw, victim) = {d,       payload, home, responder, epoch_,
+                       version_of(d), true, true};
+    ++insertions;
+    return victim;
+  }
+
+  void invalidate_all() {
+    ++epoch_;
+    ++invalidations;
+  }
+  void invalidate_id(const crypto::Digest& d) {
+    ++versions_[slot(d)];
+    ++invalidations;
+  }
+  void ensure_switches(std::size_t switches) {
+    if (switches <= switches_) return;
+    switches_ = switches;
+    ways_of_.resize(switches_ * ways_);
+    for (Way& e : ways_of_) e.referenced = false;
+    hand_.assign(switches_, 0);
+  }
+  void clear() {
+    invalidate_all();
+    for (Way& e : ways_of_) e = Way{};
+    hand_.assign(switches_, 0);
+  }
+  std::size_t switch_count() const { return switches_; }
+
+  std::uint64_t hits = 0, misses = 0, insertions = 0, invalidations = 0;
+  std::uint64_t refreshes = 0, evictions = 0;
+
+ private:
+  static constexpr std::size_t kSlots = std::size_t{1} << 14;
+  static std::size_t slot(const crypto::Digest& d) {
+    std::uint64_t prefix = 0;
+    std::memcpy(&prefix, d.data(), sizeof prefix);
+    return static_cast<std::size_t>(prefix) & (kSlots - 1);
+  }
+  std::uint64_t version_of(const crypto::Digest& d) const {
+    return versions_[slot(d)];
+  }
+  Way& way(SwitchId sw, std::size_t w) { return ways_of_[sw * ways_ + w]; }
+
+  std::size_t switches_;
+  std::size_t ways_;
+  std::vector<Way> ways_of_;
+  std::vector<std::size_t> hand_;
+  std::vector<std::uint64_t> versions_;
+  std::uint64_t epoch_ = 1;
+};
+
+// Keys with the collisions a tag-first set must get right: key 4j + 1
+// has key 4j's tag (the digest's first eight bytes) but another digest,
+// and key 4j + 2 has another tag in key 4j's version slot.
+std::vector<crypto::Digest> colliding_keys(std::size_t n) {
+  std::vector<crypto::Digest> keys;
+  for (std::size_t i = 0; i < n; ++i) {
+    crypto::Digest d = crypto::sha256("differential-" + std::to_string(i));
+    if (i % 4 == 1) {
+      std::memcpy(d.data(), keys[i - 1].data(), 8);
+    } else if (i % 4 == 2) {
+      std::uint64_t prefix = 0;
+      std::memcpy(&prefix, keys[i - 2].data(), sizeof prefix);
+      prefix += std::uint64_t{1} << 14;
+      std::memcpy(d.data(), &prefix, sizeof prefix);
+    }
+    keys.push_back(d);
+  }
+  return keys;
+}
+
+bool same_answer(const HotKeyCache::Entry* got,
+                 const ReferenceCache::Way* want) {
+  if (got == nullptr || want == nullptr) {
+    return (got == nullptr) == (want == nullptr);
+  }
+  return got->digest == want->digest && got->payload == want->payload &&
+         got->home == want->home && got->responder == want->responder;
+}
+
+// Replays one seeded Zipf stream of probes (a miss mostly followed by a
+// fill, as learn mode does), direct fills, id and epoch invalidations,
+// growth and clears through both caches.
+void replay_against_reference(std::size_t ways, std::uint64_t seed) {
+  SCOPED_TRACE("ways " + std::to_string(ways));
+  const std::vector<crypto::Digest> keys = colliding_keys(256);
+  const workload::ZipfSampler zipf(keys.size(), 1.1);
+  Rng rng(seed);
+  HotKeyCache cache(3, ways);
+  ReferenceCache ref(3, ways);
+  std::size_t fill_ops = 0;
+  std::size_t hits_seen = 0;
+  for (std::size_t step = 0; step < 20000; ++step) {
+    const crypto::Digest& key = keys[zipf.sample(rng)];
+    // One switch past the end: out of range, so no tally.
+    const auto sw =
+        static_cast<SwitchId>(rng.next_below(ref.switch_count() + 1));
+    const std::string payload = "p" + std::to_string(step % 97);
+    const auto home = static_cast<SwitchId>(step % 11);
+    const topology::ServerId responder = step % 13;
+    const double op = rng.next_double();
+    if (op < 0.6) {
+      const HotKeyCache::Entry* got = cache.probe(sw, key);
+      const ReferenceCache::Way* want = ref.probe(sw, key);
+      ASSERT_TRUE(same_answer(got, want)) << "probe at step " << step;
+      if (got != nullptr) ++hits_seen;
+      if (got == nullptr && rng.next_double() < 0.8) {
+        ++fill_ops;
+        ASSERT_EQ(cache.insert(sw, key, payload, home, responder),
+                  ref.insert(sw, key, payload, home, responder))
+            << "fill after miss at step " << step;
+      }
+    } else if (op < 0.88) {
+      ++fill_ops;
+      ASSERT_EQ(cache.insert(sw, key, payload, home, responder),
+                ref.insert(sw, key, payload, home, responder))
+          << "fill at step " << step;
+    } else if (op < 0.99) {
+      cache.invalidate_id(key);
+      ref.invalidate_id(key);
+    } else if (op < 0.995) {
+      cache.invalidate_all();
+      ref.invalidate_all();
+    } else if (op < 0.998) {
+      // 3 to 6 switches: a no-op until the request exceeds the count.
+      const std::size_t grown = 3 + rng.next_below(4);
+      cache.ensure_switches(grown);
+      ref.ensure_switches(grown);
+    } else {
+      cache.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(cache.switch_count(), ref.switch_count());
+  }
+  EXPECT_EQ(cache.hits(), ref.hits);
+  EXPECT_EQ(cache.misses(), ref.misses);
+  EXPECT_EQ(cache.insertions(), ref.insertions);
+  EXPECT_EQ(cache.invalidations(), ref.invalidations);
+  // The stream reached every branch of the fill policy.
+  EXPECT_GT(hits_seen, 300u);
+  EXPECT_GT(ref.refreshes, 300u);
+  EXPECT_GT(ref.evictions, 300u);
+  EXPECT_GT(ref.insertions - ref.refreshes - ref.evictions, 1000u);  // stale
+  EXPECT_GT(fill_ops, 5000u);
+  EXPECT_GT(ref.switch_count(), 3u);
+}
+
+TEST(HotKeyCacheTest, MatchesEntryByEntryScanOnZipfStream) {
+  for (const std::size_t ways : {1, 2, 16}) {
+    replay_against_reference(ways, 7000 + ways);
+  }
+}
+
+TEST(HotKeyCacheTest, ConcurrentServeProbesMatchSerialRun) {
+  const std::vector<crypto::Digest> keys = colliding_keys(64);
+  const workload::ZipfSampler zipf(keys.size(), 1.1);
+  Rng rng(91);
+  HotKeyCache cache(4, 16);
+  for (int i = 0; i < 400; ++i) {
+    const crypto::Digest& key = keys[zipf.sample(rng)];
+    const auto sw = static_cast<SwitchId>(rng.next_below(4));
+    if (cache.probe(sw, key) == nullptr) {
+      cache.insert(sw, key, "v" + std::to_string(i), sw, 0);
+    }
+    if (i % 50 == 0) cache.invalidate_id(key);
+  }
+  cache.set_mode(HotKeyCache::Mode::kServe);
+
+  const std::uint64_t warm_hits = cache.hits();
+  std::vector<const HotKeyCache::Entry*> serial;
+  for (SwitchId sw = 0; sw < 4; ++sw) {
+    for (const crypto::Digest& key : keys) {
+      serial.push_back(cache.probe(sw, key));
+    }
+  }
+  const std::uint64_t serial_hits = cache.hits() - warm_hits;
+  ASSERT_GT(serial_hits, 0u);
+  ASSERT_LT(serial_hits, serial.size());
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::size_t i = 0;
+        for (SwitchId sw = 0; sw < 4; ++sw) {
+          for (const crypto::Digest& key : keys) {
+            if (cache.probe(sw, key) != serial[i++]) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(cache.hits(), warm_hits + serial_hits * (1 + kThreads * kRounds));
 }
 
 // ---------- SwitchLoadTracker ----------
