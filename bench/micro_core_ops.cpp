@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the primitive operations every
 // placement/retrieval touches: hashing, key derivation, the control
-// plane's embedding/DT pipeline, greedy routing, the hot-key cache's
-// probe and fill, Chord lookups, a full data-plane walk, and the
-// sharded runtime's SPSC handoff primitives.
+// plane's embedding/DT pipeline, nearest-site queries and
+// C-regulation, greedy routing, the hot-key cache's probe and fill,
+// Chord lookups, a full data-plane walk, and the sharded runtime's SPSC
+// handoff primitives.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,9 +11,13 @@
 
 #include "bench_util.hpp"
 #include "common/spsc_ring.hpp"
+#include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
+#include "geometry/argmin.hpp"
+#include "geometry/cvt.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/predicates.hpp"
+#include "geometry/site_grid.hpp"
 #include "graph/shortest_path.hpp"
 #include "linalg/mds.hpp"
 #include "sden/hot_key_cache.hpp"
@@ -35,6 +40,23 @@ void label_path(benchmark::State& state) {
   if (state.range(0) != 0 && !crypto::sha256_hardware()) {
     state.SetLabel("no SHA-NI: scalar");
   }
+}
+
+/// perfbench's deployment shape at n switches (Waxman, topology seed
+/// 2019, minimum degree 3, 4 servers per switch), brought up with
+/// `options`; at n = 128 with the default options it is perfbench's
+/// own deployment.
+Result<core::GredSystem> deployment(std::size_t n,
+                                    const core::VirtualSpaceOptions& options) {
+  Rng topo_rng(2019);
+  topology::WaxmanOptions opt;
+  opt.node_count = n;
+  opt.min_degree = 3;
+  auto topo = topology::generate_waxman(opt, topo_rng);
+  if (!topo.ok()) return topo.error();
+  return core::GredSystem::create(
+      topology::uniform_edge_network(std::move(topo).value().graph, 4),
+      options);
 }
 
 void BM_Sha256_64B(benchmark::State& state) {
@@ -165,6 +187,61 @@ void BM_ControlPlaneFull(benchmark::State& state) {
 }
 BENCHMARK(BM_ControlPlaneFull)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
 
+void BM_SiteGridNearest(benchmark::State& state) {
+  // SiteGrid::nearest as its callers run it (C-regulation's samples,
+  // the controller's home lookups): uniform queries over the
+  // C-regulated positions of perfbench's deployment shape at n
+  // switches (at n = 128, perfbench's own positions), 64K seeded
+  // queries in turn. Time is ns per query.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto sys = deployment(n, {});
+  if (!sys.ok()) {
+    state.SkipWithError("system creation failed");
+    return;
+  }
+  const geometry::SiteGrid grid(
+      sys.value().controller().space().positions(),
+      geometry::Rect{0.0, 0.0, 1.0, 1.0});
+  constexpr std::size_t kQueries = 1 << 16;  // power of two: masked cycling
+  Rng rng(14);
+  std::vector<geometry::Point2D> queries(kQueries);
+  for (geometry::Point2D& q : queries) {
+    q = {rng.next_double(), rng.next_double()};
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grid.nearest(queries[i]));
+    i = (i + 1) & (kQueries - 1);
+  }
+}
+BENCHMARK(BM_SiteGridNearest)->ArgName("sites")->Arg(128)->Arg(1024);
+
+void BM_CRegulation(benchmark::State& state) {
+  // One whole C-regulation as set-up runs it (Algorithm 1, T = 50
+  // iterations x 1,000 samples, the default seed), on one thread, from
+  // the pre-CVT positions of perfbench's deployment (its embedding
+  // with C-regulation off). Each sample is one SiteGrid::nearest
+  // query; each iteration builds one grid.
+  auto sys = deployment(128, bench::nocvt_options());
+  if (!sys.ok()) {
+    state.SkipWithError("system creation failed");
+    return;
+  }
+  const std::vector<geometry::Point2D> initial =
+      sys.value().controller().space().positions();
+  const core::VirtualSpaceOptions defaults;
+  ThreadPool serial(1);
+  geometry::CvtOptions cvt;
+  cvt.samples_per_iteration = defaults.cvt_samples;
+  cvt.max_iterations = defaults.cvt_iterations;
+  cvt.pool = &serial;
+  for (auto _ : state) {
+    Rng rng(defaults.seed);
+    benchmark::DoNotOptimize(geometry::c_regulation(initial, cvt, rng));
+  }
+}
+BENCHMARK(BM_CRegulation)->Unit(benchmark::kMillisecond);
+
 void BM_GredPlacementWalk(benchmark::State& state) {
   const topology::EdgeNetwork net =
       bench::network({.switches = 100, .topology_seed = 920});
@@ -254,17 +331,7 @@ void BM_PlanWalk(benchmark::State& state) {
   // relay_share, the share of steps that were relay hops. /simd:1 runs
   // the argmin requests use (AVX2 where CPUID reports it), /simd:0 the
   // scalar loop.
-  Rng topo_rng(2019);
-  topology::WaxmanOptions opt;
-  opt.node_count = 128;
-  opt.min_degree = 3;
-  auto topo = topology::generate_waxman(opt, topo_rng);
-  if (!topo.ok()) {
-    state.SkipWithError("topology failed");
-    return;
-  }
-  auto sys = core::GredSystem::create(
-      topology::uniform_edge_network(std::move(topo).value().graph, 4), {});
+  auto sys = deployment(128, {});
   if (!sys.ok()) {
     state.SkipWithError("system creation failed");
     return;
@@ -285,7 +352,7 @@ void BM_PlanWalk(benchmark::State& state) {
     const crypto::DataKey key("walk-" + std::to_string(i));
     target[i] = {key.position().x, key.position().y};
   }
-  const bool simd = state.range(0) != 0 && sden::kAvx2Argmin;
+  const bool simd = state.range(0) != 0 && geometry::kAvx2Argmin;
   const std::size_t max_hops = network.max_route_hops();
   sden::Packet pkt;
   std::size_t steps = 0;
@@ -313,7 +380,7 @@ void BM_PlanWalk(benchmark::State& state) {
       benchmark::Counter(total, benchmark::Counter::kAvgIterations);
   state.counters["relay_share"] =
       total > 0 ? static_cast<double>(relay_steps) / total : 0.0;
-  if (state.range(0) != 0 && !sden::kAvx2Argmin) {
+  if (state.range(0) != 0 && !geometry::kAvx2Argmin) {
     state.SetLabel("no AVX2: scalar");
   }
 }

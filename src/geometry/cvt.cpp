@@ -46,31 +46,6 @@ ThreadPool& pool_of(const CvtOptions& options) {
 
 }  // namespace
 
-double estimate_cvt_energy(const std::vector<Point2D>& sites,
-                           const CvtOptions& options, std::size_t samples,
-                           Rng& rng) {
-  if (sites.empty() || samples == 0) return 0.0;
-  const SiteGrid grid(sites, options.domain);
-  const std::size_t blocks = sample_block_count(samples);
-  const std::uint64_t base_seed = rng.next_u64();
-  std::vector<double> partial(blocks, 0.0);
-  pool_of(options).parallel_for(
-      0, blocks, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          Rng block_rng(base_seed + b);
-          double acc = 0.0;
-          for (std::size_t s = block_size(samples, blocks, b); s > 0; --s) {
-            const Point2D p = draw_sample(options, block_rng);
-            acc += squared_distance(p, sites[grid.nearest(p)]);
-          }
-          partial[b] = acc;
-        }
-      });
-  double acc = 0.0;
-  for (double e : partial) acc += e;
-  return acc / static_cast<double>(samples);
-}
-
 CvtResult c_regulation(std::vector<Point2D> sites, const CvtOptions& options,
                        Rng& rng) {
   CvtResult result;

@@ -56,12 +56,4 @@ struct CvtResult {
 CvtResult c_regulation(std::vector<Point2D> sites, const CvtOptions& options,
                        Rng& rng);
 
-/// Monte-Carlo estimate of the CVT energy of a site set,
-/// E = (1/S) * sum over samples r of |r - nearest_site(r)|^2, with
-/// samples drawn from the same distribution (domain + density) that
-/// c_regulation minimizes over.
-double estimate_cvt_energy(const std::vector<Point2D>& sites,
-                           const CvtOptions& options, std::size_t samples,
-                           Rng& rng);
-
 }  // namespace gred::geometry

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+
+#include "geometry/argmin.hpp"
 
 namespace gred::geometry {
 namespace {
@@ -64,6 +68,51 @@ SiteGrid::SiteGrid(std::vector<Point2D> sites, const Rect& domain)
   cell_items_.resize(sites_.size());
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     cell_items_[counts[cell_of[i]]++] = i;
+  }
+
+  // Neighbourhood lists. Each site joins the list of every cell whose
+  // 3 x 3 block holds its cell, i.e. the lists of the cells around its
+  // own. Appending the sites in (x, y, index) order leaves every list
+  // sorted that way.
+  std::vector<std::size_t> order(sites_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Point2D& pa = sites_[a];
+    const Point2D& pb = sites_[b];
+    if (pa.x != pb.x) return pa.x < pb.x;
+    if (pa.y != pb.y) return pa.y < pb.y;
+    return a < b;
+  });
+  const auto for_block = [&](std::size_t cell, auto&& fn) {
+    const std::size_t cx = cell % nx_;
+    const std::size_t cy = cell / nx_;
+    for (std::size_t y = cy == 0 ? 0 : cy - 1; y <= cy + 1 && y < ny_; ++y) {
+      for (std::size_t x = cx == 0 ? 0 : cx - 1; x <= cx + 1 && x < nx_;
+           ++x) {
+        fn(y * nx_ + x);
+      }
+    }
+  };
+  list_start_.assign(nx_ * ny_ + 1, 0);
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    for_block(cell_of[i], [&](std::size_t c) { ++list_start_[c + 1]; });
+  }
+  for (std::size_t c = 1; c < list_start_.size(); ++c) {
+    list_start_[c] += list_start_[c - 1];
+  }
+  const std::size_t entries = list_start_.back();
+  list_sites_.resize(entries);
+  list_xy_.assign(2 * entries + kArgminBlock, 0.0);
+  std::vector<std::size_t> filled(nx_ * ny_, 0);
+  for (const std::size_t i : order) {
+    for_block(cell_of[i], [&](std::size_t c) {
+      const std::size_t lo = list_start_[c];
+      const std::size_t k = list_start_[c + 1] - lo;
+      const std::size_t at = filled[c]++;
+      list_xy_[2 * lo + at] = sites_[i].x;
+      list_xy_[2 * lo + k + at] = sites_[i].y;
+      list_sites_[lo + at] = i;
+    });
   }
 }
 
@@ -193,6 +242,64 @@ std::vector<std::size_t> SiteGrid::nearest_k(const Point2D& p,
 std::size_t SiteGrid::nearest(const Point2D& p) const {
   if (sites_.empty()) return kNoSite;
 
+  // One scan of the list of p's clamped cell (ix, iy): the sites of the
+  // block of cells ix-1..ix+1 x iy-1..iy+1 that lie in the grid. The
+  // list is sorted by (x, y, index) and the argmin keeps the first
+  // minimum, so among the block's sites it returns exactly the brute
+  // force's winner: the smallest squared distance, then the smallest
+  // (x, y) (closer_to), then the lowest index among coincident sites.
+  // The argmin rounds dx*dx + dy*dy as squared_distance does.
+  const std::size_t ix = cell_x(p.x);
+  const std::size_t iy = cell_y(p.y);
+  const std::size_t cell = iy * nx_ + ix;
+  const std::size_t lo = list_start_[cell];
+  const std::size_t k = list_start_[cell + 1] - lo;
+  const double* const xs = list_xy_.data() + 2 * lo;
+  const Argmin best = kAvx2Argmin ? argmin_avx2(xs, xs + k, k, p.x, p.y)
+                                  : argmin_scalar(xs, xs + k, k, p.x, p.y);
+
+  // That answer is the global one when every site outside the block is
+  // strictly farther. A site outside lies in a cell at least two
+  // columns or two rows from (ix, iy), so beyond one of the block's
+  // borders, and it can be there only on a side where the grid
+  // continues (every site lies in the grid). Its distance from p is
+  // then at least p's distance to that border, `gap` below; a side
+  // with no cells beyond it bounds nothing. (p may lie outside its
+  // clamped cell; a border on p's wrong side gives a gap <= 0, and the
+  // ring search answers.)
+  //
+  // Rounding: a site's cell is fl(fl(x - min_x) / cell_w) and a border
+  // is fl(min_x + fl(c * cell_w)), so a site in a cell beyond a border
+  // may lie a few ulps of M, the grid's largest coordinate magnitude,
+  // on the border's near side, and every computed distance carries a
+  // few ulps of relative error. Accepting only when
+  // d2 + 1e-12 * (1 + d2) < gap^2 (the ring search's cell-skip slack)
+  // leaves every outside site's computed squared distance strictly
+  // above d2 while M stays below a few hundred; the virtual space is
+  // the unit square. Near-ties at a border go to the ring search, and
+  // so does a list without a finite distance (index == k: empty, or
+  // every squared distance overflowing).
+  if (best.index < k) {
+    // Left edge of column c, bottom edge of row c.
+    const auto col = [&](std::size_t c) {
+      return min_x_ + static_cast<double>(c) * cell_w_;
+    };
+    const auto row = [&](std::size_t c) {
+      return min_y_ + static_cast<double>(c) * cell_h_;
+    };
+    double gap = std::numeric_limits<double>::infinity();
+    if (ix >= 2) gap = std::min(gap, p.x - col(ix - 1));
+    if (ix + 2 < nx_) gap = std::min(gap, col(ix + 2) - p.x);
+    if (iy >= 2) gap = std::min(gap, p.y - row(iy - 1));
+    if (iy + 2 < ny_) gap = std::min(gap, row(iy + 2) - p.y);
+    if (gap > 0.0 && best.d2 + 1e-12 * (1.0 + best.d2) < gap * gap) {
+      return list_sites_[lo + best.index];
+    }
+  }
+  return ring_nearest(p);
+}
+
+std::size_t SiteGrid::ring_nearest(const Point2D& p) const {
   const auto ix = static_cast<std::ptrdiff_t>(cell_x(p.x));
   const auto iy = static_cast<std::ptrdiff_t>(cell_y(p.y));
   const auto snx = static_cast<std::ptrdiff_t>(nx_);

@@ -1,13 +1,22 @@
 // Uniform-grid spatial index over a fixed site set for expected-O(1)
 // nearest-site queries. The answer agrees exactly with the brute-force
 // `nearest_site` scan — same distance metric, same (x, y)-rank
-// tie-break, lowest index among coincident sites — so the data plane's
-// per-packet home-switch lookup and the C-regulation sampling loop can
-// replace the O(n) scan without changing a single placement.
+// tie-break, lowest index among coincident sites — so its callers
+// replace the O(n) scan without changing a single placement:
+// C-regulation's sampling loop (50 × 1,000 queries per set-up), the
+// controller's home lookup in placement and in reconcile (one per
+// stored copy), and retrieve_nearest_replica.
+//
+// nearest() first scans one contiguous list: every cell keeps the sites
+// of the 3 × 3 block of cells around it, sorted by (x, y, index), and
+// geometry's argmin (AVX2 where CPUID reports it) takes that list's
+// first minimum. The answer stands when no site outside the block can
+// beat it (the argument is beside the code); otherwise the ring search
+// answers, growing square rings of cells from the query's cell.
 //
 // The grid is immutable: a changed site set builds a new grid, one
-// O(n) counting sort, far cheaper than the DT repair of the same join
-// or leave.
+// counting sort for the ring search and one sort by position for the
+// lists, far cheaper than the DT repair of the same join or leave.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +54,8 @@ class SiteGrid {
  private:
   std::size_t cell_x(double x) const;
   std::size_t cell_y(double y) const;
+  /// nearest() by the ring search from the query's clamped cell.
+  std::size_t ring_nearest(const Point2D& p) const;
   /// Considers every site of cell (cx, cy) as a candidate for `p`,
   /// updating `best`/`best_sq`. Skips the cell when its bounding box
   /// is strictly farther than `best_sq`.
@@ -69,6 +80,14 @@ class SiteGrid {
   /// ascending, so scan order inside a cell matches the brute force.
   std::vector<std::size_t> cell_start_;
   std::vector<std::size_t> cell_items_;
+  /// Neighbourhood lists, CSR over entries: cell c's list is entries
+  /// list_start_[c] .. list_start_[c + 1]), k of them, sorted by
+  /// (x, y, index). Its x column is list_xy_[2 * list_start_[c] ..)
+  /// and its y column follows at + k; list_sites_ names each entry's
+  /// site. kArgminBlock zero words end list_xy_.
+  std::vector<std::size_t> list_start_;
+  std::vector<double> list_xy_;
+  std::vector<std::size_t> list_sites_;
 };
 
 }  // namespace gred::geometry

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/mutex.hpp"
+#include "geometry/argmin.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/switch_load.hpp"
@@ -362,7 +363,7 @@ void SdenNetwork::compile_plan_subset(RoutePlan& plan,
   // Blob size up front: header words plus the candidate columns, for
   // every owned switch, each region rounded up to a cache line, plus
   // the vector argmin's tail padding.
-  std::size_t words = kPlanArgminBlock;
+  std::size_t words = geometry::kArgminBlock;
   for (std::size_t j = 0; j < count; ++j) {
     const std::size_t k = switches_[owned[j]].table().neighbors().size();
     words += (kPlanHeaderWords + kPlanColumns * k + 7) & ~std::size_t{7};
@@ -433,7 +434,7 @@ void SdenNetwork::compile_plan_subset(RoutePlan& plan,
           0, ne.physical ? kNoRelayLink : link_of(next, ne.neighbor));
     }
   }
-  plan.hot.resize(plan.hot.size() + kPlanArgminBlock);
+  plan.hot.resize(plan.hot.size() + geometry::kArgminBlock);
   plan.synced = changes_;
 }
 

@@ -5,12 +5,10 @@
 // the relay stage, the argmin, and the closer_to tie-break, and both
 // callers feed it the same per-switch region layout (route_plan.hpp).
 //
-// The argmin runs in AVX2 where CPUID reports it (argmin_avx2, chosen
-// once by the plain flag kAvx2Argmin) and in the scalar loop elsewhere;
-// argmin_scalar is also the vector body's test oracle. Both round
-// dx*dx, dy*dy and their sum separately — the vector body is compiled
-// for AVX2 without FMA — so they pick the same winner on every input,
-// near-ties included.
+// The argmin is geometry's (geometry/argmin.hpp): AVX2 where CPUID
+// reports it, the scalar loop elsewhere, the same winner on every
+// input. SiteGrid::nearest runs the same functions over its cells'
+// neighbourhood lists.
 //
 // The caller owns everything around the step: the hop bound, fault
 // checks on a committed hop (which come AFTER the missing-link check,
@@ -20,9 +18,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "common/thread_annotations.hpp"
+#include "geometry/argmin.hpp"
 #include "sden/fault_state.hpp"
 #include "sden/packet.hpp"
 #include "sden/route_plan.hpp"
@@ -43,79 +41,12 @@ struct PlanStep {
   double weight = 0.0;
 };
 
-/// Winner of the argmin over a region's candidate columns: the first
-/// index whose squared distance to the target is minimal (the columns
-/// are lex-sorted, so that is the paper's tie-break), or `index == k`
-/// with `d2 == +inf` when no candidate has a finite distance.
-struct PlanArgmin {
-  std::size_t index = 0;
-  double d2 = 0.0;
-};
-
-/// The scalar argmin: two independent strict-less accumulator chains
-/// (branch-free minsd + cmov), merged with the smaller index winning
-/// equal distances. The fallback where AVX2 is missing, and the oracle
-/// of the vector body.
-inline PlanArgmin argmin_scalar(const double* xs, const double* ys,
-                                std::size_t k, double tx, double ty) {
-  double m0 = std::numeric_limits<double>::infinity();
-  double m1 = m0;
-  std::size_t b0 = k;
-  std::size_t b1 = k;
-  std::size_t i = 0;
-  for (; i + 1 < k; i += 2) {
-    const double dx0 = xs[i] - tx;
-    const double dy0 = ys[i] - ty;
-    const double d0 = dx0 * dx0 + dy0 * dy0;
-    const double dx1 = xs[i + 1] - tx;
-    const double dy1 = ys[i + 1] - ty;
-    const double d1 = dx1 * dx1 + dy1 * dy1;
-    b0 = d0 < m0 ? i : b0;
-    m0 = d0 < m0 ? d0 : m0;
-    b1 = d1 < m1 ? i + 1 : b1;
-    m1 = d1 < m1 ? d1 : m1;
-  }
-  if (i < k) {
-    const double dx = xs[i] - tx;
-    const double dy = ys[i] - ty;
-    const double d2 = dx * dx + dy * dy;
-    b0 = d2 < m0 ? i : b0;
-    m0 = d2 < m0 ? d2 : m0;
-  }
-  // Merge the even/odd chains; on equal distance the smaller index
-  // (lex-smaller position) wins.
-  return {(m1 < m0 || (m1 == m0 && b1 < b0)) ? b1 : b0, m1 < m0 ? m1 : m0};
-}
-
-#if defined(__x86_64__)
-/// Whether plan_step runs argmin_avx2: CPUID reports AVX2 and the OS
-/// saves YMM state. Set once during static initialisation; a read
-/// before then sees false and takes the scalar loop, which picks the
-/// same winner.
-extern const bool kAvx2Argmin;
-
-/// The argmin in AVX2, four candidates per instruction: passes of
-/// kPlanArgminBlock lanes, each branch-free, with masked loads, padding
-/// lanes at +inf, and the first minimum found by one ctz over the
-/// merged equality masks. Same result as argmin_scalar for every
-/// input. `xs` must lie in a RoutePlan's `hot` array (its tail padding
-/// keeps every formed address inside it).
-PlanArgmin argmin_avx2(const double* xs, const double* ys, std::size_t k,
-                       double tx, double ty);
-#else
-inline constexpr bool kAvx2Argmin = false;
-inline PlanArgmin argmin_avx2(const double* xs, const double* ys,
-                              std::size_t k, double tx, double ty) {
-  return argmin_scalar(xs, ys, k, tx, ty);
-}
-#endif
-
 /// Whether candidate `a` of the region at `base` (k candidates) makes
 /// strict progress toward the target: closer_to(target, a, self), a
 /// strictly smaller distance, or an equal one and a lexicographically
 /// smaller position.
 inline bool plan_progresses(const double* base, std::size_t k,
-                            const PlanArgmin& a, double tx, double ty) {
+                            const geometry::Argmin& a, double tx, double ty) {
   if (a.index == k) return false;
   const double px = base[0];
   const double py = base[1];
@@ -132,8 +63,9 @@ inline bool plan_progresses(const double* base, std::size_t k,
 /// at `base` whose physical next hop from `cur` is up (not a crashed
 /// switch, not a hard-down link). Scalar, out of line and fault-only,
 /// so the healthy step keeps its vector body and one predicted branch.
-PlanArgmin argmin_live(const double* base, std::size_t k, double tx,
-                       double ty, std::uint32_t cur, const FaultState& faults);
+geometry::Argmin argmin_live(const double* base, std::size_t k, double tx,
+                             double ty, std::uint32_t cur,
+                             const FaultState& faults);
 
 /// Executes one iteration of the compiled walk: the virtual-link relay
 /// stage (Section V-A) or one greedy decision (Algorithm 2) over the
@@ -158,7 +90,7 @@ PlanArgmin argmin_live(const double* base, std::size_t k, double tx,
 /// body costs its two callers.
 [[gnu::always_inline]] GRED_HOT_PATH inline PlanStep plan_step(
     const RoutePlan& plan, std::uint32_t cur, Packet& pkt,
-    const FaultState* faults, bool vector_argmin = kAvx2Argmin) {
+    const FaultState* faults, bool vector_argmin = geometry::kAvx2Argmin) {
   const double tx = pkt.target.x;
   const double ty = pkt.target.y;
 
@@ -197,10 +129,11 @@ PlanArgmin argmin_live(const double* base, std::size_t k, double tx,
   const std::size_t k = plan_hi(base[2]);
   const double* const xs = base + kPlanHeaderWords;
   const double* const ys = xs + k;
-  PlanArgmin best = vector_argmin ? argmin_avx2(xs, ys, k, tx, ty)
-                                  : argmin_scalar(xs, ys, k, tx, ty);
+  geometry::Argmin best =
+      vector_argmin ? geometry::argmin_avx2(xs, ys, k, tx, ty)
+                    : geometry::argmin_scalar(xs, ys, k, tx, ty);
   if (faults != nullptr) {
-    const PlanArgmin live = argmin_live(base, k, tx, ty, cur, *faults);
+    const geometry::Argmin live = argmin_live(base, k, tx, ty, cur, *faults);
     if (plan_progresses(base, k, live, tx, ty)) best = live;
   }
   if (!plan_progresses(base, k, best, tx, ty)) {

@@ -30,9 +30,9 @@
 //                         when that hop has none, and for physical
 //                         neighbours)
 //
-// After the last region, kPlanArgminBlock zero words keep every address
-// the vector argmin (plan_walk.hpp) forms inside the array; its masked
-// loads never read past a region's candidates.
+// After the last region, geometry::kArgminBlock zero words keep every
+// address the vector argmin (geometry/argmin.hpp) forms inside the
+// array; its masked loads never read past a region's candidates.
 //
 // Relay hops (the <sour, pred, succ, dest> tuples of multi-hop DT
 // edges, Section IV-C) are compiled into one array, `relays`: every
@@ -87,11 +87,6 @@ inline constexpr std::uint32_t kPlanFlagDeliverFallback = 2u;
 inline constexpr std::size_t kPlanHeaderWords = 4;
 /// Columns per candidate: x, y, action, weight, relay link.
 inline constexpr std::size_t kPlanColumns = 5;
-/// Candidates one pass of the vector argmin covers (plan_walk.hpp), and
-/// the zero words after the last region that keep its addresses inside
-/// `hot`.
-inline constexpr std::size_t kPlanArgminBlock = 12;
-
 inline double plan_pack(std::uint32_t hi, std::uint32_t lo) {
   return std::bit_cast<double>((static_cast<std::uint64_t>(hi) << 32) | lo);
 }

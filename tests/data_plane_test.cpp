@@ -18,6 +18,7 @@
 #include "core/delay_experiment.hpp"
 #include "core/system.hpp"
 #include "crypto/data_key.hpp"
+#include "geometry/argmin.hpp"
 #include "sden/flow_table.hpp"
 #include "sden/item_store.hpp"
 #include "sden/network.hpp"
@@ -592,7 +593,7 @@ struct Columns {
   std::size_t k = 0;
 
   explicit Columns(std::size_t count)
-      : words(2 * count + sden::kPlanArgminBlock, 0.0), k(count) {}
+      : words(2 * count + geometry::kArgminBlock, 0.0), k(count) {}
   double* xs() { return words.data(); }
   double* ys() { return words.data() + k; }
 };
@@ -601,9 +602,9 @@ struct Columns {
 /// the same squared distance, bit for bit.
 void expect_same_argmin(Columns& c, double tx, double ty,
                         const std::string& what) {
-  const sden::PlanArgmin want =
-      sden::argmin_scalar(c.xs(), c.ys(), c.k, tx, ty);
-  const sden::PlanArgmin got = sden::argmin_avx2(c.xs(), c.ys(), c.k, tx, ty);
+  const geometry::Argmin want =
+      geometry::argmin_scalar(c.xs(), c.ys(), c.k, tx, ty);
+  const geometry::Argmin got = geometry::argmin_avx2(c.xs(), c.ys(), c.k, tx, ty);
   EXPECT_EQ(got.index, want.index) << what;
   EXPECT_EQ(std::memcmp(&got.d2, &want.d2, sizeof(double)), 0)
       << what << ": " << got.d2 << " vs " << want.d2;
@@ -622,9 +623,9 @@ double d2_fused_y(double dx, double dy) { return std::fma(dy, dy, dx * dx); }
 // moves when dx*dx + dy*dy is computed with a fused multiply-add.
 TEST(PlanWalkTest, SimdArgminMatchesScalarOracle) {
 #if defined(__x86_64__)
-  EXPECT_EQ(sden::kAvx2Argmin, __builtin_cpu_supports("avx2") != 0);
+  EXPECT_EQ(geometry::kAvx2Argmin, __builtin_cpu_supports("avx2") != 0);
 #endif
-  if (!sden::kAvx2Argmin) {
+  if (!geometry::kAvx2Argmin) {
     GTEST_SKIP() << "no AVX2: plan_step runs the scalar argmin only";
   }
   Rng rng(2501);
@@ -672,7 +673,7 @@ TEST(PlanWalkTest, SimdArgminMatchesScalarOracle) {
         expect_same_argmin(c, tx, ty,
                            "tie k=" + std::to_string(k) + " lanes " +
                                std::to_string(i) + "," + std::to_string(j));
-        EXPECT_EQ(sden::argmin_avx2(c.xs(), c.ys(), k, tx, ty).index, i);
+        EXPECT_EQ(geometry::argmin_avx2(c.xs(), c.ys(), k, tx, ty).index, i);
         ++ties;
       }
     }
@@ -720,7 +721,7 @@ TEST(PlanWalkTest, SimdArgminMatchesScalarOracle) {
     c.xs()[j] = bx;
     c.ys()[j] = by;
     expect_same_argmin(c, px, py, "near-tie " + std::to_string(attempt));
-    EXPECT_EQ(sden::argmin_scalar(c.xs(), c.ys(), k, px, py).index,
+    EXPECT_EQ(geometry::argmin_scalar(c.xs(), c.ys(), k, px, py).index,
               plain ? i : j);
   }
   EXPECT_GE(flips_x, 64u);

@@ -526,21 +526,5 @@ TEST(CvtTest, DensityBiasesSites) {
   EXPECT_GE(left, 6);
 }
 
-TEST(CvtEnergyTest, UniformGridBeatsClumpedSites) {
-  Rng rng(79);
-  std::vector<Point2D> grid, clump;
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      grid.push_back({(i + 0.5) / 3.0, (j + 0.5) / 3.0});
-      clump.push_back({0.5 + 0.01 * i, 0.5 + 0.01 * j});
-    }
-  }
-  CvtOptions opt;  // uniform density over the unit square
-  Rng r1(1), r2(1);
-  const double e_grid = estimate_cvt_energy(grid, opt, 20000, r1);
-  const double e_clump = estimate_cvt_energy(clump, opt, 20000, r2);
-  EXPECT_LT(e_grid, e_clump);
-}
-
 }  // namespace
 }  // namespace gred::geometry
